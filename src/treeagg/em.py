@@ -32,7 +32,6 @@ from .matrices import (
 )
 from .spanning_trees import (
     _calibrate_on_support,
-    _support_connected,
     edge_marginals,
     log_partition_function,
 )
@@ -115,10 +114,6 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     weights[finite & (weights == 0.0)] = 1e-300
     weights[~finite] = 0.0
     np.fill_diagonal(weights, 0.0)
-    if not _support_connected(weights):
-        raise DegeneratePosteriorError(
-            "positive-weight support is disconnected: no tree has positive posterior"
-        )
     return weights, shift
 
 
@@ -342,8 +337,8 @@ class FitOptions:
 class FitResult:
     """Converged precision estimate with edge posteriors and diagnostics.
 
-    damped_count flags the iterations where the raw simultaneous update would
-    have lowered the likelihood and a reduced or partial step was taken.
+    damped_count counts the iterations where the full M-step update would have
+    lowered the likelihood and a halved step was accepted instead.
     """
 
     precision: PartitionedPrecision
@@ -375,22 +370,15 @@ def _run_em(
 ) -> FitResult:
     """EM driver with a backtracking step size.
 
-    The simultaneous closed-form updates solve each entry's stationarity
-    condition at the previous iterate; taken jointly they can overshoot and
-    lower the likelihood, so the step from K to the candidate is halved until
-    the observed log-likelihood does not decrease.  A step that stalls at the
-    smallest size terminates the run; the best iterate is returned either way.
+    Each iteration makes one proposal, the full M-step update.  Its
+    simultaneous closed-form updates solve each entry's stationarity condition
+    at the previous iterate; taken jointly they can overshoot and lower the
+    likelihood, so the step from K to the proposal is halved, up to 20 times,
+    until the observed log-likelihood does not decrease.  A step that stalls at
+    the smallest size terminates the run; the best iterate is returned either
+    way.
     """
     p, r = k_init.n_observed, k_init.n_hidden
-    size = p + r
-    observed_mask = np.zeros((size, size), dtype=bool)
-    observed_mask[:p, :p] = True
-    # No hidden-rows-only proposal: the likelihood surface rewards saturated
-    # hidden couplings (an artifact of the edge-factorized approximation), and
-    # chasing that region detaches the fit from the data.  Hidden rows move
-    # only as part of the full moment-based update.
-    masks = [np.ones((size, size), dtype=bool), observed_mask]
-
     k = k_init
     state = e_step(k, cov, prior)
     ll = observed_loglik(state, k, cov)
@@ -409,32 +397,25 @@ def _run_em(
         ):
             converged = True
             break
-        candidate = m_step(state, k, cov, eig_floor=opts.eig_floor)
-        # Accept the first (block, step size) whose trial point does not
-        # lower the likelihood: the full update, then the observed block
-        # alone, each with halved steps.
+        proposal = m_step(state, k, cov, eig_floor=opts.eig_floor).matrix
+        # Accept the first step size, halving from 1, whose trial point raises
+        # the likelihood by more than min_gain; the full step need only hold
+        # it level to within 1e-9.
         accepted = None
         min_gain = opts.tol * 1e-3 * (abs(ll) + 1.0)
-        for mask in masks if r else masks[:1]:
-            proposal = np.where(mask, candidate.matrix, k.matrix)
-            if np.array_equal(proposal, k.matrix):
-                continue
+        if not np.array_equal(proposal, k.matrix):
             step = 1.0
             for _ in range(20):
                 trial_matrix = (1.0 - step) * k.matrix + step * proposal
                 trial = PartitionedPrecision(trial_matrix, p, r)
                 trial_state = e_step(trial, cov, prior)
                 trial_ll = observed_loglik(trial_state, trial, cov)
-                if trial_ll - ll > min_gain or (
-                    step == 1.0 and mask.all() and trial_ll - ll >= -1e-9
-                ):
+                if trial_ll - ll > min_gain or (step == 1.0 and trial_ll - ll >= -1e-9):
                     accepted = (trial, trial_state, trial_ll)
-                    if step < 1.0 or not mask.all():
+                    if step < 1.0:
                         damped += 1
                     break
                 step *= 0.5
-            if accepted is not None:
-                break
         if accepted is None:
             converged = True
             break

@@ -27,18 +27,20 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
-from .graphs import UnionFind, prufer_to_edges
+from .graphs import prufer_to_edges
 
 MAX_ENUMERATION_SIZE = 8
 
 
 def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
-    """Check symmetry, nonnegativity, zero diagonal and minimum size."""
+    """Check finiteness, symmetry, nonnegativity, zero diagonal and minimum size."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidWeightError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:
         raise InvalidWeightError("weight matrix needs at least 2 nodes")
+    if not np.isfinite(w).all():
+        raise InvalidWeightError("weights must be finite")
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     if np.abs(w - w.T).max(initial=0.0) > 1e-10 * scale:
         raise InvalidWeightError("weight matrix is not symmetric")
@@ -55,21 +57,11 @@ def build_laplacian(w: np.ndarray) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def _support_connected(w: np.ndarray) -> bool:
-    """Connectivity of the strictly-positive-weight support graph."""
-    n = w.shape[0]
-    uf = UnionFind(n)
-    rows, cols = np.nonzero(w > 0.0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i < j:
-            uf.union(i, j)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(1, n))
-
-
 def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Divide by the largest weight; returns (w', log scale)."""
+    """Divide by the largest weight; returns (w', log scale).  All-zero w is kept."""
     top = float(w.max())
+    if top == 0.0:
+        return w, 0.0
     return w / top, np.log(top)
 
 
@@ -80,6 +72,9 @@ def _eliminate(w: np.ndarray, ground: int, need_factor: bool):
     total incident weight of the s-th eliminated node at its elimination time
     and N[t, s] = w(v_t, v_s) / pivots[s] for t > s.  Z(W) equals the product
     of the pivots; the grounded Laplacian factors as (I - N) D (I - N)^T.
+    A node left without incident weight means the positive-weight support is
+    disconnected (Z = 0): the last node eliminated from every component that
+    lacks the ground meets a zero pivot, and DegenerateWeightsError is raised.
     """
     n = w.shape[0]
     order = [i for i in range(n) if i != ground]
@@ -90,9 +85,10 @@ def _eliminate(w: np.ndarray, ground: int, need_factor: bool):
     for s, v in enumerate(order):
         row = cur[v].copy()
         d = float(row.sum())
-        if d <= 0.0 or not np.isfinite(d):
+        if d <= 0.0:
             raise DegenerateWeightsError(
-                f"node {v} lost all incident weight during elimination"
+                f"node {v} lost all incident weight during elimination: "
+                "the positive-weight support is disconnected"
             )
         pivots[s] = d
         ratio = row / d
@@ -109,13 +105,14 @@ def log_partition_function(w: np.ndarray) -> float:
     """log of Z(W) = sum over spanning trees of the edge-weight products.
 
     Returns -inf when the positive-weight support is disconnected (no spanning
-    tree has positive weight).
+    tree has positive weight), which the elimination meets as a zero pivot.
     """
     w = validate_weight_matrix(w)
-    if not _support_connected(w):
-        return -np.inf
     ws, log_scale = _max_rescale(w)
-    _, pivots, _ = _eliminate(ws, 0, need_factor=False)
+    try:
+        _, pivots, _ = _eliminate(ws, 0, need_factor=False)
+    except DegenerateWeightsError:
+        return -np.inf
     return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
 
 
@@ -147,13 +144,10 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     M_kl = w_kl * R_kl with R the effective resistance.  Grounding node l and
     eliminating the rest yields the column R[:, l], so the full matrix costs
     one elimination per node; every quantity is a sum or product of positives,
-    which keeps the result accurate for weights of any dynamic range.
+    which keeps the result accurate for weights of any dynamic range.  Raises
+    DegenerateWeightsError when the positive-weight support is disconnected.
     """
     w = validate_weight_matrix(w)
-    if not _support_connected(w):
-        raise DegenerateWeightsError(
-            "disconnected positive-weight support: tree posterior is undefined"
-        )
     ws, _ = _max_rescale(w)
     n = ws.shape[0]
     resistance = np.zeros((n, n))

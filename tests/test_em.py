@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeagg import em
-from treeagg.errors import DegeneratePosteriorError, InvalidMomentError
+from treeagg.errors import DegeneratePosteriorError, InvalidMomentError, TreeAggError
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 from treeagg.spanning_trees import brute_force_tree_products
@@ -92,6 +92,16 @@ class TestEStep:
         prec = PartitionedPrecision(np.eye(3), 3, 0)
         with pytest.raises(DegeneratePosteriorError):
             em.e_step(prec, cov, np.zeros((3, 3)))
+
+    def test_disconnected_prior_raises(self, rng):
+        # prior support {0, 2, 4} | {1, 3} plus the hidden node joined to {0, 2, 4}
+        cov = small_cov(rng, 5)
+        _, prec, _ = random_instance(rng, 5, 1)
+        prior = np.zeros((6, 6))
+        for i, j in [(0, 2), (2, 4), (1, 3), (0, 5), (4, 5)]:
+            prior[i, j] = prior[j, i] = 1.0
+        with pytest.raises(TreeAggError):
+            em.e_step(prec, cov, prior)
 
     def test_decoupled_hidden_preserves_observed_ranking(self, rng):
         # K_OH = 0: observed-observed posteriors keep the r=0 ranking
@@ -340,6 +350,19 @@ class TestFit:
         trace = np.array(result.loglik_trace)
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
+
+    def test_stalled_iteration_budget(self, monkeypatch):
+        # a signal-suite replicate whose first M-step proposal is rejected at
+        # every step size: one E-step at the start plus one per halving
+        truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
+        cov = EmpiricalCovariance.from_data(observed)
+        calls = []
+        e_step = em.e_step
+        monkeypatch.setattr(em, "e_step", lambda *a: calls.append(1) or e_step(*a))
+        result = em.fit(cov, 1)
+        assert result.iterations == 1 and result.converged
+        assert len(calls) == 21
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6

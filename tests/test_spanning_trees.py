@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,26 @@ from treeagg.spanning_trees import (
 from conftest import random_weight_matrix
 
 WEIGHTED_3 = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 5.0], [3.0, 5.0, 0.0]])
+
+# Two-component supports on 5 nodes: the ground node 0 in the larger and in the
+# smaller component, components interleaved in index order, an isolated node.
+DISCONNECTED_SPLITS = [
+    [(0, 1, 2), (3, 4)],
+    [(0, 4), (1, 2, 3)],
+    [(0, 2, 4), (1, 3)],
+    [(0,), (1, 2, 3, 4)],
+    [(0, 1, 2, 3), (4,)],
+]
+
+
+def block_weights(size, components):
+    """Positive weights inside each component, zero between components."""
+    w = np.zeros((size, size))
+    for comp in components:
+        for i in comp:
+            for j in comp:
+                w[i, j] = 1.0 + i + j if i != j else 0.0
+    return w
 
 
 class TestLaplacian:
@@ -49,6 +71,12 @@ class TestLaplacian:
         with pytest.raises(InvalidWeightError):
             validate_weight_matrix(w)
 
+    def test_rejects_nonfinite(self):
+        for bad in (np.inf, np.nan):
+            w = np.array([[0.0, bad], [bad, 0.0]])
+            with pytest.raises(InvalidWeightError):
+                validate_weight_matrix(w)
+
     def test_rejects_nonzero_diagonal(self):
         w = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidWeightError):
@@ -74,6 +102,17 @@ class TestPartitionFunction:
         w[2, 3] = w[3, 2] = 1.0
         assert partition_function(w) == 0.0
         assert log_partition_function(w) == -np.inf
+
+    @pytest.mark.parametrize("components", DISCONNECTED_SPLITS)
+    def test_disconnected_splits_are_zero(self, components):
+        w = block_weights(5, components)
+        assert partition_function(w) == 0.0
+        assert log_partition_function(w) == -np.inf
+
+    def test_all_zero_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_partition_function(np.zeros((4, 4))) == -np.inf
 
     def test_matches_brute_force(self, rng):
         for size in range(3, 8):
@@ -150,6 +189,15 @@ class TestEdgeMarginals:
         w[2, 3] = w[3, 2] = 1.0
         with pytest.raises(DegenerateWeightsError):
             edge_marginals(w)
+
+    @pytest.mark.parametrize("components", DISCONNECTED_SPLITS)
+    def test_disconnected_splits_raise(self, components):
+        with pytest.raises(DegenerateWeightsError):
+            edge_marginals(block_weights(5, components))
+
+    def test_all_zero_raises(self):
+        with pytest.raises(DegenerateWeightsError):
+            edge_marginals(np.zeros((4, 4)))
 
 
 class TestEnumerateTrees:
