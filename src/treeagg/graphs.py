@@ -52,9 +52,6 @@ class Graph:
         out = [j if i == node else i for i, j in self.edges if node in (i, j)]
         return tuple(sorted(out))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
     def to_json_dict(self) -> dict:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}
 

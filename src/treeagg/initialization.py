@@ -47,9 +47,6 @@ class CliqueHierarchy:
     cut_level: int
     cliques: tuple[tuple[int, ...], ...]
 
-    def cliques_at(self, level: int) -> tuple[tuple[int, ...], ...]:
-        return _replay(self.merges[:level])[0]
-
 
 def _replay(
     merges,

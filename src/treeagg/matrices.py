@@ -108,20 +108,6 @@ class PartitionedPrecision:
             raise InvalidPrecisionError("hidden diagonal entries must be positive")
 
 
-def project_to_positive_definite(
-    matrix: np.ndarray, eig_floor: float = 1e-6
-) -> tuple[np.ndarray, bool]:
-    """Clip eigenvalues below eig_floor * lambda_max; returns (matrix, changed)."""
-    m = symmetrize(np.asarray(matrix, dtype=float))
-    evals, vecs = np.linalg.eigh(m)
-    lmax = max(evals[-1], np.finfo(float).tiny)
-    floor = eig_floor * lmax
-    if evals[0] >= floor:
-        return m, False
-    clipped = np.maximum(evals, floor)
-    return symmetrize((vecs * clipped) @ vecs.T), True
-
-
 def floor_spectrum(
     matrix: np.ndarray, n_observed: int, eig_floor: float = 1e-6
 ) -> tuple[np.ndarray, bool]:
