@@ -101,9 +101,12 @@ class EStepState:
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(log gamma - max), keeping underflowed candidate edges in the support.
 
-    Edges whose relative weight underflows stay at the bottom of the
-    representable range: they may still be forced into the tree, and the
-    elimination kernel handles any dynamic range.
+    Edges whose relative weight exp cannot return as a normal float, zero or
+    subnormal, are set to 1e-300: they may still be forced into the tree.  A
+    subnormal weight would keep too few significant bits, and its reciprocal
+    would overflow in the grounded resistances.  Normal weights are kept as
+    they are, so the posterior stays exact wherever the kernel is exact: while
+    log gamma spans less than about 708 nats.
     """
     finite = np.isfinite(log_gamma)
     if not finite.any():
@@ -111,7 +114,7 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     shift = float(log_gamma[finite].max())
     with np.errstate(under="ignore"):
         weights = np.exp(np.where(finite, log_gamma - shift, -np.inf))
-    weights[finite & (weights == 0.0)] = 1e-300
+    weights[finite & (weights < np.finfo(float).tiny)] = 1e-300
     weights[~finite] = 0.0
     np.fill_diagonal(weights, 0.0)
     return weights, shift

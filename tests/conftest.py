@@ -24,16 +24,16 @@ def random_spd(rng, size, strength=0.5):
 
 
 def brute_posterior_marginals(log_gamma):
-    """Edge marginals of P(T) ~ prod gamma by enumeration, any dynamic range."""
+    """Edge marginals of P(T) ~ prod gamma by enumeration, any dynamic range.
+
+    Tree weights are summed in log space, so no product of small edge weights
+    underflows into the subnormal range.
+    """
     n = log_gamma.shape[0]
     edges = _tree_edge_array(n)
-    finite = np.isfinite(log_gamma)
-    shift = log_gamma[finite].max()
+    log_products = log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
     with np.errstate(under="ignore"):
-        w = np.exp(np.where(finite, log_gamma - shift, -np.inf))
-    w[~finite] = 0.0
-    np.fill_diagonal(w, 0.0)
-    products = w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
+        products = np.exp(log_products - log_products.max())
     z = products.sum()
     out = np.zeros((n, n))
     np.add.at(

@@ -65,6 +65,24 @@ class TestEStep:
         total = state.alpha[np.triu_indices(6, k=1)].sum()
         assert total == pytest.approx(5.0, abs=1e-8)
 
+    @pytest.mark.parametrize("low", [(-724.0, -724.0), (-700.0, -703.0)])
+    def test_tiny_relative_weights(self, rng, monkeypatch, low):
+        # node 5 attaches only through two edges far below the max: at 724
+        # nats exp gives a subnormal, at 700-703 a normal float below 1e-300
+        cov, prec, prior = random_instance(rng, 6, 0)
+        log_gamma = rng.normal(0.0, 1.0, (6, 6))
+        log_gamma = 0.5 * (log_gamma + log_gamma.T)
+        log_gamma[5, :] = log_gamma[:, 5] = -np.inf
+        log_gamma[5, 1] = log_gamma[1, 5] = low[0]
+        log_gamma[5, 3] = log_gamma[3, 5] = low[1]
+        np.fill_diagonal(log_gamma, -np.inf)
+        monkeypatch.setattr(em, "log_marginal_tree_weight", lambda *a: log_gamma)
+        state = em.e_step(prec, cov, prior)
+        assert state.alpha[np.triu_indices(6, k=1)].sum() == pytest.approx(5.0, abs=1e-8)
+        np.testing.assert_allclose(
+            state.alpha, brute_posterior_marginals(log_gamma), atol=1e-9
+        )
+
     def test_b_is_inverse_plus_v(self, rng):
         cov, prec, prior = random_instance(rng, 4, 2)
         state = em.e_step(prec, cov, prior)
@@ -357,12 +375,17 @@ class TestFit:
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
-        calls = []
+        calls = [0]
         e_step = em.e_step
-        monkeypatch.setattr(em, "e_step", lambda *a: calls.append(1) or e_step(*a))
+
+        def counted_e_step(*args):
+            calls[0] += 1
+            return e_step(*args)
+
+        monkeypatch.setattr(em, "e_step", counted_e_step)
         result = em.fit(cov, 1)
         assert result.iterations == 1 and result.converged
-        assert len(calls) == 21
+        assert calls[0] == 21
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6
