@@ -10,12 +10,12 @@ EM weights span hundreds of nats, where textbook determinant/inverse routes
 collapse under cancellation, so the minors are evaluated by star-mesh (Schur)
 elimination on the graph: removing a node adds w_iv * (w_jv / d_v) to every
 remaining pair, a subtraction-free recurrence on positive numbers that keeps
-full relative accuracy at any dynamic range.  Resistances come from the same
-elimination: grounding a node l and eliminating the rest yields a unit lower
-factor with nonpositive off-diagonal, whose inverse is nonnegative, so
-R_kl = (L^-T D^-1 L^-1)_kk is again a sum of positives.  Brute-force
-enumeration over Pruefer sequences provides an independent oracle for small
-sizes.
+full relative accuracy while every weight is a normal float (a dynamic range
+of about 708 nats).  Resistances come from the same elimination: grounding a
+node l and eliminating the rest yields a unit lower factor with nonpositive
+off-diagonal, whose inverse is nonnegative, so R_kl = (L^-T D^-1 L^-1)_kk is
+again a sum of positives.  Brute-force enumeration over Pruefer sequences
+provides an independent oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     M_kl = w_kl * R_kl with R the effective resistance.  Grounding node l and
     eliminating the rest yields the column R[:, l], so the full matrix costs
     one elimination per node; every quantity is a sum or product of positives,
-    which keeps the result accurate for weights of any dynamic range.  Raises
+    which keeps the result accurate while the weights stay normal floats.  Raises
     DegenerateWeightsError when the positive-weight support is disconnected.
     """
     w = validate_weight_matrix(w)
