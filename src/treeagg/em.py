@@ -120,21 +120,45 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, shift
 
 
+@dataclass(frozen=True)
+class _FitPrior:
+    """An edge prior with hidden-hidden pairs masked, and its log partition.
+
+    Both are constant over a fit, so `fit` builds this once and every E-step
+    of the fit reuses it.
+    """
+
+    weights: np.ndarray
+    log_z: float
+
+    @classmethod
+    def masked(cls, prior: np.ndarray, n_observed: int) -> "_FitPrior":
+        weights = _mask_hidden_pairs(prior, n_observed)
+        return cls(weights, log_partition_function(weights))
+
+
 def e_step(
     precision: PartitionedPrecision,
     cov: EmpiricalCovariance,
-    prior: np.ndarray,
+    prior: np.ndarray | _FitPrior,
 ) -> EStepState:
-    """Moments, log gamma, edge posteriors alpha and log partition at the current K."""
+    """Moments, log gamma, edge posteriors alpha and log partition at the current K.
+
+    `prior` is an edge prior matrix, or the masked prior a fit precomputes.
+    """
+    if isinstance(prior, _FitPrior):
+        fit_prior, prior = prior, prior.weights
+    else:
+        fit_prior = _FitPrior.masked(prior, precision.n_observed)
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior, cov)
     weights, shift = _materialize_weights(log_gamma)
     alpha = edge_marginals(weights)
     size = precision.size
     log_z = log_partition_function(weights) + (size - 1) * shift
-    prior_w = _mask_hidden_pairs(prior, precision.n_observed)
-    log_z_prior = log_partition_function(prior_w)
-    return EStepState(w_ho, v_h, b_h, log_gamma, alpha, log_z, log_z_prior, prior_w)
+    return EStepState(
+        w_ho, v_h, b_h, log_gamma, alpha, log_z, fit_prior.log_z, fit_prior.weights
+    )
 
 
 def tree_entropy(state: EStepState) -> float:
@@ -367,7 +391,7 @@ class FitResult:
 
 def _run_em(
     cov: EmpiricalCovariance,
-    prior: np.ndarray,
+    prior: _FitPrior,
     k_init: PartitionedPrecision,
     opts: FitOptions,
 ) -> FitResult:
@@ -439,7 +463,7 @@ def _run_em(
         converged=converged,
         damped_count=damped,
         cov=cov,
-        prior=prior,
+        prior=prior.weights,
     )
 
 
@@ -460,10 +484,9 @@ def fit(
     p = cov.size
     if prior is None:
         prior = uniform_prior(p, n_hidden)
-    else:
-        prior = _mask_hidden_pairs(prior, p)
-        if prior.shape[0] != p + n_hidden:
-            raise ValueError("prior size does not match p + n_hidden")
+    elif np.shape(prior)[0] != p + n_hidden:
+        raise ValueError("prior size does not match p + n_hidden")
+    fit_prior = _FitPrior.masked(prior, p)
 
     init = initialization.initial_precision_from_cov(cov, n_hidden)
     starts = [init.precision]
@@ -476,7 +499,7 @@ def fit(
 
     best: FitResult | None = None
     for k0 in starts:
-        result = _run_em(cov, prior, k0, opts)
+        result = _run_em(cov, fit_prior, k0, opts)
         if best is None or result.loglik > best.loglik:
             best = result
     assert best is not None

@@ -14,8 +14,13 @@ full relative accuracy while every weight is a normal float (a dynamic range
 of about 708 nats).  Resistances come from the same elimination: grounding a
 node l and eliminating the rest yields a unit lower factor with nonpositive
 off-diagonal, whose inverse is nonnegative, so R_kl = (L^-T D^-1 L^-1)_kk is
-again a sum of positives.  Brute-force enumeration over Pruefer sequences
-provides an independent oracle for small sizes.
+again a sum of positives.  The n groundings of the all-pairs resistances run
+in blocks, each block one elimination in lockstep on a (b, n, n) array, so a
+block costs n - 1 Python steps; the block size comes from a fixed element
+budget.  Every grounding keeps label order and full-row pivot sums, so the
+blocks match a one-grounding-at-a-time elimination (the tests keep it as an
+oracle) bit for bit.  Brute-force enumeration over Pruefer sequences provides
+an independent oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 from .graphs import prufer_to_edges
 
 MAX_ENUMERATION_SIZE = 8
+
+# Element budget of one block of groundings: each (b, n, n) array of the
+# block elimination takes at most 256 KB.
+_BLOCK_ELEMENTS = 1 << 15
+
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -65,40 +76,67 @@ def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w / top, np.log(top)
 
 
-def _eliminate(w: np.ndarray, ground: int, need_factor: bool):
-    """Star-mesh elimination of every node except `ground`.
+def _eliminate(w: np.ndarray, grounds: np.ndarray, need_factor: bool):
+    """Star-mesh elimination of every node but the ground, for a block of grounds.
 
-    Returns (order, pivots, strictly-lower fractions N) where pivots[s] is the
-    total incident weight of the s-th eliminated node at its elimination time
-    and N[t, s] = w(v_t, v_s) / pivots[s] for t > s.  Z(W) equals the product
-    of the pivots; the grounded Laplacian factors as (I - N) D (I - N)^T.
-    A node left without incident weight means the positive-weight support is
-    disconnected (Z = 0): the last node eliminated from every component that
-    lacks the ground meets a zero pivot, and DegenerateWeightsError is raised.
+    The grounds (ascending) are eliminated in lockstep on a (b, n, n) copy of
+    w: at step s, grounding g removes node s + (g <= s), so each grounding
+    keeps label order.  Returns (pivots, fractions).  pivots[k, s] is the total
+    incident weight of the s-th node eliminated under grounds[k] at its
+    elimination time, and fractions[k, u, v] = w(u, v) / pivot of v, taken
+    when v is eliminated; it is zero where u went first, so deleting row and
+    column grounds[k] leaves the strictly-lower factor N in elimination order.
+    Z(W) equals the product of a grounding's pivots; its grounded Laplacian
+    factors as (I - N) D (I - N)^T.  A node left without incident weight
+    means the positive-weight support is disconnected (Z = 0): the last node
+    eliminated from every component that lacks the ground meets a zero pivot,
+    and DegenerateWeightsError is raised.
     """
-    n = w.shape[0]
-    order = [i for i in range(n) if i != ground]
-    cur = w.copy()
-    m = len(order)
-    pivots = np.empty(m)
-    fractions = np.zeros((m, m)) if need_factor else None
-    for s, v in enumerate(order):
-        row = cur[v].copy()
-        d = float(row.sum())
-        if d <= 0.0:
-            raise DegenerateWeightsError(
-                f"node {v} lost all incident weight during elimination: "
-                "the positive-weight support is disconnected"
-            )
-        pivots[s] = d
-        ratio = row / d
-        if need_factor and s + 1 < m:
-            fractions[s + 1 :, s] = ratio[order[s + 1 :]]
-        cur += np.outer(row, ratio)
-        cur[v, :] = 0.0
-        cur[:, v] = 0.0
-        np.fill_diagonal(cur, 0.0)
-    return order, pivots, fractions
+    b, n = len(grounds), w.shape[0]
+    block = np.arange(b)
+    first, last = int(grounds[0]), int(grounds[-1])
+    cur = np.empty((b, n, n))
+    cur[:] = w
+    pivots = np.empty((n - 1, b))
+    fractions = np.zeros((b, n, n)) if need_factor else None
+    # A zero pivot turns the rest of its grounding into NaN; the pivots are
+    # checked once, at the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(n - 1):
+            # Basic indexing wherever the whole block removes the same node.
+            if s < first:
+                at = (slice(None), s)
+            elif s >= last:
+                at = (slice(None), s + 1)
+            else:
+                at = (block, s + (grounds <= s))
+            # A view of cur under basic indexing: the update below reads it
+            # in full before it writes.
+            row = cur[at]
+            # The diagonal of cur is never cleared; only the removed node's
+            # own entry is ever read, here.
+            row[at] = 0.0
+            # Each pivot sums a full row in label order, zeros included, so
+            # the roundoff matches grounding one node at a time.
+            d = row.sum(axis=1)
+            pivots[s] = d
+            ratio = row / d[:, None]
+            if need_factor:
+                fractions[at[0], :, at[1]] = ratio
+            # Rows and columns below lo are gone under every ground of the
+            # block.  A removed row is never read again, so only its column
+            # is cleared.
+            lo = min(s, first)
+            cur[:, lo:, lo:] += row[:, lo:, None] * ratio[:, None, lo:]
+            cur[at[0], lo:, at[1]] = 0.0
+    if not pivots.min() > 0.0:  # also false for NaN
+        s, k = np.argwhere(~(pivots > 0.0))[0]
+        raise DegenerateWeightsError(
+            f"node {s + (grounds[k] <= s)} lost all incident weight during "
+            f"elimination under ground {grounds[k]}: the positive-weight "
+            "support is disconnected"
+        )
+    return pivots.T, fractions
 
 
 def log_partition_function(w: np.ndarray) -> float:
@@ -110,10 +148,10 @@ def log_partition_function(w: np.ndarray) -> float:
     w = validate_weight_matrix(w)
     ws, log_scale = _max_rescale(w)
     try:
-        _, pivots, _ = _eliminate(ws, 0, need_factor=False)
+        pivots, _ = _eliminate(ws, np.zeros(1, dtype=np.intp), need_factor=False)
     except DegenerateWeightsError:
         return -np.inf
-    return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
+    return float(np.log(pivots[0]).sum()) + (w.shape[0] - 1) * log_scale
 
 
 def partition_function(w: np.ndarray) -> float:
@@ -124,17 +162,29 @@ def partition_function(w: np.ndarray) -> float:
     return float(np.exp(log_z))
 
 
-def _resistance_to_ground(w: np.ndarray, ground: int) -> np.ndarray:
-    """Effective resistance from every node to `ground`, subtraction-free."""
+def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
+    """Effective resistances to each of a block of grounds, subtraction-free.
+
+    Row k holds the resistance from every node to grounds[k].  Each grounding's
+    unit lower factor I - N is inverted by LAPACK's triangular solve, on the
+    operand that scipy's solve_triangular would pass it; the diagonal of
+    (I - N)^-T D^-1 (I - N)^-1 is then summed along the contiguous axis of
+    the transposed inverse, which fixes the summation order.
+    """
     n = w.shape[0]
-    order, pivots, fractions = _eliminate(w, ground, need_factor=True)
-    m = len(order)
-    lower = np.eye(m) - np.tril(fractions, k=-1)
-    inv = solve_triangular(lower, np.eye(m), lower=True, unit_diagonal=True)
+    pivots, fractions = _eliminate(w, grounds, need_factor=True)
+    eye = np.eye(n - 1)
+    inv_t = np.empty((len(grounds), n - 1, n - 1))
+    keeps = [np.delete(np.arange(n), g) for g in grounds]
+    for k, keep in enumerate(keeps):
+        lower = eye - fractions[k][np.ix_(keep, keep)]
+        inv, _ = _trtrs(lower.T, eye, lower=False, trans=1, unitdiag=1)
+        inv_t[k] = inv.T
     with np.errstate(over="ignore", divide="ignore"):
-        gdiag = (inv**2 / pivots[:, None]).sum(axis=0)
-    out = np.zeros(n)
-    out[order] = gdiag
+        gdiag = (inv_t**2 / pivots[:, None, :]).sum(axis=2)
+    out = np.zeros((len(grounds), n))
+    for k, keep in enumerate(keeps):
+        out[k, keep] = gdiag[k]
     return out
 
 
@@ -142,17 +192,21 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     """Appearance probability of every edge under P(T) ~ prod w_ij.
 
     M_kl = w_kl * R_kl with R the effective resistance.  Grounding node l and
-    eliminating the rest yields the column R[:, l], so the full matrix costs
-    one elimination per node; every quantity is a sum or product of positives,
-    which keeps the result accurate while the weights stay normal floats.  Raises
+    eliminating the rest yields the column R[:, l]; the groundings run in
+    blocks of at most _BLOCK_ELEMENTS / n^2, each block one elimination in
+    lockstep, and reproduce a one-ground-at-a-time elimination bit for bit.
+    Every quantity is a sum or product of positives, which keeps the result
+    accurate while the weights stay normal floats.  Raises
     DegenerateWeightsError when the positive-weight support is disconnected.
     """
     w = validate_weight_matrix(w)
     ws, _ = _max_rescale(w)
     n = ws.shape[0]
-    resistance = np.zeros((n, n))
-    for ground in range(n):
-        resistance[:, ground] = _resistance_to_ground(ws, ground)
+    step = max(1, _BLOCK_ELEMENTS // (n * n))
+    resistance = np.empty((n, n))
+    for start in range(0, n, step):
+        grounds = np.arange(start, min(start + step, n))
+        resistance[:, start : start + step] = _resistance_to_ground(ws, grounds).T
     with np.errstate(over="ignore", invalid="ignore"):
         marg = ws * resistance
     marg[ws == 0.0] = 0.0

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
-from treeagg.spanning_trees import _tree_edge_array, brute_force_tree_products
+from treeagg.spanning_trees import (
+    _max_rescale,
+    _tree_edge_array,
+    brute_force_tree_products,
+    validate_weight_matrix,
+)
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -42,6 +49,78 @@ def brute_posterior_marginals(log_gamma):
         np.repeat(products, n - 1),
     )
     return (out + out.T) / z
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-ground star-mesh kernel, one grounding and one node at a
+# time.  The block kernel in treeagg.spanning_trees must reproduce it bit for
+# bit.
+# ----------------------------------------------------------------------
+
+def per_ground_eliminate(w, ground, need_factor):
+    """Star-mesh elimination of every node except `ground`, in label order.
+
+    Returns (order, pivots, strictly-lower fractions N); raises
+    DegenerateWeightsError on a zero pivot.
+    """
+    n = w.shape[0]
+    order = [i for i in range(n) if i != ground]
+    cur = w.copy()
+    m = len(order)
+    pivots = np.empty(m)
+    fractions = np.zeros((m, m)) if need_factor else None
+    for s, v in enumerate(order):
+        row = cur[v].copy()
+        d = float(row.sum())
+        if d <= 0.0:
+            raise DegenerateWeightsError(f"node {v} lost all incident weight")
+        pivots[s] = d
+        ratio = row / d
+        if need_factor and s + 1 < m:
+            fractions[s + 1 :, s] = ratio[order[s + 1 :]]
+        cur += np.outer(row, ratio)
+        cur[v, :] = 0.0
+        cur[:, v] = 0.0
+        np.fill_diagonal(cur, 0.0)
+    return order, pivots, fractions
+
+
+def per_ground_resistance(w, ground):
+    """Effective resistance from every node to `ground`."""
+    n = w.shape[0]
+    order, pivots, fractions = per_ground_eliminate(w, ground, need_factor=True)
+    m = len(order)
+    lower = np.eye(m) - np.tril(fractions, k=-1)
+    inv = solve_triangular(lower, np.eye(m), lower=True, unit_diagonal=True)
+    with np.errstate(over="ignore", divide="ignore"):
+        gdiag = (inv**2 / pivots[:, None]).sum(axis=0)
+    out = np.zeros(n)
+    out[order] = gdiag
+    return out
+
+
+def per_ground_edge_marginals(w):
+    w = validate_weight_matrix(w)
+    ws, _ = _max_rescale(w)
+    n = ws.shape[0]
+    resistance = np.zeros((n, n))
+    for ground in range(n):
+        resistance[:, ground] = per_ground_resistance(ws, ground)
+    with np.errstate(over="ignore", invalid="ignore"):
+        marg = ws * resistance
+    marg[ws == 0.0] = 0.0
+    np.fill_diagonal(marg, 0.0)
+    return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
+
+
+def per_ground_log_partition(w):
+    w = validate_weight_matrix(w)
+    ws, log_scale = _max_rescale(w)
+    try:
+        _, pivots, _ = per_ground_eliminate(ws, 0, need_factor=False)
+    except DegenerateWeightsError:
+        return -np.inf
+    return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
 
 
 def figure_tree_graph():

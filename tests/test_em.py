@@ -369,12 +369,16 @@ class TestFit:
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
 
-    def test_stalled_iteration_budget(self, monkeypatch):
+    @staticmethod
+    def stalled_cov():
         # a signal-suite replicate whose first M-step proposal is rejected at
         # every step size: one E-step at the start plus one per halving
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
-        cov = EmpiricalCovariance.from_data(observed)
+        return EmpiricalCovariance.from_data(observed)
+
+    def test_stalled_iteration_budget(self, monkeypatch):
+        cov = self.stalled_cov()
         calls = [0]
         e_step = em.e_step
 
@@ -386,6 +390,22 @@ class TestFit:
         result = em.fit(cov, 1)
         assert result.iterations == 1 and result.converged
         assert calls[0] == 21
+
+    def test_prior_log_partition_once_per_fit(self, monkeypatch):
+        # one log partition per E-step for the tree posterior, plus one for the
+        # prior over the whole fit
+        cov = self.stalled_cov()
+        calls = [0]
+        log_partition_function = em.log_partition_function
+
+        def counted(*args):
+            calls[0] += 1
+            return log_partition_function(*args)
+
+        monkeypatch.setattr(em, "log_partition_function", counted)
+        result = em.fit(cov, 1)
+        assert result.iterations == 1 and result.converged
+        assert calls[0] <= 22
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6

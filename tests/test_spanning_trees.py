@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from treeagg import em, spanning_trees
 from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 from treeagg.graphs import is_spanning_tree
 from treeagg.spanning_trees import (
@@ -18,7 +20,7 @@ from treeagg.spanning_trees import (
     validate_weight_matrix,
 )
 
-from conftest import random_weight_matrix
+from conftest import per_ground_edge_marginals, per_ground_log_partition, random_weight_matrix
 
 WEIGHTED_3 = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 5.0], [3.0, 5.0, 0.0]])
 
@@ -198,6 +200,65 @@ class TestEdgeMarginals:
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateWeightsError):
             edge_marginals(np.zeros((4, 4)))
+
+
+def estep_weights(rng, size, span):
+    """E-step weights whose log values span `span` nats, plus a few pairs 724
+    nats down, which em floors from subnormal to 1e-300."""
+    log_w = rng.uniform(-span, 0.0, (size, size))
+    log_w[rng.random((size, size)) < 0.05] = -724.0
+    log_w[0, -1] = -724.0
+    log_w = np.triu(log_w, k=1)
+    log_w = log_w + log_w.T
+    np.fill_diagonal(log_w, -np.inf)
+    weights, _ = em._materialize_weights(log_w)
+    return weights
+
+
+def split_weights(rng, in_first):
+    """Random positive weights within each side of a split, zero across it."""
+    size = in_first.shape[0]
+    w = random_weight_matrix(rng, size)
+    w[np.ix_(in_first, ~in_first)] = 0.0
+    w[np.ix_(~in_first, in_first)] = 0.0
+    return w
+
+
+class TestBlockKernel:
+    """The lockstep block elimination against the per-ground oracle."""
+
+    def test_size_80_spans_several_blocks(self):
+        assert spanning_trees._BLOCK_ELEMENTS // (80 * 80) < 80 // 2
+
+    @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
+    @pytest.mark.parametrize("size", [8, 22, 24, 40, 80])
+    def test_bit_identical_to_per_ground_kernel(self, size, span):
+        w = estep_weights(np.random.default_rng(size), size, span)
+        assert (w == 1e-300).any()
+        assert np.array_equal(edge_marginals(w), per_ground_edge_marginals(w))
+        assert log_partition_function(w) == per_ground_log_partition(w)
+
+    @pytest.mark.parametrize(
+        "in_first", [np.arange(80) < 40, np.arange(80) % 2 == 0], ids=["halves", "interleaved"]
+    )
+    def test_zero_pivot_across_blocks(self, rng, in_first):
+        w = split_weights(rng, in_first)
+        with pytest.raises(DegenerateWeightsError):
+            edge_marginals(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_partition_function(w) == -np.inf
+
+    def test_peak_memory_bounded(self, rng):
+        w = random_weight_matrix(rng, 80)
+        edge_marginals(w)
+        tracemalloc.start()
+        try:
+            edge_marginals(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestEnumerateTrees:
