@@ -369,43 +369,31 @@ class TestFit:
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
 
-    @staticmethod
-    def stalled_cov():
+    def test_stalled_iteration_budget(self, monkeypatch):
         # a signal-suite replicate whose first M-step proposal is rejected at
-        # every step size: one E-step at the start plus one per halving
+        # every step size: one E-step at the start plus one per halving, each
+        # with one log partition for the tree posterior, plus one log
+        # partition of the prior for the whole fit
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
-        return EmpiricalCovariance.from_data(observed)
+        cov = EmpiricalCovariance.from_data(observed)
+        calls = {"e_step": 0, "log_partition_function": 0}
 
-    def test_stalled_iteration_budget(self, monkeypatch):
-        cov = self.stalled_cov()
-        calls = [0]
-        e_step = em.e_step
+        def counted(name):
+            func = getattr(em, name)
 
-        def counted_e_step(*args):
-            calls[0] += 1
-            return e_step(*args)
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
 
-        monkeypatch.setattr(em, "e_step", counted_e_step)
+            monkeypatch.setattr(em, name, wrapper)
+
+        counted("e_step")
+        counted("log_partition_function")
         result = em.fit(cov, 1)
         assert result.iterations == 1 and result.converged
-        assert calls[0] == 21
-
-    def test_prior_log_partition_once_per_fit(self, monkeypatch):
-        # one log partition per E-step for the tree posterior, plus one for the
-        # prior over the whole fit
-        cov = self.stalled_cov()
-        calls = [0]
-        log_partition_function = em.log_partition_function
-
-        def counted(*args):
-            calls[0] += 1
-            return log_partition_function(*args)
-
-        monkeypatch.setattr(em, "log_partition_function", counted)
-        result = em.fit(cov, 1)
-        assert result.iterations == 1 and result.converged
-        assert calls[0] <= 22
+        assert calls["e_step"] == 21
+        assert calls["log_partition_function"] <= 22
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6
