@@ -25,6 +25,7 @@ from .fixed_tree import fit_fixed_tree
 from .matrices import EmpiricalCovariance, PartitionedPrecision
 
 METHODS = ("aggregation", "fixed-tree", "chow-liu")
+SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
 
 
 # ----------------------------------------------------------------------
@@ -193,21 +194,13 @@ FIT_KEYS = {
     "p0": ("p0", "", str),
     "max_iter": (None, 500, int),
     "tol": (None, 1e-6, float),
-    "eig_floor": (None, 1e-6, float),
-    "restarts": (None, 0, int),
     "seed": ("seed", 0, int),
 }
 
 
 def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
     method = config["method"]
-    opts = em.FitOptions(
-        max_iter=config["max_iter"],
-        tol=config["tol"],
-        eig_floor=config["eig_floor"],
-        seed=config["seed"],
-        restarts=config["restarts"],
-    )
+    opts = em.FitOptions(max_iter=config["max_iter"], tol=config["tol"])
     r = config["r"]
     payload = {
         "command": "fit",
@@ -274,8 +267,6 @@ SELECT_KEYS = {
     "r_max": ("r", 3, int),
     "max_iter": (None, 500, int),
     "tol": (None, 1e-6, float),
-    "eig_floor": (None, 1e-6, float),
-    "restarts": (None, 0, int),
     "seed": ("seed", 0, int),
 }
 
@@ -284,12 +275,7 @@ def cmd_select(args) -> int:
     config = _resolve(_load_config(args.config), args, SELECT_KEYS)
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
-    opts = em.FitOptions(
-        max_iter=config["max_iter"],
-        tol=config["tol"],
-        eig_floor=config["eig_floor"],
-        restarts=config["restarts"],
-    )
+    opts = em.FitOptions(max_iter=config["max_iter"], tol=config["tol"])
     report = selection.select(
         cov, r_max=config["r_max"], opts=opts, master_seed=config["seed"]
     )
@@ -471,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--method", choices=METHODS)
     fit.add_argument("--r", type=int, help="number of hidden nodes")
     fit.add_argument("--p0", help="recalibrate edge posteriors to this prior marginal")
-    fit.add_argument("--seed", type=int)
+    fit.add_argument("--seed", type=int, help=SEED_LABEL_HELP)
     fit.add_argument("--workers", type=int, default=1)
     fit.set_defaults(func=cmd_fit)
 
@@ -480,8 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--config", help="JSON config file")
     sel.add_argument("--out", required=True)
     sel.add_argument("--r", type=int, help="largest hidden count to try (r_max)")
-    sel.add_argument("--seed", type=int)
-    sel.add_argument("--workers", type=int, default=1)
+    sel.add_argument("--seed", type=int, help=SEED_LABEL_HELP)
     sel.set_defaults(func=cmd_select)
 
     ev = sub.add_parser("eval", help="score fits against a simulated dataset")

@@ -74,6 +74,19 @@ def conditional_moments(
     return w_ho, v_h, b_h
 
 
+def _completed_moments(
+    sigma: np.ndarray, w_ho: np.ndarray, b_h: np.ndarray
+) -> np.ndarray:
+    """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]]."""
+    p, r = sigma.shape[0], b_h.shape[0]
+    completed = np.empty((p + r, p + r))
+    completed[:p, :p] = sigma
+    completed[:p, p:] = -w_ho.T
+    completed[p:, :p] = -w_ho
+    completed[p:, p:] = b_h
+    return completed
+
+
 @dataclass(frozen=True)
 class EStepState:
     """Conditional moments and tree-posterior quantities at one EM iterate."""
@@ -185,14 +198,11 @@ def expected_complete_loglik(
     state: EStepState, precision: PartitionedPrecision, cov: EmpiricalCovariance
 ) -> float:
     """E[log p(X_O, X_H, T; K) | X_O] under the E-step posterior."""
-    n, p = cov.n, cov.size
-    r = precision.n_hidden
-    size = p + r
+    n, size = cov.n, precision.size
     kmat = precision.matrix
     kd = np.diag(kmat)
     if np.any(kd <= 0.0):
         raise InvalidPrecisionError("diagonal of K must be positive")
-    sigma = cov.matrix
 
     iu = np.triu_indices(size, k=1)
     alpha = state.alpha[iu]
@@ -206,16 +216,10 @@ def expected_complete_loglik(
         - state.log_z_prior
     )
 
-    cross = np.zeros((size, size))
-    cross[:p, :p] = sigma
-    if r:
-        cross[:p, p:] = -state.w_ho.T
-        cross[p:, :p] = -state.w_ho
-    trace_edges = 2.0 * float((alpha * kmat[iu] * cross[iu]).sum())
-    diag_targets = (
-        np.concatenate([np.diag(sigma), np.diag(state.b_h)]) if r else np.diag(sigma)
-    )
-    trace_nodes = float(kd @ diag_targets)
+    # Hidden-hidden pairs have zero alpha, so their moments drop out.
+    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
+    trace_edges = 2.0 * float((alpha * kmat[iu] * completed[iu]).sum())
+    trace_nodes = float(kd @ np.diag(completed))
 
     return (
         prior_term
@@ -313,7 +317,6 @@ def m_step(
     state: EStepState,
     k_prev: PartitionedPrecision,
     cov: EmpiricalCovariance,
-    eig_floor: float = 1e-6,
 ) -> PartitionedPrecision:
     """Closed-form off-diagonal updates plus bisection for the diagonal entries.
 
@@ -323,31 +326,20 @@ def m_step(
     (hidden).  The result is floored to the positive-definite cone.
     """
     p, r = k_prev.n_observed, k_prev.n_hidden
-    size = p + r
-    sigma = cov.matrix
     kd = np.diag(k_prev.matrix)
 
-    cross = np.zeros((size, size))
-    cross[:p, :p] = sigma
-    if r:
-        cross[:p, p:] = -state.w_ho.T
-        cross[p:, :p] = -state.w_ho
-    new_k = _closed_form_offdiagonal(cross, kd)
+    if np.any(np.diag(state.b_h) <= 0.0):
+        raise InvalidMomentError("conditional second moment B_ii must be positive")
+    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
+    new_k = _closed_form_offdiagonal(completed, kd)
     new_k[p:, p:] = 0.0
     np.fill_diagonal(new_k, 0.0)
     new_k = symmetrize(new_k)
 
-    targets = np.empty(size)
-    targets[:p] = np.diag(sigma)
-    if r:
-        b_diag = np.diag(state.b_h)
-        if np.any(b_diag <= 0.0):
-            raise InvalidMomentError("conditional second moment B_ii must be positive")
-        targets[p:] = b_diag
-    diag = _solve_diagonal(k_prev.matrix, state.alpha, targets)
-    new_k[np.diag_indices(size)] = diag
+    diag = _solve_diagonal(k_prev.matrix, state.alpha, np.diag(completed))
+    new_k[np.diag_indices(p + r)] = diag
 
-    floored, _ = floor_spectrum(new_k, p, eig_floor)
+    floored, _ = floor_spectrum(new_k, p)
     return PartitionedPrecision(floored, p, r)
 
 
@@ -355,9 +347,6 @@ def m_step(
 class FitOptions:
     max_iter: int = 500
     tol: float = 1e-6
-    eig_floor: float = 1e-6
-    seed: int | None = None
-    restarts: int = 0
 
 
 @dataclass(frozen=True)
@@ -424,7 +413,7 @@ def _run_em(
         ):
             converged = True
             break
-        proposal = m_step(state, k, cov, eig_floor=opts.eig_floor).matrix
+        proposal = m_step(state, k, cov).matrix
         # Accept the first step size, halving from 1, whose trial point raises
         # the likelihood by more than min_gain; the full step need only hold
         # it level to within 1e-9.
@@ -475,8 +464,8 @@ def fit(
 ) -> FitResult:
     """Fit the tree-aggregation model with n_hidden latent nodes.
 
-    Starts from the clustering/PCA initializer; optional random-tree restarts
-    keep the run with the best observed log-likelihood.
+    Runs one EM from the clustering/PCA initializer.  Nothing in the fit is
+    random, so equal inputs give bit-identical results.
     """
     opts = opts or FitOptions()
     if n_hidden < 0:
@@ -487,23 +476,8 @@ def fit(
     elif np.shape(prior)[0] != p + n_hidden:
         raise ValueError("prior size does not match p + n_hidden")
     fit_prior = _FitPrior.masked(prior, p)
-
     init = initialization.initial_precision_from_cov(cov, n_hidden)
-    starts = [init.precision]
-    if opts.restarts > 0:
-        rng = np.random.default_rng(opts.seed)
-        for _ in range(opts.restarts):
-            starts.append(
-                initialization.random_tree_precision(init.completed_cov, p, n_hidden, rng)
-            )
-
-    best: FitResult | None = None
-    for k0 in starts:
-        result = _run_em(cov, fit_prior, k0, opts)
-        if best is None or result.loglik > best.loglik:
-            best = result
-    assert best is not None
-    return best
+    return _run_em(cov, fit_prior, init.precision, opts)
 
 
 def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:

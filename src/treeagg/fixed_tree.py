@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, conditional_moments
+from .em import FitOptions, _completed_moments, conditional_moments
 from .initialization import initial_precision_from_cov, _regularize_cov
 from .matrices import EmpiricalCovariance, PartitionedPrecision, symmetrize
 from .tree_gaussian import gaussian_mutual_information, maximum_spanning_tree, tree_precision_from_cov
@@ -63,17 +63,10 @@ def completed_covariance(
     precision: PartitionedPrecision, cov: EmpiricalCovariance
 ) -> np.ndarray:
     """Expected covariance over observed + hidden given the observed data."""
-    p, r = precision.n_observed, precision.n_hidden
-    if r == 0:
+    if precision.n_hidden == 0:
         return cov.matrix.copy()
     w_ho, _, b_h = conditional_moments(precision, cov.matrix)
-    size = p + r
-    completed = np.zeros((size, size))
-    completed[:p, :p] = cov.matrix
-    completed[:p, p:] = -w_ho.T
-    completed[p:, :p] = -w_ho
-    completed[p:, p:] = b_h
-    return symmetrize(completed)
+    return symmetrize(_completed_moments(cov.matrix, w_ho, b_h))
 
 
 def fit_fixed_tree(

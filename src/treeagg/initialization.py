@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCliqueError, InitializationFallback
-from .graphs import Graph, random_tree_edges
+from .graphs import Graph
 from .matrices import EmpiricalCovariance, PartitionedPrecision, floor_spectrum, symmetrize
 from .tree_gaussian import chow_liu, maximum_spanning_tree, gaussian_mutual_information, tree_precision_from_cov
 
@@ -104,20 +104,14 @@ def _regularize_cov(sigma: np.ndarray, max_rho: float = 1.0 - 1e-6) -> np.ndarra
     return 0.5 * sigma + 0.5 * d
 
 
-def _clustering_from_cov(
-    cov: EmpiricalCovariance,
-    n_hidden: int,
-    structure: Graph | None = None,
-) -> CliqueHierarchy:
+def _clustering_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> CliqueHierarchy:
     if n_hidden == 0:
         return CliqueHierarchy((), 0, ())
     sigma = _regularize_cov(cov.matrix)
     n, p = cov.n, sigma.shape[0]
     if p < 3:
         raise InitializationFallback("need at least 3 observed nodes to form a triplet")
-    if structure is None:
-        structure = Graph(p, chow_liu(sigma))
-    adj = structure.adjacency()
+    adj = Graph(p, chow_liu(sigma)).adjacency()
     half_log_n = 0.5 * math.log(n)
 
     model_cache: dict[tuple[int, ...], float] = {}
@@ -209,12 +203,13 @@ def _cliques_for_target(hierarchy: CliqueHierarchy, n_hidden: int):
     return tuple(ranked[:n_hidden])
 
 
-def triplet_clustering(
-    data: np.ndarray, n_hidden: int, current_structure: Graph | None = None
-) -> CliqueHierarchy:
-    """Hierarchy of candidate hidden-parent groups from an n x p sample matrix."""
+def triplet_clustering(data: np.ndarray, n_hidden: int) -> CliqueHierarchy:
+    """Hierarchy of candidate hidden-parent groups from an n x p sample matrix.
+
+    Merges are restricted to groups joined by an edge of the Chow-Liu tree.
+    """
     cov = EmpiricalCovariance.from_data(data)
-    return _clustering_from_cov(cov, n_hidden, current_structure)
+    return _clustering_from_cov(cov, n_hidden)
 
 
 def _principal_direction(block: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -298,70 +293,39 @@ def _completed_covariance(
 @dataclass(frozen=True)
 class InitialState:
     precision: PartitionedPrecision
-    completed_cov: np.ndarray
     tree: tuple[tuple[int, int], ...]
-    cliques: tuple[tuple[int, ...], ...]
 
 
-def _tree_start(
-    completed: np.ndarray, n_observed: int, n_hidden: int, tree=None
-) -> PartitionedPrecision:
-    size = n_observed + n_hidden
-    forbidden = np.zeros((size, size), dtype=bool)
-    forbidden[n_observed:, n_observed:] = True
-    reg = _regularize_cov(completed)
-    if tree is None:
-        tree = maximum_spanning_tree(gaussian_mutual_information(reg), forbidden)
-    k = tree_precision_from_cov(tree, reg)
-    k[n_observed:, n_observed:] = np.diag(np.diag(k[n_observed:, n_observed:]))
-    k, _ = floor_spectrum(k, n_observed)
-    return PartitionedPrecision(k, n_observed, n_hidden)
+def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
+    """Starting precision for the EM, computed from the covariance alone.
 
-
-def initial_precision_from_cov(
-    cov: EmpiricalCovariance,
-    n_hidden: int,
-    structure: Graph | None = None,
-) -> InitialState:
-    """Starting precision for the EM, computed from the covariance alone."""
+    The tree is the maximum-information spanning tree of the completed
+    covariance without hidden-hidden edges; the precision is its tree MLE with
+    the hidden block made diagonal, floored to the positive-definite cone.
+    """
     sigma = _regularize_cov(cov.matrix)
     p = cov.size
     cliques: tuple[tuple[int, ...], ...] = ()
     if n_hidden > 0:
         try:
-            hierarchy = _clustering_from_cov(cov, n_hidden, structure)
+            hierarchy = _clustering_from_cov(cov, n_hidden)
             cliques = hierarchy.cliques
             if len(cliques) < n_hidden:
                 cliques = _cliques_for_target(hierarchy, n_hidden)
         except InitializationFallback:
             cliques = ()
-    completed = _completed_covariance(sigma, cliques, n_hidden)
     size = p + n_hidden
     forbidden = np.zeros((size, size), dtype=bool)
     forbidden[p:, p:] = True
-    reg = _regularize_cov(completed)
+    reg = _regularize_cov(_completed_covariance(sigma, cliques, n_hidden))
     tree = maximum_spanning_tree(gaussian_mutual_information(reg), forbidden)
-    precision = _tree_start(completed, p, n_hidden, tree)
-    return InitialState(precision, completed, tree, cliques)
+    k = tree_precision_from_cov(tree, reg)
+    k[p:, p:] = np.diag(np.diag(k[p:, p:]))
+    k, _ = floor_spectrum(k, p)
+    return InitialState(PartitionedPrecision(k, p, n_hidden), tree)
 
 
 def initial_K(data: np.ndarray, n_hidden: int) -> PartitionedPrecision:
     """Clustering + PCA imputation + Chow-Liu starting precision from raw data."""
     cov = EmpiricalCovariance.from_data(data)
     return initial_precision_from_cov(cov, n_hidden).precision
-
-
-def random_tree_precision(
-    completed: np.ndarray,
-    n_observed: int,
-    n_hidden: int,
-    rng: np.random.Generator,
-    max_tries: int = 200,
-) -> PartitionedPrecision:
-    """Random-tree restart sharing the initializer's completed covariance."""
-    size = n_observed + n_hidden
-    for _ in range(max_tries):
-        tree = random_tree_edges(size, rng)
-        if all(i < n_observed or j < n_observed for i, j in tree):
-            return _tree_start(completed, n_observed, n_hidden, tree)
-    return _tree_start(completed, n_observed, n_hidden)

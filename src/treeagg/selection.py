@@ -84,13 +84,6 @@ class SelectionReport:
                 )
 
 
-def _row_seeds(master_seed: int | None, count: int) -> list[int | None]:
-    if master_seed is None:
-        return [None] * count
-    seq = np.random.SeedSequence(master_seed)
-    return [int(child.generate_state(1)[0]) for child in seq.spawn(count)]
-
-
 def select(
     cov_or_data,
     r_max: int = 3,
@@ -98,28 +91,23 @@ def select(
     master_seed: int | None = 0,
     keep_fits: bool = False,
 ) -> SelectionReport:
-    """Fit r = 0..r_max and rank the criteria; rows are seeded independently."""
+    """Fit r = 0..r_max and rank the criteria.
+
+    No fit draws a random number, so `master_seed` is only a label that the
+    report carries.
+    """
     if isinstance(cov_or_data, EmpiricalCovariance):
         cov = cov_or_data
     else:
         cov = EmpiricalCovariance.from_data(np.asarray(cov_or_data, dtype=float))
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    base = opts or em.FitOptions()
-    seeds = _row_seeds(master_seed, r_max + 1)
 
     rows: list[SelectionRow] = []
     fits: dict[int, em.FitResult] = {}
     for r in range(r_max + 1):
-        row_opts = em.FitOptions(
-            max_iter=base.max_iter,
-            tol=base.tol,
-            eig_floor=base.eig_floor,
-            seed=seeds[r],
-            restarts=base.restarts,
-        )
         try:
-            result = em.fit(cov, r, opts=row_opts)
+            result = em.fit(cov, r, opts=opts)
         except TreeAggError as exc:
             warnings.warn(f"fit with r={r} failed: {exc}")
             rows.append(SelectionRow(n_hidden=r, error=str(exc)))

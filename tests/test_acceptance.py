@@ -264,7 +264,7 @@ def _criterion_7_aucs(signal_suite):
     full_agg, full_ft, marginal_agg = [], [], []
     for truth, cov, rep in signal_suite:
         fit = rep.fits[1]
-        ft = fit_fixed_tree(cov, 1, opts=ta.FitOptions(seed=truth.seed))
+        ft = fit_fixed_tree(cov, 1)
         full_agg.append(evaluate.roc_target(fit, truth, "full").auc)
         full_ft.append(evaluate.roc_target(ft, truth, "full").auc)
         scores = evaluate.score_edges(fit, "marginal", two_hop=True)
@@ -309,7 +309,7 @@ def test_criterion_8_spurious_ranking_exact_covariance():
         truth = figure_ground_truth(epsilon=4.0, seed=sign_seed)
         exact = np.linalg.inv(truth.precision.matrix)[:9, :9]
         cov = EmpiricalCovariance(exact, 100)  # n -> infinity surrogate
-        fit = em.fit(cov, 1, opts=em.FitOptions(seed=0))
+        fit = em.fit(cov, 1)
         scores = evaluate.score_edges(fit, "marginal")
         spurious = set(evaluate.spurious_edges(truth))
         true_edges = [e for e in truth.marginal.edges if e not in spurious]

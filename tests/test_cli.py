@@ -54,10 +54,23 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--out", parallel, "--workers", 2) == 0
         assert read_tree(serial) == read_tree(parallel)
 
-    def test_unknown_config_key_is_config_error(self, tmp_path):
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("simulate", "typo_key"),
+            ("fit", "restarts"),
+            ("fit", "eig_floor"),
+            ("select", "restarts"),
+            ("select", "eig_floor"),
+        ],
+    )
+    def test_unknown_config_key_is_config_error(self, suite_dir, tmp_path, command, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"typo_key": 1}))
-        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "x") == 2
+        cfg.write_text(json.dumps({key: 1}))
+        data = [] if command == "simulate" else [suite_dir / "rep_000" / "observed.csv"]
+        assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "x") == 2
 
 
 class TestFit:
@@ -159,6 +172,12 @@ class TestSelect:
             fields = dict(zip(header, line.split(",")))
             assert float(fields["loglik"]) == row["loglik"]
             assert float(fields["bic"]) == row["bic"]
+
+    def test_workers_is_rejected(self, suite_dir, tmp_path):
+        csv = suite_dir / "rep_000" / "observed.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select", csv, "--out", tmp_path / "x", "--workers", 2)
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")

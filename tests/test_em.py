@@ -346,7 +346,7 @@ class TestFit:
         # force a chain: any 3-node tree is a path; just fit and rank
         data, _ = sample_and_marginalize(truth.precision, 200, sample_seed(2))
         cov = EmpiricalCovariance.from_data(data)
-        result = em.fit(cov, 0, opts=em.FitOptions(seed=0))
+        result = em.fit(cov, 0)
         iu = np.triu_indices(3, k=1)
         ranked = np.argsort(-result.alpha[iu])
         true_edges = set(truth.graph.edges)
@@ -356,7 +356,7 @@ class TestFit:
 
     def test_max_iter_zero_returns_initializer(self, rng):
         cov = small_cov(rng, 4)
-        result = em.fit(cov, 1, opts=em.FitOptions(max_iter=0, seed=0))
+        result = em.fit(cov, 1, opts=em.FitOptions(max_iter=0))
         assert result.iterations == 0
         assert result.loglik_trace == ()
         assert not result.converged
@@ -364,7 +364,7 @@ class TestFit:
 
     def test_trace_monotone_and_best_returned(self, rng):
         cov = small_cov(rng, 6, n=30)
-        result = em.fit(cov, 1, opts=em.FitOptions(seed=3))
+        result = em.fit(cov, 1)
         trace = np.array(result.loglik_trace)
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
@@ -417,7 +417,7 @@ class TestFit:
                 truth.precision, 300, sample_seed(300 + rep)
             )
             cov = EmpiricalCovariance.from_data(observed)
-            result = em.fit(cov, 1, opts=em.FitOptions(seed=rep))
+            result = em.fit(cov, 1)
             top3 = set(np.argsort(-result.alpha[:9, 9])[:3].tolist())
             hits += top3 == set(truth.graph.neighbors(9))
         assert hits >= 16  # >= 80% of 20 replicates
@@ -426,13 +426,13 @@ class TestFit:
 class TestEdgePosteriors:
     def test_identity_at_current_marginal(self, rng):
         cov = small_cov(rng, 4)
-        result = em.fit(cov, 0, opts=em.FitOptions(seed=1))
+        result = em.fit(cov, 0)
         alpha2 = em.edge_posteriors(result, 2.0 / 4.0)
         np.testing.assert_allclose(alpha2, result.alpha, atol=1e-8)
 
     def test_matches_enumeration(self, rng):
         cov = small_cov(rng, 3)
-        result = em.fit(cov, 0, opts=em.FitOptions(seed=1))
+        result = em.fit(cov, 0)
         alpha2 = em.edge_posteriors(result, 2.0 / 3.0)
         state = em.e_step(result.precision, result.cov, result.prior)
         np.testing.assert_allclose(
@@ -441,7 +441,7 @@ class TestEdgePosteriors:
 
     def test_mass_conservation(self, rng):
         cov = small_cov(rng, 5)
-        result = em.fit(cov, 1, opts=em.FitOptions(seed=1))
+        result = em.fit(cov, 1)
         alpha2 = em.edge_posteriors(result, 5.0 / 15.0)  # (size-1)/support pairs
         total = alpha2[np.triu_indices(6, k=1)].sum()
         assert total == pytest.approx(5.0, abs=1e-8)

@@ -11,7 +11,7 @@ from treeagg.evaluate import (
     spurious_curve,
     spurious_edges,
 )
-from treeagg.em import FitOptions, fit
+from treeagg.em import fit
 from treeagg.fixed_tree import fit_fixed_tree
 from treeagg.graphs import Graph
 from treeagg.matrices import EmpiricalCovariance
@@ -150,7 +150,7 @@ def small_fit():
     truth = make_ground_truth("tree", size=8, r=0, epsilon=1.0, seed=6)
     data, _ = sample_and_marginalize(truth.precision, 60, sample_seed(6))
     cov = EmpiricalCovariance.from_data(data)
-    return fit(cov, 0, opts=FitOptions(seed=0))
+    return fit(cov, 0)
 
 
 class TestScoreEdges:
@@ -181,7 +181,7 @@ class TestScoreEdges:
         truth = figure_ground_truth(epsilon=4.0, seed=100)
         _, observed = sample_and_marginalize(truth.precision, 100, sample_seed(300))
         cov = EmpiricalCovariance.from_data(observed)
-        result = fit(cov, 1, opts=FitOptions(seed=0))
+        result = fit(cov, 1)
         plain = score_edges(result, "marginal")
         hop = score_edges(result, "marginal", two_hop=True)
         assert (hop >= plain - 1e-12).all()
