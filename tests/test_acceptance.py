@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import treeagg as ta
 from treeagg import em, evaluate, selection
 from treeagg.fixed_tree import fit_fixed_tree
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
