@@ -15,29 +15,15 @@ from .em import (
 )
 from .fixed_tree import FixedTreeFit, fit_fixed_tree
 from .graphs import Graph
-from .initialization import CliqueHierarchy, impute_hidden, initial_K, triplet_clustering
 from .matrices import EmpiricalCovariance, PartitionedPrecision
 from .selection import SelectionReport, penalty, select
 from .simulate import GroundTruth, make_ground_truth
-from .spanning_trees import (
-    build_laplacian,
-    calibrate_prior,
-    edge_marginals,
-    enumerate_trees,
-    log_partition_function,
-    partition_function,
-)
-from .tree_gaussian import (
-    chow_liu,
-    conditional_hidden_given_observed,
-    log_marginal_tree_weight,
-    tree_precision_from_cov,
-)
+from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
+from .tree_gaussian import chow_liu, log_marginal_tree_weight, tree_precision_from_cov
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CliqueHierarchy",
     "EStepState",
     "EmpiricalCovariance",
     "FitOptions",
@@ -47,29 +33,22 @@ __all__ = [
     "GroundTruth",
     "PartitionedPrecision",
     "SelectionReport",
-    "build_laplacian",
     "calibrate_prior",
     "chow_liu",
-    "conditional_hidden_given_observed",
     "e_step",
     "edge_marginals",
     "edge_posteriors",
-    "enumerate_trees",
     "fit",
     "fit_fixed_tree",
-    "impute_hidden",
-    "initial_K",
     "joint_entropy",
     "log_marginal_tree_weight",
     "log_partition_function",
     "m_step",
     "make_ground_truth",
     "observed_loglik",
-    "partition_function",
     "penalty",
     "select",
     "tree_entropy",
     "tree_precision_from_cov",
-    "triplet_clustering",
     "uniform_prior",
 ]

@@ -30,11 +30,7 @@ from .matrices import (
     floor_spectrum,
     symmetrize,
 )
-from .spanning_trees import (
-    _calibrate_on_support,
-    edge_marginals,
-    log_partition_function,
-)
+from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
 from .tree_gaussian import log_marginal_tree_weight
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -99,16 +95,6 @@ class EStepState:
     log_z: float
     log_z_prior: float
     prior: np.ndarray
-
-    @property
-    def log_a(self) -> np.ndarray:
-        """log of A_ij = alpha_ij * Z(gamma), the unnormalized edge tree sums."""
-        with np.errstate(divide="ignore"):
-            return np.where(
-                self.alpha > 0.0,
-                np.log(np.where(self.alpha > 0.0, self.alpha, 1.0)) + self.log_z,
-                -np.inf,
-            )
 
 
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -486,11 +472,6 @@ def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:
     Calibration runs on the support of the fitted prior (hidden-hidden pairs
     are structural zeros), so p0 must equal (size - 1) / #candidate edges.
     """
-    prior = result.prior
-    support = prior > 0.0
-    np.fill_diagonal(support, False)
-    calibrated = _calibrate_on_support(
-        np.where(support, prior, 0.0), p0, support, tol=1e-6, max_iter=200
-    )
+    calibrated = calibrate_prior(result.prior, p0)
     state = e_step(result.precision, result.cov, calibrated)
     return state.alpha

@@ -15,7 +15,12 @@ import numpy as np
 from .em import FitOptions, _completed_moments, conditional_moments
 from .initialization import initial_precision_from_cov, _regularize_cov
 from .matrices import EmpiricalCovariance, PartitionedPrecision, symmetrize
-from .tree_gaussian import gaussian_mutual_information, maximum_spanning_tree, tree_precision_from_cov
+from .tree_gaussian import (
+    chow_liu,
+    gaussian_mutual_information,
+    maximum_spanning_tree,
+    tree_precision_from_cov,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -76,13 +81,17 @@ def fit_fixed_tree(
 
     Hidden-hidden edges are excluded from the tree search (identifiability).
     Classification EM can cycle with period > 1, so a likelihood tolerance
-    backs up the tree fixed-point test.
+    backs up the tree fixed-point test.  Without hidden nodes there is nothing
+    to complete: the fit is the Chow-Liu tree of the regularized covariance.
     """
     opts = opts or FitOptions()
     p = cov.size
-    size = p + n_hidden
-    forbidden = np.zeros((size, size), dtype=bool)
-    forbidden[p:, p:] = True
+    if n_hidden == 0:
+        sigma = _regularize_cov(cov.matrix)
+        tree = chow_liu(sigma)
+        k = PartitionedPrecision(tree_precision_from_cov(tree, sigma), p, 0)
+        trace = (gaussian_observed_loglik(k, cov),) if opts.max_iter else ()
+        return FixedTreeFit(tree, k, trace, len(trace), bool(trace))
 
     init = initial_precision_from_cov(cov, n_hidden)
     k = init.precision
@@ -90,12 +99,9 @@ def fit_fixed_tree(
     if opts.max_iter == 0:
         return FixedTreeFit(tree, k, (), 0, False)
 
-    if n_hidden == 0:
-        tree = maximum_spanning_tree(gaussian_mutual_information(_regularize_cov(cov.matrix)))
-        k = PartitionedPrecision(
-            tree_precision_from_cov(tree, _regularize_cov(cov.matrix)), p, 0
-        )
-        return FixedTreeFit(tree, k, (gaussian_observed_loglik(k, cov),), 1, True)
+    size = p + n_hidden
+    forbidden = np.zeros((size, size), dtype=bool)
+    forbidden[p:, p:] = True
 
     trace: list[float] = []
     converged = False

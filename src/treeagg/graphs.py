@@ -111,10 +111,3 @@ def random_tree_edges(n_nodes: int, rng: np.random.Generator) -> tuple[Edge, ...
     seq = rng.integers(0, n_nodes, size=n_nodes - 2)
     return prufer_to_edges(seq.tolist(), n_nodes)
 
-
-def is_spanning_tree(edges: Iterable[Edge], n_nodes: int) -> bool:
-    edges = list(edges)
-    if len(edges) != n_nodes - 1:
-        return False
-    uf = UnionFind(n_nodes)
-    return all(uf.union(i, j) for i, j in edges)

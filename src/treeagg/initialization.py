@@ -1,9 +1,10 @@
-"""EM starting point: triplet clustering, PCA imputation, Chow-Liu tree.
+"""EM starting point: triplet clustering, principal-component hidden nodes, Chow-Liu tree.
 
 Observed nodes are grouped by greedily merging the triplet (then cliques)
 whose common-hidden-parent model yields the largest BIC-penalized likelihood
-gain; each retained clique contributes one imputed hidden column (its first
-principal component), and the starting precision is the tree MLE on the
+gain; each retained clique contributes one hidden node, its unit-variance
+first principal component, whose covariances with the observed nodes follow
+from the covariance alone.  The starting precision is the tree MLE on the
 completed covariance.
 """
 
@@ -104,11 +105,15 @@ def _regularize_cov(sigma: np.ndarray, max_rho: float = 1.0 - 1e-6) -> np.ndarra
     return 0.5 * sigma + 0.5 * d
 
 
-def _clustering_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> CliqueHierarchy:
+def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHierarchy:
+    """Hierarchy of candidate hidden-parent groups from a regularized covariance
+    of n samples.
+
+    Merges are restricted to groups joined by an edge of the Chow-Liu tree.
+    """
     if n_hidden == 0:
         return CliqueHierarchy((), 0, ())
-    sigma = _regularize_cov(cov.matrix)
-    n, p = cov.n, sigma.shape[0]
+    p = sigma.shape[0]
     if p < 3:
         raise InitializationFallback("need at least 3 observed nodes to form a triplet")
     adj = Graph(p, chow_liu(sigma)).adjacency()
@@ -203,47 +208,12 @@ def _cliques_for_target(hierarchy: CliqueHierarchy, n_hidden: int):
     return tuple(ranked[:n_hidden])
 
 
-def triplet_clustering(data: np.ndarray, n_hidden: int) -> CliqueHierarchy:
-    """Hierarchy of candidate hidden-parent groups from an n x p sample matrix.
-
-    Merges are restricted to groups joined by an edge of the Chow-Liu tree.
-    """
-    cov = EmpiricalCovariance.from_data(data)
-    return _clustering_from_cov(cov, n_hidden)
-
-
-def _principal_direction(block: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
-    """Leading eigenvector, sign-fixed so the first nonzero loading (in member
-    order) is positive."""
-    evals, vecs = np.linalg.eigh(block)
-    v = vecs[:, -1]
+def _first_loading_positive(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its first nonzero loading positive."""
     for loading in v:
         if abs(loading) > 1e-12:
-            if loading < 0:
-                v = -v
-            break
+            return -v if loading < 0 else v
     return v
-
-
-def impute_hidden(data: np.ndarray, cliques) -> np.ndarray:
-    """Append one unit-variance principal-component score column per clique."""
-    x = np.asarray(data, dtype=float)
-    n = x.shape[0]
-    centered = x - x.mean(axis=0, keepdims=True)
-    columns = [x]
-    for clique in cliques:
-        members = tuple(sorted(int(c) for c in clique))
-        if len(members) < 2:
-            raise ValueError("cliques must have at least 2 members")
-        sub = centered[:, members]
-        block = sub.T @ sub / n
-        v = _principal_direction(block, members)
-        scores = sub @ v
-        scale = float(np.sqrt(np.mean(scores**2)))
-        if scale <= 1e-12 * max(1.0, float(np.sqrt(np.diag(block).max()))):
-            raise DegenerateCliqueError(f"clique {members} has zero variance")
-        columns.append((scores / scale)[:, None])
-    return np.hstack(columns)
 
 
 def _completed_covariance(
@@ -251,8 +221,9 @@ def _completed_covariance(
 ) -> np.ndarray:
     """Covariance over observed plus imputed hidden columns, from sigma alone.
 
-    Clique columns are unit-variance principal scores; any deficit is filled
-    with successive principal components of the full covariance.
+    Clique columns are unit-variance leading principal scores of the clique;
+    any deficit is filled with successive principal components of the full
+    covariance.  Every direction has its first nonzero loading positive.
     """
     p = sigma.shape[0]
     directions = []  # full-length unit-cov directions u with Var(u' x) = 1
@@ -260,7 +231,8 @@ def _completed_covariance(
         members = tuple(sorted(int(c) for c in clique))
         idx = np.array(members)
         block = sigma[np.ix_(idx, idx)]
-        v = _principal_direction(block, members)
+        _, vecs = np.linalg.eigh(block)
+        v = _first_loading_positive(vecs[:, -1])
         scale = math.sqrt(max(float(v @ block @ v), 0.0))
         if scale <= 0.0:
             raise DegenerateCliqueError(f"clique {members} has zero variance")
@@ -273,12 +245,7 @@ def _completed_covariance(
         order = np.argsort(evals)[::-1]
         start = len(directions)
         for j in range(deficit):
-            col = vecs[:, order[min(start + j, p - 1)]]
-            for loading in col:
-                if abs(loading) > 1e-12:
-                    if loading < 0:
-                        col = -col
-                    break
+            col = _first_loading_positive(vecs[:, order[min(start + j, p - 1)]])
             lam = max(float(col @ sigma @ col), np.finfo(float).tiny)
             directions.append(col / math.sqrt(lam))
     u_mat = np.column_stack(directions) if directions else np.zeros((p, 0))
@@ -308,7 +275,7 @@ def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> Initi
     cliques: tuple[tuple[int, ...], ...] = ()
     if n_hidden > 0:
         try:
-            hierarchy = _clustering_from_cov(cov, n_hidden)
+            hierarchy = _clustering_from_cov(sigma, cov.n, n_hidden)
             cliques = hierarchy.cliques
             if len(cliques) < n_hidden:
                 cliques = _cliques_for_target(hierarchy, n_hidden)
@@ -323,9 +290,3 @@ def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> Initi
     k[p:, p:] = np.diag(np.diag(k[p:, p:]))
     k, _ = floor_spectrum(k, p)
     return InitialState(PartitionedPrecision(k, p, n_hidden), tree)
-
-
-def initial_K(data: np.ndarray, n_hidden: int) -> PartitionedPrecision:
-    """Clustering + PCA imputation + Chow-Liu starting precision from raw data."""
-    cov = EmpiricalCovariance.from_data(data)
-    return initial_precision_from_cov(cov, n_hidden).precision

@@ -108,9 +108,11 @@ class PartitionedPrecision:
             raise InvalidPrecisionError("hidden diagonal entries must be positive")
 
 
-def floor_spectrum(
-    matrix: np.ndarray, n_observed: int, eig_floor: float = 1e-6
-) -> tuple[np.ndarray, bool]:
+# Smallest eigenvalue floor_spectrum allows, relative to the largest.
+EIG_FLOOR = 1e-6
+
+
+def floor_spectrum(matrix: np.ndarray, n_observed: int) -> tuple[np.ndarray, bool]:
     """PD projection that keeps the hidden block strictly diagonal.
 
     Re-zeroing the hidden off-diagonal after clipping can push an eigenvalue
@@ -122,7 +124,7 @@ def floor_spectrum(
     for _ in range(6):
         evals = np.linalg.eigvalsh(m)
         lmax = max(evals[-1], np.finfo(float).tiny)
-        floor = eig_floor * lmax
+        floor = EIG_FLOOR * lmax
         if evals[0] >= floor:
             return m, projected
         w, v = np.linalg.eigh(m)
@@ -131,7 +133,7 @@ def floor_spectrum(
         m[n_observed:, n_observed:] = np.diag(np.diag(hidden))
         projected = True
     evals = np.linalg.eigvalsh(m)
-    floor = eig_floor * max(evals[-1], np.finfo(float).tiny)
+    floor = EIG_FLOOR * max(evals[-1], np.finfo(float).tiny)
     if evals[0] < floor:
         m = m + (floor - evals[0]) * np.eye(m.shape[0])
     return symmetrize(m), True

@@ -18,27 +18,25 @@ again a sum of positives.  The n groundings of the all-pairs resistances run
 in blocks, each block one elimination in lockstep on a (b, n, n) array, so a
 block costs n - 1 Python steps; the block size comes from a fixed element
 budget.  Every grounding keeps label order and full-row pivot sums, so the
-blocks match a one-grounding-at-a-time elimination (the tests keep it as an
-oracle) bit for bit.  Brute-force enumeration over Pruefer sequences provides
-an independent oracle for small sizes.
+blocks match a one-grounding-at-a-time elimination bit for bit.  The tests
+keep that elimination, and brute-force enumeration over Pruefer sequences, as
+oracles.  calibrate_prior rescales a prior to a target edge marginal.
 """
 
 from __future__ import annotations
-
-import itertools
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
-from .graphs import prufer_to_edges
-
-MAX_ENUMERATION_SIZE = 8
 
 # Element budget of one block of groundings: each (b, n, n) array of the
 # block elimination takes at most 256 KB.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Marginal tolerance and iteration budget of calibrate_prior.
+CALIBRATION_TOL = 1e-6
+CALIBRATION_MAX_ITER = 200
 
 _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
@@ -60,12 +58,6 @@ def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
     if np.any(w < 0.0):
         raise InvalidWeightError("weights must be nonnegative")
     return 0.5 * (w + w.T)
-
-
-def build_laplacian(w: np.ndarray) -> np.ndarray:
-    """Laplacian of a weight matrix: row sums on the diagonal, -w off it."""
-    w = validate_weight_matrix(w)
-    return np.diag(w.sum(axis=1)) - w
 
 
 def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,14 +146,6 @@ def log_partition_function(w: np.ndarray) -> float:
     return float(np.log(pivots[0]).sum()) + (w.shape[0] - 1) * log_scale
 
 
-def partition_function(w: np.ndarray) -> float:
-    """Z(W); may overflow to inf for large weights, use log_partition_function then."""
-    log_z = log_partition_function(w)
-    if log_z == -np.inf:
-        return 0.0
-    return float(np.exp(log_z))
-
-
 def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
     """Effective resistances to each of a block of grounds, subtraction-free.
 
@@ -214,88 +198,32 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
 
 
-@lru_cache(maxsize=None)
-def enumerate_trees(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All size^(size-2) labeled spanning trees on {0..size-1}, as edge tuples."""
-    if size < 2:
-        raise ValueError("need at least 2 nodes")
-    if size > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"refusing to enumerate {size}^{size - 2} trees (size > {MAX_ENUMERATION_SIZE})"
-        )
-    if size == 2:
-        return (((0, 1),),)
-    return tuple(
-        prufer_to_edges(seq, size)
-        for seq in itertools.product(range(size), repeat=size - 2)
-    )
+def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
+    """Rescale a prior so every candidate edge has marginal p0.
 
-
-@lru_cache(maxsize=None)
-def _tree_edge_array(size: int) -> np.ndarray:
-    """Edges of all labeled trees stacked as an int array (n_trees, size-1, 2)."""
-    return np.array(enumerate_trees(size), dtype=np.intp)
-
-
-def brute_force_tree_products(w: np.ndarray) -> np.ndarray:
-    """Per-tree products of edge weights; the enumeration oracle's workhorse."""
-    w = validate_weight_matrix(w)
-    edges = _tree_edge_array(w.shape[0])
-    return w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
-
-
-def brute_force_partition(w: np.ndarray) -> float:
-    return float(brute_force_tree_products(w).sum())
-
-
-def brute_force_edge_marginals(w: np.ndarray) -> np.ndarray:
-    w = validate_weight_matrix(w)
-    n = w.shape[0]
-    edges = _tree_edge_array(n)
-    products = w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
-    z = products.sum()
-    if z <= 0.0:
-        raise DegenerateWeightsError("no spanning tree has positive weight")
-    acc = np.zeros((n, n))
-    np.add.at(
-        acc,
-        (edges[:, :, 0].ravel(), edges[:, :, 1].ravel()),
-        np.repeat(products, n - 1),
-    )
-    return (acc + acc.T) / z
-
-
-def laplacian_first_minor(w: np.ndarray, u: int, v: int) -> float:
-    """Signed (u, v) first minor of the Laplacian; equal to Z(W) for every (u, v)."""
-    lap = build_laplacian(w)
-    sub = np.delete(np.delete(lap, u, axis=0), v, axis=1)
-    return float((-1.0) ** (u + v) * np.linalg.det(sub))
-
-
-def _calibrate_on_support(
-    prior: np.ndarray,
-    p0: float,
-    support: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
-    size = prior.shape[0]
+    The candidate edges are the prior's positive off-diagonal entries; the
+    others stay zero.  Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).
+    Raises CalibrationError for infeasible targets: the marginals of a
+    spanning-tree distribution always sum to size - 1, so a uniform target
+    must equal (size - 1) / #candidate edges.
+    """
+    w = validate_weight_matrix(prior)
+    size = w.shape[0]
+    support = w > 0.0
     n_pairs = int(np.count_nonzero(support[np.triu_indices(size, k=1)]))
     if not 0.0 < p0 < 1.0:
         raise CalibrationError(f"target probability {p0} outside (0, 1)")
-    # Edge marginals of any spanning-tree distribution sum to size - 1, so a
-    # uniform target is only attainable at p0 = (size - 1) / n_pairs.
-    feasible = (size - 1) / n_pairs
-    if abs(p0 - feasible) > tol:
+    feasible = (size - 1) / n_pairs if n_pairs else np.inf
+    if abs(p0 - feasible) > CALIBRATION_TOL:
         raise CalibrationError(
             f"marginals over {n_pairs} candidate edges always sum to {size - 1}; "
             f"uniform target must be {feasible:.6g}, got {p0:.6g}"
         )
-    current = prior.copy()
-    for _ in range(max_iter):
+    current = w
+    for _ in range(CALIBRATION_MAX_ITER):
         marg = edge_marginals(current)
         dev = np.abs(marg[support] - p0).max(initial=0.0)
-        if dev <= tol:
+        if dev <= CALIBRATION_TOL:
             return current
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(support, p0 / np.where(marg > 0, marg, 1.0), 1.0)
@@ -303,22 +231,6 @@ def _calibrate_on_support(
         current, _ = _max_rescale(np.where(support, current, 0.0))
         np.fill_diagonal(current, 0.0)
     raise CalibrationError(
-        f"fixed point did not reach tolerance {tol} in {max_iter} iterations"
+        f"fixed point did not reach tolerance {CALIBRATION_TOL} in "
+        f"{CALIBRATION_MAX_ITER} iterations"
     )
-
-
-def calibrate_prior(
-    prior: np.ndarray, p0: float, *, tol: float = 1e-6, max_iter: int = 200
-) -> np.ndarray:
-    """Rescale a strictly positive prior so every edge marginal equals p0.
-
-    Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).  Raises
-    CalibrationError for infeasible targets (the marginals of a spanning-tree
-    distribution always sum to size - 1) and for priors with zero entries.
-    """
-    prior = np.asarray(prior, dtype=float)
-    w = validate_weight_matrix(prior)
-    off = ~np.eye(w.shape[0], dtype=bool)
-    if np.any(w[off] <= 0.0):
-        raise CalibrationError("prior must be strictly positive off the diagonal")
-    return _calibrate_on_support(w, p0, off, tol, max_iter)

@@ -1,9 +1,8 @@
 """Tree-structured Gaussian models.
 
 Maximum-likelihood trees (Chow-Liu via Kruskal), tree-constrained precision
-matrices assembled from pairwise covariance blocks, Gaussian conditionals of
-hidden given observed variables, and the per-edge log weights that turn the
-tree posterior into a product over edges.
+matrices assembled from pairwise covariance blocks, and the per-edge log
+weights that turn the tree posterior into a product over edges.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from .errors import (
     DegenerateWeightsError,
     InvalidPrecisionError,
     PerfectCorrelationError,
-    SingularPrecisionError,
 )
 from .graphs import UnionFind
 from .matrices import EmpiricalCovariance, PartitionedPrecision, check_symmetric
@@ -105,20 +103,6 @@ def tree_precision_from_cov(tree_edges, cov) -> np.ndarray:
         k[i, j] -= s[i, j] / det
         k[j, i] = k[i, j]
     return k
-
-
-def conditional_hidden_given_observed(
-    precision: PartitionedPrecision, x_observed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditional of the hidden block: mean -K_H^-1 K_HO x_O, precision K_H."""
-    x = np.asarray(x_observed, dtype=float)
-    k_hh = precision.k_hh
-    if precision.n_hidden == 0:
-        return np.zeros(0), k_hh.copy()
-    if np.linalg.cond(k_hh) > 1e12:
-        raise SingularPrecisionError("hidden-block precision is numerically singular")
-    mean = -np.linalg.solve(k_hh, precision.k_ho @ x)
-    return mean, k_hh.copy()
 
 
 def log_marginal_tree_weight(

@@ -1,19 +1,17 @@
 """Shared fixtures and enumeration oracles."""
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from treeagg.errors import DegenerateWeightsError
-from treeagg.graphs import Graph
-from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
+from treeagg.graphs import Graph, UnionFind, prufer_to_edges
+from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
-from treeagg.spanning_trees import (
-    _max_rescale,
-    _tree_edge_array,
-    brute_force_tree_products,
-    validate_weight_matrix,
-)
+from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -30,6 +28,32 @@ def random_spd(rng, size, strength=0.5):
     return m / np.outer(d, d)
 
 
+# ----------------------------------------------------------------------
+# Oracle: enumeration of every labeled spanning tree, for sizes up to 8.
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def tree_edges(size):
+    """Edges of all size^(size-2) labeled trees on {0..size-1}, decoded from
+    their Pruefer sequences, as an int array (n_trees, size - 1, 2)."""
+    seqs = itertools.product(range(size), repeat=size - 2)
+    return np.array([prufer_to_edges(seq, size) for seq in seqs], dtype=np.intp)
+
+
+def tree_products(w):
+    """Product of the edge weights of every labeled spanning tree."""
+    edges = tree_edges(w.shape[0])
+    return w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
+
+
+def is_spanning_tree(edges, n_nodes):
+    edges = list(edges)
+    if len(edges) != n_nodes - 1:
+        return False
+    uf = UnionFind(n_nodes)
+    return all(uf.union(i, j) for i, j in edges)
+
+
 def brute_posterior_marginals(log_gamma):
     """Edge marginals of P(T) ~ prod gamma by enumeration, any dynamic range.
 
@@ -37,7 +61,7 @@ def brute_posterior_marginals(log_gamma):
     underflows into the subnormal range.
     """
     n = log_gamma.shape[0]
-    edges = _tree_edge_array(n)
+    edges = tree_edges(n)
     log_products = log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
     with np.errstate(under="ignore"):
         products = np.exp(log_products - log_products.max())

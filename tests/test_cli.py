@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import treeagg
 from treeagg.cli import main
 
 
@@ -233,10 +235,14 @@ class TestEval:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same treeagg as this process, also when the
+        # tests find it through pytest's pythonpath setting only
+        src = str(Path(treeagg.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "treeagg.cli", "simulate", "--out", str(tmp_path / "o"),
              "--seed", "1", "--config", "/dev/null"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 2  # /dev/null is not valid JSON -> config error
 

@@ -5,9 +5,8 @@ from treeagg import em
 from treeagg.errors import DegeneratePosteriorError, InvalidMomentError, TreeAggError
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
-from treeagg.spanning_trees import brute_force_tree_products
 
-from conftest import brute_posterior_marginals, figure_ground_truth, random_spd
+from conftest import brute_posterior_marginals, figure_ground_truth, random_spd, tree_products
 
 
 def small_cov(rng, p, n=40):
@@ -92,17 +91,16 @@ class TestEStep:
     def test_log_a_consistent_with_partition(self, rng):
         cov, prec, prior = random_instance(rng, 4, 0)
         state = em.e_step(prec, cov, prior)
-        # A_ij = alpha_ij * Z(gamma), via enumeration of the tree sums
+        # A_ij = alpha_ij * Z(gamma), the per-edge tree sums, via enumeration
         lg = state.log_gamma
         w = np.exp(lg - 0.0)
         w[~np.isfinite(lg)] = 0.0
         np.fill_diagonal(w, 0.0)
-        # brute force per-edge sums
-        z = brute_force_tree_products(w).sum()
+        z = tree_products(w).sum()
         marg = brute_posterior_marginals(lg)
         iu = np.triu_indices(4, k=1)
         np.testing.assert_allclose(
-            np.exp(state.log_a[iu]), marg[iu] * z, rtol=1e-8
+            state.alpha[iu] * np.exp(state.log_z), marg[iu] * z, rtol=1e-8
         )
 
     def test_zero_support_raises(self, rng):
@@ -176,7 +174,7 @@ class TestEntropies:
                 np.zeros((0, 5)), np.zeros((0, 0)), np.zeros((0, 0)),
                 lg, alpha, log_partition_function(w), 0.0, np.ones((5, 5)),
             )
-            products = brute_force_tree_products(w)
+            products = tree_products(w)
             p_tree = products / products.sum()
             h_brute = -np.sum(p_tree * np.log(p_tree))
             assert em.tree_entropy(state) == pytest.approx(h_brute, abs=1e-8)
@@ -230,7 +228,7 @@ class TestObservedLoglik:
         w = np.exp(lg)
         w[~np.isfinite(lg)] = 0.0
         np.fill_diagonal(w, 0.0)
-        log_z = np.log(brute_force_tree_products(w).sum())
+        log_z = np.log(tree_products(w).sum())
         n, p = cov.n, cov.size
         kd = np.diag(prec.matrix)
         expected = (

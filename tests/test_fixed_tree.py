@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treeagg import fixed_tree
 from treeagg.em import FitOptions
 from treeagg.fixed_tree import completed_covariance, fit_fixed_tree, gaussian_observed_loglik
 from treeagg.initialization import _regularize_cov
@@ -27,6 +28,21 @@ class TestFixedTree:
         )
         assert fit.iterations == 1
         assert fit.converged
+
+    def test_r0_skips_initializer(self, rng, monkeypatch):
+        cov = sample_cov(rng, 5)
+        calls = []
+        initializer = fixed_tree.initial_precision_from_cov
+        monkeypatch.setattr(
+            fixed_tree,
+            "initial_precision_from_cov",
+            lambda *args: calls.append(args) or initializer(*args),
+        )
+        fit_fixed_tree(cov, 0)
+        fit_fixed_tree(cov, 0, opts=FitOptions(max_iter=0))
+        assert calls == []
+        fit_fixed_tree(cov, 1)
+        assert len(calls) == 1
 
     def test_max_iter_zero_returns_initializer_tree(self, rng):
         cov = sample_cov(rng, 5)

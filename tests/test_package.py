@@ -1,0 +1,39 @@
+import treeagg
+
+PUBLIC_API = [
+    "EStepState",
+    "EmpiricalCovariance",
+    "FitOptions",
+    "FitResult",
+    "FixedTreeFit",
+    "Graph",
+    "GroundTruth",
+    "PartitionedPrecision",
+    "SelectionReport",
+    "calibrate_prior",
+    "chow_liu",
+    "e_step",
+    "edge_marginals",
+    "edge_posteriors",
+    "fit",
+    "fit_fixed_tree",
+    "joint_entropy",
+    "log_marginal_tree_weight",
+    "log_partition_function",
+    "m_step",
+    "make_ground_truth",
+    "observed_loglik",
+    "penalty",
+    "select",
+    "tree_entropy",
+    "tree_precision_from_cov",
+    "uniform_prior",
+]
+
+
+def test_public_api_is_pinned():
+    # Only what fits, selection, simulation and the CLI run is exported;
+    # oracles for the tests live in tests/conftest.py.
+    assert sorted(treeagg.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(treeagg, name) is not None

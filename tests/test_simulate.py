@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeagg.errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
-from treeagg.graphs import Graph, is_spanning_tree
+from treeagg.graphs import Graph
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import (
     choose_hidden,
@@ -17,7 +17,7 @@ from treeagg.simulate import (
     scale_and_snr,
 )
 
-from conftest import figure_tree_graph
+from conftest import figure_tree_graph, is_spanning_tree
 
 
 class TestGenGraph:
