@@ -284,6 +284,15 @@ class TestCalibratePrior:
         with pytest.raises(CalibrationError):
             calibrate_prior(prior, 0.5)
 
+    def test_zero_entry_stays_out_of_support(self):
+        # a hidden-hidden pair: 4 edges over the 9 positive pairs
+        prior = np.ones((5, 5)) - np.eye(5)
+        prior[3, 4] = prior[4, 3] = 0.0
+        out = calibrate_prior(prior, 4.0 / 9.0)
+        support = prior > 0.0
+        assert out[3, 4] == 0.0
+        np.testing.assert_allclose(edge_marginals(out)[support], 4.0 / 9.0, atol=1e-6)
+
     def test_infeasible_target_rejected(self):
         prior = np.ones((5, 5)) - np.eye(5)
         # marginals on 5 nodes must average 2/5; 0.9 is impossible
