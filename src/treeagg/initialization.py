@@ -6,12 +6,20 @@ gain; each retained clique contributes one hidden node, its unit-variance
 first principal component, whose covariances with the observed nodes follow
 from the covariance alone.  The starting precision is the tree MLE on the
 completed covariance.
+
+The greedy search scores each merge candidate once: the triplets as one
+batch of one-factor fits, then only the candidates each merge creates.  The
+tests keep a search that rescans every candidate in every round as the
+oracle it must match bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +39,9 @@ class MergeRecord:
     group_b: tuple[int, ...]
     gain: float
 
-    @property
+    @cached_property
     def members(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.group_a) | set(self.group_b)))
+        return tuple(sorted(self.group_a + self.group_b))
 
 
 @dataclass(frozen=True)
@@ -49,19 +57,24 @@ class CliqueHierarchy:
     cliques: tuple[tuple[int, ...], ...]
 
 
-def _replay(
-    merges,
-) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], float]]:
-    """State after a merge prefix: cliques present and their accumulated gains."""
+def _replay(merges):
+    """Yield the state after each merge prefix, the empty one first: the
+    cliques present, sorted, and their accumulated gains."""
     cliques: list[tuple[int, ...]] = []
     scores: dict[tuple[int, ...], float] = {}
+    yield (), {}
     for rec in merges:
         new = rec.members
         absorbed = [c for c in cliques if set(c) <= set(new)]
         gain = rec.gain + sum(scores.pop(c) for c in absorbed)
         cliques = [c for c in cliques if not set(c) <= set(new)] + [new]
         scores[new] = gain
-    return tuple(sorted(cliques)), scores
+        yield tuple(sorted(cliques)), dict(scores)
+
+
+def _ranked(cliques, scores, n_hidden: int) -> tuple[tuple[int, ...], ...]:
+    """The n_hidden cliques of highest accumulated gain."""
+    return tuple(sorted(cliques, key=lambda c: (-scores[c], c))[:n_hidden])
 
 
 def _diag_loglik(block: np.ndarray, n: int) -> float:
@@ -70,18 +83,21 @@ def _diag_loglik(block: np.ndarray, n: int) -> float:
     return -0.5 * n * (block.shape[0] * LOG_2PI + float(np.log(d).sum()) + block.shape[0])
 
 
-def _factor_loglik(block: np.ndarray, n: int) -> float:
-    """Closed-form one-factor Gaussian fit: leading principal direction plus
-    diagonal residual noise."""
-    m = block.shape[0]
-    if m == 1:
-        return _diag_loglik(block, n)
-    evals, vecs = np.linalg.eigh(block)
-    loading = math.sqrt(max(evals[-1], 0.0)) * vecs[:, -1]
-    noise = np.maximum(np.diag(block) - loading**2, 1e-12 * np.diag(block))
-    model = np.outer(loading, loading) + np.diag(noise)
+def _factor_loglik(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Closed-form one-factor Gaussian fits of a stack of (m, m) blocks, m > 1:
+    leading principal direction plus diagonal residual noise.
+
+    LAPACK runs once per block, so a block's fit does not depend on the stack
+    it comes in.
+    """
+    m = blocks.shape[-1]
+    evals, vecs = np.linalg.eigh(blocks)
+    loading = np.sqrt(np.maximum(evals[:, -1], 0.0))[:, None] * vecs[:, :, -1]
+    diag = np.diagonal(blocks, axis1=1, axis2=2)
+    noise = np.maximum(diag - loading**2, 1e-12 * diag)
+    model = loading[:, :, None] * loading[:, None, :] + noise[:, :, None] * np.eye(m)
     _, logdet = np.linalg.slogdet(model)
-    trace = float(np.trace(np.linalg.solve(model, block)))
+    trace = np.trace(np.linalg.solve(model, blocks), axis1=1, axis2=2)
     return -0.5 * n * (m * LOG_2PI + logdet + trace)
 
 
@@ -110,6 +126,11 @@ def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHier
     of n samples.
 
     Merges are restricted to groups joined by an edge of the Chow-Liu tree.
+    Each step takes the candidate of largest gain, ties going to the smallest
+    (members, group_a, group_b).  Every candidate is scored once: the
+    triplets of nodes as one batch up front, then, after each merge, the new
+    clique with each free node (one batch) and with each older clique, which
+    comes first in the record.  Candidates that touch a merged group drop out.
     """
     if n_hidden == 0:
         return CliqueHierarchy((), 0, ())
@@ -118,94 +139,68 @@ def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHier
         raise InitializationFallback("need at least 3 observed nodes to form a triplet")
     adj = Graph(p, chow_liu(sigma)).adjacency()
     half_log_n = 0.5 * math.log(n)
+    loglik = {(i,): _diag_loglik(sigma[i : i + 1, i : i + 1], n) for i in range(p)}
+    # (-gain, members, group_a, group_b, record, parts): heap order is the
+    # selection order, and members tell candidates apart.
+    heap: list = []
 
-    model_cache: dict[tuple[int, ...], float] = {}
-
-    def model_ll(group: tuple[int, ...]) -> float:
-        if group not in model_cache:
-            idx = np.array(group)
-            block = sigma[np.ix_(idx, idx)]
-            model_cache[group] = (
-                _factor_loglik(block, n) if len(group) > 1 else _diag_loglik(block, n)
+    def score(candidates) -> None:
+        """Push (group_a, group_b, parts) candidates that merge to one size."""
+        if not candidates:
+            return
+        merged = [tuple(sorted(a + b)) for a, b, _ in candidates]
+        idx = np.array(merged)
+        fits = _factor_loglik(sigma[idx[:, :, None], idx[:, None, :]], n)
+        for (a, b, parts), group, ll in zip(candidates, merged, fits):
+            loglik[group] = ll
+            delta_ll = ll - sum(loglik[g] for g in parts)
+            delta_params = _factor_params(len(group)) - sum(
+                _factor_params(len(g)) if len(g) > 1 else 1 for g in parts
             )
-        return model_cache[group]
+            rec = MergeRecord(a, b, delta_ll - delta_params * half_log_n)
+            heapq.heappush(heap, (-rec.gain, group, a, b, rec, parts))
 
-    def penalized_gain(parts: list[tuple[int, ...]]) -> float:
-        merged = tuple(sorted(set().union(*map(set, parts))))
-        delta_ll = model_ll(merged) - sum(model_ll(g) for g in parts)
-        delta_params = _factor_params(len(merged)) - sum(
-            _factor_params(len(g)) if len(g) > 1 else 1 for g in parts
-        )
-        return delta_ll - delta_params * half_log_n
+    triples = np.array(list(itertools.combinations(range(p), 3)))
+    first, second, third = triples.T
+    linked = adj[first, second] | adj[first, third] | adj[second, third]
+    score([((i,), (j, k), ((i,), (j,), (k,))) for i, j, k in triples[linked].tolist()])
 
-    def connected(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return bool(adj[np.ix_(a, b)].any())
-
-    free = set(range(p))
-    cliques: list[tuple[int, ...]] = []
+    groups = {(i,) for i in range(p)}  # free nodes and cliques
     merges: list[MergeRecord] = []
-
-    while True:
-        best: tuple[float, tuple[int, ...], MergeRecord] | None = None
-
-        def consider(rec: MergeRecord, gain: float):
-            nonlocal best
-            key = (-gain, rec.members, rec.group_a, rec.group_b)
-            if best is None or key < (-best[0], best[1], best[2].group_a, best[2].group_b):
-                best = (gain, rec.members, rec)
-
-        free_sorted = sorted(free)
-        for ai, i in enumerate(free_sorted):
-            for bi in range(ai + 1, len(free_sorted)):
-                j = free_sorted[bi]
-                for k in free_sorted[bi + 1 :]:
-                    if not (adj[i, j] or adj[i, k] or adj[j, k]):
-                        continue
-                    gain = penalized_gain([(i,), (j,), (k,)])
-                    consider(MergeRecord((i,), (j, k), gain), gain)
-        for c in cliques:
-            for x in free_sorted:
-                if connected(c, (x,)):
-                    gain = penalized_gain([c, (x,)])
-                    consider(MergeRecord(c, (x,), gain), gain)
-        for a_idx in range(len(cliques)):
-            for b_idx in range(a_idx + 1, len(cliques)):
-                a, b = cliques[a_idx], cliques[b_idx]
-                if connected(a, b):
-                    gain = penalized_gain([a, b])
-                    consider(MergeRecord(a, b, gain), gain)
-
-        if best is None:
-            break
-        _, members, rec = best
+    while heap:
+        *_, rec, parts = heapq.heappop(heap)
+        if not groups.issuperset(parts):
+            continue
         merges.append(rec)
-        free -= set(members)
-        cliques = [c for c in cliques if not set(c) <= set(members)] + [members]
+        groups.difference_update(parts)
+        new = rec.members
+        touches = adj[list(new)].any(axis=0)
+        score([(new, g, (new, g)) for g in sorted(groups) if len(g) == 1 and touches[g[0]]])
+        for c in sorted(groups):
+            if len(c) > 1 and touches[list(c)].any():
+                score([(c, new, (c, new))])
+        groups.add(new)
 
     prefix = np.concatenate([[0.0], np.cumsum([m.gain for m in merges])])
     cut_level = int(np.argmax(prefix))
-    cut_cliques, scores = _replay(merges[:cut_level])
-    ranked = sorted(cut_cliques, key=lambda c: (-scores[c], c))
-    return CliqueHierarchy(tuple(merges), cut_level, tuple(ranked[:n_hidden]))
+    cut_cliques, scores = next(itertools.islice(_replay(merges), cut_level, None))
+    return CliqueHierarchy(tuple(merges), cut_level, _ranked(cut_cliques, scores, n_hidden))
 
 
 def _cliques_for_target(hierarchy: CliqueHierarchy, n_hidden: int):
     """Extend past the BIC cut when it yields fewer cliques than hidden nodes."""
     if len(hierarchy.cliques) >= n_hidden:
         return hierarchy.cliques[:n_hidden]
-    best_level, best_key = None, None
+    gains = [0.0] + [m.gain for m in hierarchy.merges]
+    best_key, best_state = None, None
     prefix = 0.0
-    states = []
-    for level in range(len(hierarchy.merges) + 1):
-        cliques, scores = _replay(hierarchy.merges[:level])
-        prefix = sum(m.gain for m in hierarchy.merges[:level])
-        states.append((cliques, scores))
+    for level, (gain, state) in enumerate(zip(gains, _replay(hierarchy.merges))):
+        prefix += gain
+        cliques = state[0]
         key = (len(cliques) >= n_hidden, min(len(cliques), n_hidden), prefix, -level)
         if best_key is None or key > best_key:
-            best_key, best_level = key, level
-    cliques, scores = states[best_level]
-    ranked = sorted(cliques, key=lambda c: (-scores[c], c))
-    return tuple(ranked[:n_hidden])
+            best_key, best_state = key, state
+    return _ranked(*best_state, n_hidden)
 
 
 def _first_loading_positive(v: np.ndarray) -> np.ndarray:

@@ -149,26 +149,29 @@ def log_partition_function(w: np.ndarray) -> float:
 def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
     """Effective resistances to each of a block of grounds, subtraction-free.
 
-    Row k holds the resistance from every node to grounds[k].  Each grounding's
-    unit lower factor I - N is inverted by LAPACK's triangular solve, on the
-    operand that scipy's solve_triangular would pass it; the diagonal of
-    (I - N)^-T D^-1 (I - N)^-1 is then summed along the contiguous axis of
-    the transposed inverse, which fixes the summation order.
+    Row k holds the resistance from every node to grounds[k].  Under ground g
+    the j-th kept node is j + (j >= g), so one gather cuts every grounding's
+    factor out of the block's fractions and one scatter places the results.
+    Each grounding's unit lower factor I - N is inverted by its own LAPACK
+    triangular solve, on the operand that scipy's solve_triangular would pass
+    it; the diagonal of (I - N)^-T D^-1 (I - N)^-1 is then summed along the
+    contiguous axis of the transposed inverse, which fixes the summation order.
     """
     n = w.shape[0]
     pivots, fractions = _eliminate(w, grounds, need_factor=True)
+    j = np.arange(n - 1)
+    keep = j + (j >= grounds[:, None])
+    block = np.arange(len(grounds))[:, None]
     eye = np.eye(n - 1)
-    inv_t = np.empty((len(grounds), n - 1, n - 1))
-    keeps = [np.delete(np.arange(n), g) for g in grounds]
-    for k, keep in enumerate(keeps):
-        lower = eye - fractions[k][np.ix_(keep, keep)]
-        inv, _ = _trtrs(lower.T, eye, lower=False, trans=1, unitdiag=1)
+    lower = eye - fractions[block[:, :, None], keep[:, :, None], keep[:, None, :]]
+    inv_t = np.empty_like(lower)
+    for k in range(len(grounds)):
+        inv, _ = _trtrs(lower[k].T, eye, lower=False, trans=1, unitdiag=1)
         inv_t[k] = inv.T
     with np.errstate(over="ignore", divide="ignore"):
         gdiag = (inv_t**2 / pivots[:, None, :]).sum(axis=2)
     out = np.zeros((len(grounds), n))
-    for k, keep in enumerate(keeps):
-        out[k, keep] = gdiag[k]
+    out[block, keep] = gdiag
     return out
 
 

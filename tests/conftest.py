@@ -1,17 +1,26 @@
 """Shared fixtures and enumeration oracles."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from treeagg.errors import DegenerateWeightsError
+from treeagg.errors import DegenerateWeightsError, InitializationFallback
 from treeagg.graphs import Graph, UnionFind, prufer_to_edges
+from treeagg.initialization import (
+    LOG_2PI,
+    CliqueHierarchy,
+    MergeRecord,
+    _diag_loglik,
+    _factor_params,
+)
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
 from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
+from treeagg.tree_gaussian import chow_liu
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -145,6 +154,133 @@ def per_ground_log_partition(w):
     except DegenerateWeightsError:
         return -np.inf
     return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
+
+
+# ----------------------------------------------------------------------
+# Oracle: the greedy clique search that rescans every candidate in every
+# round.  treeagg.initialization scores each candidate once and must give
+# the same hierarchy, gains bit for bit.
+# ----------------------------------------------------------------------
+
+def rescan_factor_loglik(block, n):
+    """One-factor Gaussian fit of one (m, m) block, m > 1."""
+    m = block.shape[0]
+    evals, vecs = np.linalg.eigh(block)
+    loading = math.sqrt(max(evals[-1], 0.0)) * vecs[:, -1]
+    noise = np.maximum(np.diag(block) - loading**2, 1e-12 * np.diag(block))
+    model = np.outer(loading, loading) + np.diag(noise)
+    _, logdet = np.linalg.slogdet(model)
+    trace = float(np.trace(np.linalg.solve(model, block)))
+    return -0.5 * n * (m * LOG_2PI + logdet + trace)
+
+
+def rescan_replay(merges):
+    """Cliques present after a merge prefix, sorted, and their accumulated gains."""
+    cliques, scores = [], {}
+    for rec in merges:
+        new = rec.members
+        absorbed = [c for c in cliques if set(c) <= set(new)]
+        gain = rec.gain + sum(scores.pop(c) for c in absorbed)
+        cliques = [c for c in cliques if not set(c) <= set(new)] + [new]
+        scores[new] = gain
+    return tuple(sorted(cliques)), scores
+
+
+def greedy_clustering_oracle(sigma, n, n_hidden):
+    """The CliqueHierarchy of initialization._clustering_from_cov, each round
+    rescanning every triplet of free nodes, every clique and free node and
+    every pair of cliques."""
+    if n_hidden == 0:
+        return CliqueHierarchy((), 0, ())
+    p = sigma.shape[0]
+    if p < 3:
+        raise InitializationFallback("need at least 3 observed nodes to form a triplet")
+    adj = Graph(p, chow_liu(sigma)).adjacency()
+    half_log_n = 0.5 * math.log(n)
+    model_cache = {}
+
+    def model_ll(group):
+        if group not in model_cache:
+            idx = np.array(group)
+            block = sigma[np.ix_(idx, idx)]
+            model_cache[group] = (
+                rescan_factor_loglik(block, n) if len(group) > 1 else _diag_loglik(block, n)
+            )
+        return model_cache[group]
+
+    def penalized_gain(parts):
+        merged = tuple(sorted(set().union(*map(set, parts))))
+        delta_ll = model_ll(merged) - sum(model_ll(g) for g in parts)
+        delta_params = _factor_params(len(merged)) - sum(
+            _factor_params(len(g)) if len(g) > 1 else 1 for g in parts
+        )
+        return delta_ll - delta_params * half_log_n
+
+    def connected(a, b):
+        return bool(adj[np.ix_(a, b)].any())
+
+    free = set(range(p))
+    cliques, merges = [], []
+    while True:
+        best = None
+
+        def consider(rec, gain):
+            nonlocal best
+            key = (-gain, rec.members, rec.group_a, rec.group_b)
+            if best is None or key < (-best[0], best[1], best[2].group_a, best[2].group_b):
+                best = (gain, rec.members, rec)
+
+        free_sorted = sorted(free)
+        for ai, i in enumerate(free_sorted):
+            for bi in range(ai + 1, len(free_sorted)):
+                j = free_sorted[bi]
+                for k in free_sorted[bi + 1 :]:
+                    if not (adj[i, j] or adj[i, k] or adj[j, k]):
+                        continue
+                    gain = penalized_gain([(i,), (j,), (k,)])
+                    consider(MergeRecord((i,), (j, k), gain), gain)
+        for c in cliques:
+            for x in free_sorted:
+                if connected(c, (x,)):
+                    gain = penalized_gain([c, (x,)])
+                    consider(MergeRecord(c, (x,), gain), gain)
+        for a_idx in range(len(cliques)):
+            for b_idx in range(a_idx + 1, len(cliques)):
+                a, b = cliques[a_idx], cliques[b_idx]
+                if connected(a, b):
+                    gain = penalized_gain([a, b])
+                    consider(MergeRecord(a, b, gain), gain)
+
+        if best is None:
+            break
+        _, members, rec = best
+        merges.append(rec)
+        free -= set(members)
+        cliques = [c for c in cliques if not set(c) <= set(members)] + [members]
+
+    prefix = np.concatenate([[0.0], np.cumsum([m.gain for m in merges])])
+    cut_level = int(np.argmax(prefix))
+    cut_cliques, scores = rescan_replay(merges[:cut_level])
+    ranked = sorted(cut_cliques, key=lambda c: (-scores[c], c))
+    return CliqueHierarchy(tuple(merges), cut_level, tuple(ranked[:n_hidden]))
+
+
+def cliques_for_target_oracle(hierarchy, n_hidden):
+    """initialization._cliques_for_target, replaying every merge prefix anew."""
+    if len(hierarchy.cliques) >= n_hidden:
+        return hierarchy.cliques[:n_hidden]
+    best_level, best_key = None, None
+    states = []
+    for level in range(len(hierarchy.merges) + 1):
+        cliques, scores = rescan_replay(hierarchy.merges[:level])
+        prefix = sum(m.gain for m in hierarchy.merges[:level])
+        states.append((cliques, scores))
+        key = (len(cliques) >= n_hidden, min(len(cliques), n_hidden), prefix, -level)
+        if best_key is None or key > best_key:
+            best_key, best_level = key, level
+    cliques, scores = states[best_level]
+    ranked = sorted(cliques, key=lambda c: (-scores[c], c))
+    return tuple(ranked[:n_hidden])
 
 
 def figure_tree_graph():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from treeagg import initialization
 from treeagg.errors import DegenerateCliqueError
 from treeagg.initialization import (
+    _cliques_for_target,
     _clustering_from_cov,
     _completed_covariance,
     _factor_params,
@@ -11,9 +14,9 @@ from treeagg.initialization import (
     initial_precision_from_cov,
 )
 from treeagg.matrices import EmpiricalCovariance
-from treeagg.simulate import sample_and_marginalize, sample_seed
+from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
-from conftest import figure_ground_truth
+from conftest import cliques_for_target_oracle, figure_ground_truth, greedy_clustering_oracle
 
 
 def factor_data(rng, n=400, noise_cols=4):
@@ -27,6 +30,32 @@ def factor_data(rng, n=400, noise_cols=4):
 def clustering(data, n_hidden):
     cov = EmpiricalCovariance.from_data(data)
     return _clustering_from_cov(_regularize_cov(cov.matrix), cov.n, n_hidden)
+
+
+def suite_covariances(kind):
+    """The covariances of the acceptance suites (tests/test_acceptance.py)."""
+    size, r, epsilon, offset = {"signal": (21, 1, 10.0, 0), "null": (20, 0, 1.0, 1000)}[kind]
+    for seed in range(50):
+        truth = make_ground_truth("tree", size=size, r=r, epsilon=epsilon, seed=offset + seed)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(offset + seed))
+        yield EmpiricalCovariance.from_data(observed)
+
+
+def assert_matches_oracle(sigma, n, r_values):
+    """Equal hierarchies, gains bit for bit, and equal cliques past the cut."""
+    # The oracle's merges and cut do not depend on the hidden count, whose
+    # largest value only caps the ranked cliques; one run covers every r.
+    expected = greedy_clustering_oracle(sigma, n, max(r_values))
+    for r in r_values:
+        hierarchy = _clustering_from_cov(sigma, n, r)
+        assert hierarchy == replace(expected, cliques=expected.cliques[:r])
+        assert [m.gain.hex() for m in hierarchy.merges] == [
+            float(m.gain).hex() for m in expected.merges
+        ]
+        for target in (r, r + 2, r + 6):
+            assert _cliques_for_target(hierarchy, target) == cliques_for_target_oracle(
+                expected, target
+            )
 
 
 def initial_k(data, n_hidden):
@@ -65,6 +94,52 @@ class TestTripletClustering:
         h2 = clustering(data, 1)
         assert h1.merges == h2.merges
         assert h1.cliques == h2.cliques
+
+    @pytest.mark.parametrize("kind", ["signal", "null"])
+    def test_suite_matches_rescan_oracle(self, kind):
+        for cov in suite_covariances(kind):
+            assert_matches_oracle(_regularize_cov(cov.matrix), cov.n, (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: factor_data(rng),
+            lambda rng: rng.normal(size=(300, 6)),
+            lambda rng: factor_data(rng, noise_cols=0),
+        ],
+        ids=["factor", "independent", "p3"],
+    )
+    def test_data_matches_rescan_oracle(self, rng, make):
+        cov = EmpiricalCovariance.from_data(make(rng))
+        assert_matches_oracle(_regularize_cov(cov.matrix), cov.n, (1, 2, 3))
+
+    def test_target_past_cut_matches_rescan_oracle(self, rng):
+        # independent data cut before any merge, so every hidden node comes
+        # from extending past the cut
+        cov = EmpiricalCovariance.from_data(rng.normal(size=(300, 9)))
+        sigma = _regularize_cov(cov.matrix)
+        hierarchy = _clustering_from_cov(sigma, cov.n, 2)
+        assert hierarchy.cliques == () and len(hierarchy.merges) >= 2
+        chosen = _cliques_for_target(hierarchy, 2)
+        assert chosen != ()
+        assert chosen == cliques_for_target_oracle(greedy_clustering_oracle(sigma, cov.n, 2), 2)
+
+    def test_each_candidate_scored_once(self, monkeypatch):
+        # a signal-suite replicate at p = 20: every gain comes with one merge
+        # record, so one record per distinct merged group means no candidate
+        # is scored twice; rescanning every round scores about 3.5 times as many
+        cov = next(suite_covariances("signal"))
+        built = []
+
+        class CountedRecord(initialization.MergeRecord):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.members)
+
+        monkeypatch.setattr(initialization, "MergeRecord", CountedRecord)
+        hierarchy = _clustering_from_cov(_regularize_cov(cov.matrix), cov.n, 3)
+        assert len(hierarchy.merges) >= 5
+        assert len(built) == len(set(built))
 
     def test_parameter_count_convention(self):
         # loadings + factor variance + noise variances

@@ -218,7 +218,7 @@ class TestBlockKernel:
         assert spanning_trees._BLOCK_ELEMENTS // (80 * 80) < 80 // 2
 
     @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
-    @pytest.mark.parametrize("size", [8, 22, 24, 40, 80])
+    @pytest.mark.parametrize("size", [8, 21, 22, 23, 24, 40, 80])
     def test_bit_identical_to_per_ground_kernel(self, size, span):
         w = estep_weights(np.random.default_rng(size), size, span)
         assert (w == 1e-300).any()
