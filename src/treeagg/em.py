@@ -1,23 +1,29 @@
 """EM over the two hidden layers: the latent spanning tree and the hidden signal.
 
 The E-step computes conditional moments of the hidden block, per-edge log
-weights of the tree posterior and all-edge appearance probabilities through the
-Matrix-Tree kernel.  The M-step applies the closed-form off-diagonal updates
-and solves the diagonal stationarity equations by safeguarded bisection, then
-floors the spectrum to keep the precision positive definite.  Everything tree
-related is tracked in log space.
+weights of the tree posterior and their log partition through the Matrix-Tree
+kernel.  The all-edge appearance probabilities alpha cost O(size^4) against
+the partition's O(size^3), so they are computed on first read: the M-step and
+the fit's report read them for the iterates EM keeps, while a rejected r = 0
+line-search trial, whose log-likelihood needs only log Z, never does.  The
+M-step applies the closed-form off-diagonal updates and solves the diagonal
+stationarity equations by safeguarded bisection, then floors the spectrum to
+keep the precision positive definite.  Everything tree related is tracked in
+log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import initialization
 from .errors import (
     DegeneratePosteriorError,
+    DegenerateWeightsError,
     DivergenceError,
     InvalidMomentError,
     InvalidPrecisionError,
@@ -83,18 +89,36 @@ def _completed_moments(
     return completed
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `np.triu_indices(size, k=1)`, built once per size."""
+    pairs = np.triu_indices(size, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 @dataclass(frozen=True)
 class EStepState:
-    """Conditional moments and tree-posterior quantities at one EM iterate."""
+    """Conditional moments and tree-posterior quantities at one EM iterate.
+
+    `weights` are the materialized tree-posterior weights, exp(log gamma)
+    up to a common factor.  The edge posteriors `alpha` are computed from
+    them on first read and kept.
+    """
 
     w_ho: np.ndarray
     v_h: np.ndarray
     b_h: np.ndarray
     log_gamma: np.ndarray
-    alpha: np.ndarray
+    weights: np.ndarray
     log_z: float
     log_z_prior: float
     prior: np.ndarray
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return edge_marginals(self.weights)
 
 
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -141,9 +165,11 @@ def e_step(
     cov: EmpiricalCovariance,
     prior: np.ndarray | _FitPrior,
 ) -> EStepState:
-    """Moments, log gamma, edge posteriors alpha and log partition at the current K.
+    """Moments, log gamma, tree-posterior weights and log partition at the current K.
 
     `prior` is an edge prior matrix, or the masked prior a fit precomputes.
+    The edge posteriors are left to the first read of `EStepState.alpha`; a
+    disconnected weight support raises DegenerateWeightsError here, at once.
     """
     if isinstance(prior, _FitPrior):
         fit_prior, prior = prior, prior.weights
@@ -152,18 +178,21 @@ def e_step(
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior, cov)
     weights, shift = _materialize_weights(log_gamma)
-    alpha = edge_marginals(weights)
-    size = precision.size
-    log_z = log_partition_function(weights) + (size - 1) * shift
+    log_z = log_partition_function(weights)
+    if log_z == -np.inf:
+        raise DegenerateWeightsError(
+            "the tree posterior's positive-weight support is disconnected"
+        )
+    log_z += (precision.size - 1) * shift
     return EStepState(
-        w_ho, v_h, b_h, log_gamma, alpha, log_z, fit_prior.log_z, fit_prior.weights
+        w_ho, v_h, b_h, log_gamma, weights, log_z, fit_prior.log_z, fit_prior.weights
     )
 
 
 def tree_entropy(state: EStepState) -> float:
     """Closed-form H(T | X_O) = log Z - sum alpha_kl log gamma_kl."""
     alpha, log_gamma = state.alpha, state.log_gamma
-    iu = np.triu_indices(alpha.shape[0], k=1)
+    iu = _upper_pairs(alpha.shape[0])
     a, g = alpha[iu], log_gamma[iu]
     contrib = np.where(a > 0.0, a * np.where(a > 0.0, g, 0.0), 0.0)
     return float(state.log_z - contrib.sum())
@@ -190,7 +219,7 @@ def expected_complete_loglik(
     if np.any(kd <= 0.0):
         raise InvalidPrecisionError("diagonal of K must be positive")
 
-    iu = np.triu_indices(size, k=1)
+    iu = _upper_pairs(size)
     alpha = state.alpha[iu]
     active = alpha > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -221,18 +250,34 @@ def observed_loglik(
     """Observed-data log-likelihood via the EM identity.
 
     log p(X_O; K) = E[log p(X_O, X_H, T) | X_O; K] + H(X_H, T | X_O; K).
-    For r = 0 this equals log sum_T P(T) p(X_O | T) exactly; with hidden
-    nodes it is the free energy of the E-step posterior, which stays bounded
-    where the raw edge-factorized evidence need not be.
+
+    For r = 0 this equals log sum_T P(T) p(X_O | T) exactly.  There log
+    gamma_ij is the edge term of the expected complete log-likelihood, so the
+    alpha-weighted sums of the two parts cancel, and what is left reads no
+    alpha: log Z(gamma) - log Z(prior) plus the node terms
+    (n/2) sum_i (log K_ii - K_ii S_ii - log 2 pi).  It costs one elimination.
+
+    With hidden nodes the sums do not cancel: log gamma gives observed-hidden
+    pairs a trace factor of n/2 where the completed moments give n.  The value
+    is then the free energy of the E-step posterior, which stays bounded where
+    the raw edge-factorized evidence need not be, and it reads alpha.
     """
-    r = precision.n_hidden
-    value = expected_complete_loglik(state, precision, cov) + tree_entropy(state)
-    if r:
-        precision.require_positive_hidden_diagonal()
-        k_hidden = precision.hidden_diagonal()
-        value += cov.n * (
-            0.5 * r * (LOG_2PI + 1.0) - 0.5 * float(np.log(k_hidden).sum())
+    n, r = cov.n, precision.n_hidden
+    if r == 0:
+        kd = np.diag(precision.matrix)
+        if np.any(kd <= 0.0):
+            raise InvalidPrecisionError("diagonal of K must be positive")
+        return float(
+            state.log_z
+            - state.log_z_prior
+            - 0.5 * n * precision.size * LOG_2PI
+            + 0.5 * n * float(np.log(kd).sum())
+            - 0.5 * n * float(kd @ np.diag(cov.matrix))
         )
+    value = expected_complete_loglik(state, precision, cov) + tree_entropy(state)
+    precision.require_positive_hidden_diagonal()
+    k_hidden = precision.hidden_diagonal()
+    value += n * (0.5 * r * (LOG_2PI + 1.0) - 0.5 * float(np.log(k_hidden).sum()))
     return float(value)
 
 
@@ -378,7 +423,10 @@ def _run_em(
     likelihood, so the step from K to the proposal is halved, up to 20 times,
     until the observed log-likelihood does not decrease.  A step that stalls at
     the smallest size terminates the run; the best iterate is returned either
-    way.
+    way.  The M-step and the result read the edge posteriors of kept iterates
+    only.  An r = 0 trial is scored by its log partition alone, so a rejected
+    one costs one elimination and no all-pairs kernel; with hidden nodes the
+    trial's log-likelihood reads its edge posteriors.
     """
     p, r = k_init.n_observed, k_init.n_hidden
     k = k_init

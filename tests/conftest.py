@@ -1,5 +1,13 @@
 """Shared fixtures and enumeration oracles."""
 
+import os
+
+# One BLAS thread, as in treebench/run.py: the matrices are at most about
+# 81 x 81, where a second thread only adds contention.  Set before numpy is
+# imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import itertools
 import math
 from functools import lru_cache
@@ -61,6 +69,15 @@ def is_spanning_tree(edges, n_nodes):
         return False
     uf = UnionFind(n_nodes)
     return all(uf.union(i, j) for i, j in edges)
+
+
+def brute_log_partition(log_gamma):
+    """log of the sum over every labeled tree of prod exp(log gamma), in log space."""
+    edges = tree_edges(log_gamma.shape[0])
+    log_products = log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
+    top = log_products.max()
+    with np.errstate(under="ignore"):
+        return float(top + np.log(np.exp(log_products - top).sum()))
 
 
 def brute_posterior_marginals(log_gamma):

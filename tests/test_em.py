@@ -6,7 +6,13 @@ from treeagg.errors import DegeneratePosteriorError, InvalidMomentError, TreeAgg
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
-from conftest import brute_posterior_marginals, figure_ground_truth, random_spd, tree_products
+from conftest import (
+    brute_log_partition,
+    brute_posterior_marginals,
+    figure_ground_truth,
+    random_spd,
+    tree_products,
+)
 
 
 def small_cov(rng, p, n=40):
@@ -144,12 +150,12 @@ class TestEntropies:
         log_gamma[0, 1] = log_gamma[1, 0] = 0.0
         log_gamma[1, 2] = log_gamma[2, 1] = 0.0
         # only one tree has positive weight: edges (0,1),(1,2)
-        alpha = np.zeros((3, 3))
-        alpha[0, 1] = alpha[1, 0] = 1.0
-        alpha[1, 2] = alpha[2, 1] = 1.0
+        weights = np.zeros((3, 3))
+        weights[0, 1] = weights[1, 0] = 1.0
+        weights[1, 2] = weights[2, 1] = 1.0
         state = em.EStepState(
             np.zeros((0, 3)), np.zeros((0, 0)), np.zeros((0, 0)),
-            log_gamma, alpha, 0.0, 0.0, np.ones((3, 3)),
+            log_gamma, weights, 0.0, 0.0, np.ones((3, 3)),
         )
         assert em.tree_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
@@ -167,12 +173,11 @@ class TestEntropies:
             w = np.exp(lg)
             w[~np.isfinite(lg)] = 0.0
             np.fill_diagonal(w, 0.0)
-            from treeagg.spanning_trees import edge_marginals, log_partition_function
+            from treeagg.spanning_trees import log_partition_function
 
-            alpha = edge_marginals(w)
             state = em.EStepState(
                 np.zeros((0, 5)), np.zeros((0, 0)), np.zeros((0, 0)),
-                lg, alpha, log_partition_function(w), 0.0, np.ones((5, 5)),
+                lg, w, log_partition_function(w), 0.0, np.ones((5, 5)),
             )
             products = tree_products(w)
             p_tree = products / products.sum()
@@ -220,24 +225,37 @@ class TestObservedLoglik:
         expected = 0.5 * n * (logdet - np.trace(k @ s)) - n * np.log(2 * np.pi)
         assert ll == pytest.approx(expected, rel=1e-10)
 
-    def test_three_nodes_matches_enumeration(self, rng):
-        cov, prec, prior = random_instance(rng, 3, 0)
+    @pytest.mark.parametrize(
+        "p, seed, n",
+        [(p, seed, 25) for p in (3, 5, 6, 7) for seed in (0, 1)]
+        # log gamma spans 1 175 nats: three edge weights are floored to
+        # 1e-300, and every tree that holds one is negligible
+        + [(6, 0, 20000)],
+        ids=lambda v: str(v),
+    )
+    def test_three_nodes_matches_enumeration(self, p, seed, n):
+        # r = 0: log sum_T P(T) p(X_O | T), every tree enumerated in log space
+        cov, prec, prior = random_instance(np.random.default_rng(seed), p, 0, n)
         state = em.e_step(prec, cov, prior)
+        if n > 25:
+            finite = state.log_gamma[np.isfinite(state.log_gamma)]
+            assert finite.max() - finite.min() > 708.0
+            assert (state.weights == 1e-300).any()
         ll = em.observed_loglik(state, prec, cov)
-        lg = state.log_gamma
-        w = np.exp(lg)
-        w[~np.isfinite(lg)] = 0.0
-        np.fill_diagonal(w, 0.0)
-        log_z = np.log(tree_products(w).sum())
-        n, p = cov.n, cov.size
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(prior)
+        np.fill_diagonal(log_prior, -np.inf)
         kd = np.diag(prec.matrix)
         expected = (
-            log_z
-            - state.log_z_prior
+            brute_log_partition(state.log_gamma)
+            - brute_log_partition(log_prior)
             - 0.5 * n * p * np.log(2 * np.pi)
             + 0.5 * n * (np.log(kd).sum() - kd @ np.diag(cov.matrix))
         )
         assert ll == pytest.approx(expected, abs=1e-8)
+        # the EM identity that r > 0 still evaluates
+        identity = em.expected_complete_loglik(state, prec, cov) + em.tree_entropy(state)
+        assert identity == pytest.approx(expected, rel=1e-9)
 
     def test_gamma_shift_invariance(self, rng):
         # adding a constant to all log gamma leaves the marginals unchanged
@@ -324,7 +342,7 @@ class TestMStep:
         state = em.e_step(prec, cov, prior)
         bad = em.EStepState(
             state.w_ho, state.v_h, -np.abs(state.b_h), state.log_gamma,
-            state.alpha, state.log_z, state.log_z_prior, state.prior,
+            state.weights, state.log_z, state.log_z_prior, state.prior,
         )
         with pytest.raises(InvalidMomentError):
             em.m_step(bad, prec, cov)
@@ -367,15 +385,18 @@ class TestFit:
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
 
-    def test_stalled_iteration_budget(self, monkeypatch):
+    @pytest.mark.parametrize("r, kernel_calls", [(0, 1), (1, 21)], ids=["r0", "r1"])
+    def test_stalled_iteration_budget(self, monkeypatch, r, kernel_calls):
         # a signal-suite replicate whose first M-step proposal is rejected at
         # every step size: one E-step at the start plus one per halving, each
         # with one log partition for the tree posterior, plus one log
-        # partition of the prior for the whole fit
+        # partition of the prior for the whole fit.  The edge posteriors are
+        # computed for the kept iterate, and at r > 0 for every trial, whose
+        # log-likelihood reads them; an r = 0 trial reads only log Z.
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
-        calls = {"e_step": 0, "log_partition_function": 0}
+        calls = {"e_step": 0, "log_partition_function": 0, "edge_marginals": 0}
 
         def counted(name):
             func = getattr(em, name)
@@ -388,10 +409,12 @@ class TestFit:
 
         counted("e_step")
         counted("log_partition_function")
-        result = em.fit(cov, 1)
+        counted("edge_marginals")
+        result = em.fit(cov, r)
         assert result.iterations == 1 and result.converged
         assert calls["e_step"] == 21
         assert calls["log_partition_function"] <= 22
+        assert calls["edge_marginals"] == kernel_calls
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6

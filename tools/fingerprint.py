@@ -3,12 +3,16 @@
     python3 tools/fingerprint.py
 
 Run from a checkout of the repository; the package is imported from `src/`.
-Prints two SHA-256 digests, one a line:
+Prints three SHA-256 digests, one a line:
 
 - `select`: every `select(cov, r_max=3, keep_fits=True)` report of the 100
   acceptance-suite replicates (the signal and the null suite of
   `tests/test_acceptance.py`): its rows, selections, and each fit's
   log-likelihood trace and the bytes of its alpha and K;
+- `select-structure`: the same reports without the values derived from the
+  log-likelihood (each row's `loglik`, `bic`, `icl_tree` and `icl_joint`, and
+  the traces), plus each fit's iteration and damped-step counts.  A change
+  that moves only the last digits of log-likelihoods keeps this digest;
 - `cli`: the files the CLI pipeline writes on the `cli-study` suite of
   `treebench/run.py`: `simulate`; per replicate `fit --r 1 --p0 <p0>`,
   `fit --method fixed-tree --r 1`, `fit --r 0` and `select --r 3`; then
@@ -52,19 +56,33 @@ def suite_covariances():
             yield f"{suite} {seed}", EmpiricalCovariance.from_data(observed)
 
 
-def select_digest() -> str:
+LOGLIK_KEYS = ("loglik", "bic", "icl_tree", "icl_joint")
+
+
+def select_digests() -> tuple[str, str]:
+    """The `select` and the `select-structure` digest, from one pass."""
     from treeagg import selection
 
-    digest = hashlib.sha256()
+    digest, structure = hashlib.sha256(), hashlib.sha256()
     for label, cov in suite_covariances():
         report = selection.select(cov, r_max=3, keep_fits=True)
+        payload = report.to_json_dict()
         digest.update(label.encode() + b"\0")
-        digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+        for row in payload["rows"]:
+            for key in LOGLIK_KEYS:
+                del row[key]
+        structure.update(label.encode() + b"\0")
+        structure.update(json.dumps(payload, sort_keys=True).encode())
         for r, fit in sorted(report.fits.items()):
             digest.update(f"r={r} trace={fit.loglik_trace!r}".encode())
-            digest.update(fit.alpha.tobytes())
-            digest.update(fit.precision.matrix.tobytes())
-    return digest.hexdigest()
+            structure.update(
+                f"r={r} iterations={fit.iterations} damped={fit.damped_count}".encode()
+            )
+            for part in (fit.alpha, fit.precision.matrix):
+                digest.update(part.tobytes())
+                structure.update(part.tobytes())
+    return digest.hexdigest(), structure.hexdigest()
 
 
 def cli_digest() -> str:
@@ -104,8 +122,10 @@ def cli_digest() -> str:
 
 
 def main() -> int:
-    print(f"select {select_digest()}")
-    print(f"cli    {cli_digest()}")
+    select, structure = select_digests()
+    print(f"select           {select}")
+    print(f"select-structure {structure}")
+    print(f"cli              {cli_digest()}")
     return 0
 
 
