@@ -71,10 +71,15 @@ def is_spanning_tree(edges, n_nodes):
     return all(uf.union(i, j) for i, j in edges)
 
 
+def log_tree_products(log_gamma):
+    """Every labeled tree's edges, and its sum of log gamma over them."""
+    edges = tree_edges(log_gamma.shape[0])
+    return edges, log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
+
+
 def brute_log_partition(log_gamma):
     """log of the sum over every labeled tree of prod exp(log gamma), in log space."""
-    edges = tree_edges(log_gamma.shape[0])
-    log_products = log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
+    _, log_products = log_tree_products(log_gamma)
     top = log_products.max()
     with np.errstate(under="ignore"):
         return float(top + np.log(np.exp(log_products - top).sum()))
@@ -87,8 +92,7 @@ def brute_posterior_marginals(log_gamma):
     underflows into the subnormal range.
     """
     n = log_gamma.shape[0]
-    edges = tree_edges(n)
-    log_products = log_gamma[edges[:, :, 0], edges[:, :, 1]].sum(axis=1)
+    edges, log_products = log_tree_products(log_gamma)
     with np.errstate(under="ignore"):
         products = np.exp(log_products - log_products.max())
     z = products.sum()
