@@ -22,7 +22,12 @@ import numpy as np
 from . import em, evaluate, selection, simulate
 from .errors import ConfigError, DataError, DegenerateCurveError, TreeAggError
 from .fixed_tree import fit_fixed_tree
-from .matrices import EmpiricalCovariance, PartitionedPrecision
+from .matrices import (
+    EmpiricalCovariance,
+    PartitionedPrecision,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 METHODS = ("aggregation", "fixed-tree", "chow-liu")
 SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
@@ -40,12 +45,6 @@ def _config_hash(config: dict) -> str:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-def _matrix_payload(m: np.ndarray) -> dict:
-    return {"shape": list(m.shape), "data": [float(v) for v in np.asarray(m).ravel()]}
-
-def _matrix_from_payload(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
@@ -109,7 +108,10 @@ def _resolve(config: dict, args, keys: dict) -> dict:
             value = config.get(key, default)
         if value is None:
             raise ConfigError(f"missing required config key: {key}")
-        out[key] = cast(value) if value is not None else None
+        try:
+            out[key] = cast(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: cannot read {value!r} as {cast.__name__}") from None
     return out
 
 
@@ -157,6 +159,10 @@ def cmd_simulate(args) -> int:
     config = _resolve(_load_config(args.config), args, SIMULATE_KEYS)
     if config["kind"] not in ("tree", "erdos"):
         raise ConfigError(f"unknown graph kind {config['kind']!r}")
+    if config["p"] < 2:
+        raise ConfigError("p must be >= 2")
+    if config["r"] < 0:
+        raise ConfigError("r must be >= 0")
     if config["replicates"] < 1:
         raise ConfigError("replicates must be >= 1")
     out_dir = Path(args.out)
@@ -221,13 +227,13 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
             loglik_trace=list(result.loglik_trace),
             h_tree=result.h_tree,
             h_joint=result.h_joint,
-            alpha=_matrix_payload(result.alpha),
-            precision=_matrix_payload(result.precision.matrix),
+            alpha=matrix_to_json(result.alpha),
+            precision=matrix_to_json(result.precision.matrix),
         )
         if config["p0"]:
             p0 = float(config["p0"])
             payload["p0"] = p0
-            payload["alpha_recalibrated"] = _matrix_payload(
+            payload["alpha_recalibrated"] = matrix_to_json(
                 em.edge_posteriors(result, p0)
             )
     elif method in ("fixed-tree", "chow-liu"):
@@ -241,7 +247,7 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
             loglik=result.loglik_trace[-1] if result.loglik_trace else None,
             loglik_trace=list(result.loglik_trace),
             tree=[list(e) for e in result.tree],
-            precision=_matrix_payload(result.precision.matrix),
+            precision=matrix_to_json(result.precision.matrix),
         )
     else:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -250,6 +256,13 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
 
 def cmd_fit(args) -> int:
     config = _resolve(_load_config(args.config), args, FIT_KEYS)
+    if config["r"] < 0:
+        raise ConfigError("r must be >= 0")
+    if config["p0"]:
+        try:
+            float(config["p0"])
+        except ValueError:
+            raise ConfigError(f"p0: cannot read {config['p0']!r} as float") from None
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
     payload = _fit_payload(config, cov)
@@ -273,6 +286,8 @@ SELECT_KEYS = {
 
 def cmd_select(args) -> int:
     config = _resolve(_load_config(args.config), args, SELECT_KEYS)
+    if config["r_max"] < 0:
+        raise ConfigError("r_max must be >= 0")
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
     opts = em.FitOptions(max_iter=config["max_iter"], tol=config["tol"])
@@ -306,12 +321,12 @@ def _fit_source(payload: dict) -> SimpleNamespace:
     p, r = int(payload["p"]), int(payload["r"])
     if "alpha" in payload:
         return SimpleNamespace(
-            alpha=_matrix_from_payload(payload["alpha"]),
+            alpha=matrix_from_json(payload["alpha"]),
             tree=None,
             n_observed=p,
             n_hidden=r,
         )
-    precision = PartitionedPrecision(_matrix_from_payload(payload["precision"]), p, r)
+    precision = PartitionedPrecision(matrix_from_json(payload["precision"]), p, r)
     return SimpleNamespace(
         alpha=None,
         tree=tuple(tuple(e) for e in payload["tree"]),

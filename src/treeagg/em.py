@@ -5,18 +5,19 @@ weights of the tree posterior and their log partition through the Matrix-Tree
 kernel.  The all-edge appearance probabilities alpha cost O(size^4) against
 the partition's O(size^3), so they are computed on first read: the M-step and
 the fit's report read them for the iterates EM keeps, while a rejected r = 0
-line-search trial, whose log-likelihood needs only log Z, never does.  The
-M-step applies the closed-form off-diagonal updates and solves the diagonal
-stationarity equations by safeguarded bisection, then floors the spectrum to
-keep the precision positive definite.  Everything tree related is tracked in
-log space.
+line-search trial never does.  The observed log-likelihood is one closed-form
+expression in log Z, the node terms and, with hidden nodes, alpha on the
+observed-hidden pairs.  The M-step applies the closed-form off-diagonal
+updates and solves the diagonal stationarity equations by safeguarded
+bisection, then floors the spectrum to keep the precision positive definite.
+Everything tree related is tracked in log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,11 @@ def conditional_moments(
 def _completed_moments(
     sigma: np.ndarray, w_ho: np.ndarray, b_h: np.ndarray
 ) -> np.ndarray:
-    """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]]."""
+    """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]].
+
+    The M-step and `fixed_tree` read the whole matrix; `observed_loglik` reads
+    only W_HO and the diagonal of B_H, from the E-step state.
+    """
     p, r = sigma.shape[0], b_h.shape[0]
     completed = np.empty((p + r, p + r))
     completed[:p, :p] = sigma
@@ -87,15 +92,6 @@ def _completed_moments(
     completed[p:, :p] = -w_ho
     completed[p:, p:] = b_h
     return completed
-
-
-@lru_cache(maxsize=None)
-def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only `np.triu_indices(size, k=1)`, built once per size."""
-    pairs = np.triu_indices(size, k=1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,6 @@ class EStepState:
     weights: np.ndarray
     log_z: float
     log_z_prior: float
-    prior: np.ndarray
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -184,15 +179,13 @@ def e_step(
             "the tree posterior's positive-weight support is disconnected"
         )
     log_z += (precision.size - 1) * shift
-    return EStepState(
-        w_ho, v_h, b_h, log_gamma, weights, log_z, fit_prior.log_z, fit_prior.weights
-    )
+    return EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, fit_prior.log_z)
 
 
 def tree_entropy(state: EStepState) -> float:
     """Closed-form H(T | X_O) = log Z - sum alpha_kl log gamma_kl."""
     alpha, log_gamma = state.alpha, state.log_gamma
-    iu = _upper_pairs(alpha.shape[0])
+    iu = np.triu_indices(alpha.shape[0], k=1)
     a, g = alpha[iu], log_gamma[iu]
     contrib = np.where(a > 0.0, a * np.where(a > 0.0, g, 0.0), 0.0)
     return float(state.log_z - contrib.sum())
@@ -209,76 +202,47 @@ def joint_entropy(state: EStepState, precision: PartitionedPrecision) -> float:
     return float(h + 0.5 * r * (LOG_2PI + 1.0) - 0.5 * np.log(k_hidden).sum())
 
 
-def expected_complete_loglik(
-    state: EStepState, precision: PartitionedPrecision, cov: EmpiricalCovariance
-) -> float:
-    """E[log p(X_O, X_H, T; K) | X_O] under the E-step posterior."""
-    n, size = cov.n, precision.size
-    kmat = precision.matrix
-    kd = np.diag(kmat)
-    if np.any(kd <= 0.0):
-        raise InvalidPrecisionError("diagonal of K must be positive")
-
-    iu = _upper_pairs(size)
-    alpha = state.alpha[iu]
-    active = alpha > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(1.0 - kmat**2 / np.outer(kd, kd))[iu]
-        log_prior = np.log(state.prior)[iu]
-    edge_det = float(np.where(active, alpha * np.where(active, log_ratio, 0.0), 0.0).sum())
-    prior_term = float(
-        np.where(active, alpha * np.where(active, log_prior, 0.0), 0.0).sum()
-        - state.log_z_prior
-    )
-
-    # Hidden-hidden pairs have zero alpha, so their moments drop out.
-    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
-    trace_edges = 2.0 * float((alpha * kmat[iu] * completed[iu]).sum())
-    trace_nodes = float(kd @ np.diag(completed))
-
-    return (
-        prior_term
-        - 0.5 * n * size * LOG_2PI
-        + 0.5 * n * (float(np.log(kd).sum()) + edge_det)
-        - 0.5 * n * (trace_nodes + trace_edges)
-    )
-
-
 def observed_loglik(
     state: EStepState, precision: PartitionedPrecision, cov: EmpiricalCovariance
 ) -> float:
-    """Observed-data log-likelihood via the EM identity.
+    """Observed-data log-likelihood: the free energy of the E-step posterior.
 
-    log p(X_O; K) = E[log p(X_O, X_H, T) | X_O; K] + H(X_H, T | X_O; K).
+    The EM identity gives it as E[log p(X_O, X_H, T) | X_O; K] plus
+    H(X_H, T | X_O; K).  log gamma_ij is the edge term of the first part, so
+    the alpha-weighted sums of log gamma in the two parts cancel, fully on
+    observed pairs and up to a residue on observed-hidden ones.  What is left
+    is one expression:
 
-    For r = 0 this equals log sum_T P(T) p(X_O | T) exactly.  There log
-    gamma_ij is the edge term of the expected complete log-likelihood, so the
-    alpha-weighted sums of the two parts cancel, and what is left reads no
-    alpha: log Z(gamma) - log Z(prior) plus the node terms
-    (n/2) sum_i (log K_ii - K_ii S_ii - log 2 pi).  It costs one elimination.
+        log Z(gamma) - log Z(prior) - (n/2) p log 2 pi
+          + (n/2) sum_{i in O} (log K_ii - K_ii S_ii)
+          + (n/2) sum_{h in H} (1 - K_hh B_hh)
+          + (n/2) sum_{i in O, h in H} alpha_ih K_ih (W_HO)_hi
 
-    With hidden nodes the sums do not cancel: log gamma gives observed-hidden
-    pairs a trace factor of n/2 where the completed moments give n.  The value
-    is then the free energy of the E-step posterior, which stays bounded where
-    the raw edge-factorized evidence need not be, and it reads alpha.
+    The derivation takes K_HH diagonal, as `log_marginal_tree_weight` does:
+    then (K_HO S)_hi / K_hh is (W_HO)_hi, and log gamma's observed-hidden
+    trace term is half the completed-moment one.
+
+    At r = 0 the value is log sum_T P(T) p(X_O | T) exactly and reads no
+    alpha, so it costs one elimination.  With hidden nodes it is the free
+    energy of the E-step posterior, which stays bounded where the raw
+    edge-factorized evidence need not be; its last sum reads alpha.
     """
-    n, r = cov.n, precision.n_hidden
-    if r == 0:
-        kd = np.diag(precision.matrix)
-        if np.any(kd <= 0.0):
-            raise InvalidPrecisionError("diagonal of K must be positive")
-        return float(
-            state.log_z
-            - state.log_z_prior
-            - 0.5 * n * precision.size * LOG_2PI
-            + 0.5 * n * float(np.log(kd).sum())
-            - 0.5 * n * float(kd @ np.diag(cov.matrix))
-        )
-    value = expected_complete_loglik(state, precision, cov) + tree_entropy(state)
-    precision.require_positive_hidden_diagonal()
-    k_hidden = precision.hidden_diagonal()
-    value += n * (0.5 * r * (LOG_2PI + 1.0) - 0.5 * float(np.log(k_hidden).sum()))
-    return float(value)
+    n, p, r = cov.n, precision.n_observed, precision.n_hidden
+    kd = np.diag(precision.matrix)
+    if np.any(kd <= 0.0):
+        raise InvalidPrecisionError("diagonal of K must be positive")
+    value = float(
+        state.log_z
+        - state.log_z_prior
+        - 0.5 * n * p * LOG_2PI
+        + 0.5 * n * float(np.log(kd[:p]).sum())
+        - 0.5 * n * float(kd[:p] @ np.diag(cov.matrix))
+    )
+    if r:
+        hidden = r - float(kd[p:] @ np.diag(state.b_h))
+        cross = float((state.alpha[:p, p:] * precision.k_oh * state.w_ho.T).sum())
+        value += 0.5 * n * (hidden + cross)
+    return value
 
 
 def _solve_diagonal(
@@ -424,9 +388,11 @@ def _run_em(
     until the observed log-likelihood does not decrease.  A step that stalls at
     the smallest size terminates the run; the best iterate is returned either
     way.  The M-step and the result read the edge posteriors of kept iterates
-    only.  An r = 0 trial is scored by its log partition alone, so a rejected
-    one costs one elimination and no all-pairs kernel; with hidden nodes the
-    trial's log-likelihood reads its edge posteriors.
+    only.  Every trial is scored by `observed_loglik`.  At r = 0 that reads
+    its log partition alone, so a rejected trial costs one elimination and no
+    all-pairs kernel; with hidden nodes it reads the trial's edge posteriors
+    on the observed-hidden pairs.  The tree entropies are computed once, for
+    the returned iterate.
     """
     p, r = k_init.n_observed, k_init.n_hidden
     k = k_init

@@ -23,6 +23,15 @@ def check_symmetric(m: np.ndarray, name: str, rtol: float = 1e-8) -> np.ndarray:
     return symmetrize(m)
 
 
+def matrix_to_json(m: np.ndarray) -> dict:
+    """{"shape", "data"} with the entries in row-major order, as Python floats."""
+    return {"shape": list(m.shape), "data": [float(v) for v in np.asarray(m).ravel()]}
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+
+
 @dataclass(frozen=True)
 class EmpiricalCovariance:
     """Empirical covariance of the observed variables together with the sample count."""

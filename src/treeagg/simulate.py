@@ -14,7 +14,12 @@ from scipy.linalg import solve_triangular
 
 from .errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
 from .graphs import Graph, random_tree_edges
-from .matrices import PartitionedPrecision, symmetrize
+from .matrices import (
+    PartitionedPrecision,
+    matrix_from_json,
+    matrix_to_json,
+    symmetrize,
+)
 
 ZERO_PATTERN_TOL = 1e-10
 DIAG_MARGIN = 0.1
@@ -201,14 +206,14 @@ class GroundTruth:
             "hidden": list(self.hidden),
             "full_graph": self.graph.to_json_dict(),
             "marginal_graph": self.marginal.to_json_dict(),
-            "precision": _matrix_to_json(self.precision.matrix),
-            "marginal_precision": _matrix_to_json(self.marginal_precision_matrix),
+            "precision": matrix_to_json(self.precision.matrix),
+            "marginal_precision": matrix_to_json(self.marginal_precision_matrix),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroundTruth":
         p, r = int(obj["p"]), int(obj["r"])
-        precision = PartitionedPrecision(_matrix_from_json(obj["precision"]), p, r)
+        precision = PartitionedPrecision(matrix_from_json(obj["precision"]), p, r)
         return cls(
             kind=obj["kind"],
             epsilon=float(obj["epsilon"]),
@@ -216,19 +221,11 @@ class GroundTruth:
             graph=Graph.from_json_dict(obj["full_graph"]),
             hidden=tuple(obj["hidden"]),
             precision=precision,
-            marginal_precision_matrix=_matrix_from_json(obj["marginal_precision"]),
+            marginal_precision_matrix=matrix_from_json(obj["marginal_precision"]),
             marginal=Graph.from_json_dict(obj["marginal_graph"]),
             snr=float(obj["snr"]),
             diag_adjust=float(obj["diag_adjust"]),
         )
-
-
-def _matrix_to_json(m: np.ndarray) -> dict:
-    return {"shape": list(m.shape), "data": [float(v) for v in m.ravel()]}
-
-
-def _matrix_from_json(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
 
 
 def _relabel_hidden_last(graph: Graph, hidden: tuple[int, ...]) -> Graph:

@@ -108,23 +108,16 @@ def tree_precision_from_cov(tree_edges, cov) -> np.ndarray:
 def log_marginal_tree_weight(
     precision: PartitionedPrecision,
     prior: np.ndarray,
-    cov,
-    n: int | None = None,
+    cov: EmpiricalCovariance,
 ) -> np.ndarray:
     """Per-edge log gamma_ij = log(pi_ij d_ij m_ij) of the tree posterior.
 
     d_ij = ((K_ii K_jj - K_ij^2) / (K_ii K_jj))^(n/2) for every pair; the trace
     factor m is exp(-n K_ij S_ij) for observed pairs, exp((n/2) K_ih
     (K_HO S)_hi / K_hh) for observed-hidden pairs and 1 for hidden pairs.
-    Entries with pi_ij = 0 come out as -inf.
+    Entries with pi_ij = 0 come out as -inf.  S and n are those of `cov`.
     """
-    if isinstance(cov, EmpiricalCovariance):
-        sigma = cov.matrix
-        n = cov.n if n is None else int(n)
-    else:
-        sigma = _as_cov_matrix(cov)
-        if n is None:
-            raise ValueError("sample count n is required with a bare covariance")
+    sigma, n = cov.matrix, cov.n
     p, r = precision.n_observed, precision.n_hidden
     size = p + r
     kmat = precision.matrix

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from treeagg.em import _completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError, InitializationFallback
 from treeagg.graphs import Graph, UnionFind, prufer_to_edges
 from treeagg.initialization import (
@@ -103,6 +104,51 @@ def brute_posterior_marginals(log_gamma):
         np.repeat(products, n - 1),
     )
     return (out + out.T) / z
+
+
+# ----------------------------------------------------------------------
+# Oracle: the EM identity, log p(X_O) = E[log p(X_O, X_H, T) | X_O]
+# + H(T | X_O) + n H(X_H | X_O), term by term.  em.observed_loglik evaluates
+# the one expression it reduces to and must agree with it.
+# ----------------------------------------------------------------------
+
+def expected_complete_loglik(state, precision, cov, prior):
+    """E[log p(X_O, X_H, T; K) | X_O] under the E-step posterior."""
+    n, size = cov.n, precision.size
+    kmat = precision.matrix
+    kd = np.diag(kmat)
+    iu = np.triu_indices(size, k=1)
+    alpha = state.alpha[iu]
+    active = alpha > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(1.0 - kmat**2 / np.outer(kd, kd))[iu]
+        log_prior = np.log(prior)[iu]
+    edge_det = float(np.where(active, alpha * np.where(active, log_ratio, 0.0), 0.0).sum())
+    prior_term = float(
+        np.where(active, alpha * np.where(active, log_prior, 0.0), 0.0).sum()
+        - state.log_z_prior
+    )
+    # Hidden-hidden pairs have zero alpha, so their moments drop out.
+    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
+    trace_edges = 2.0 * float((alpha * kmat[iu] * completed[iu]).sum())
+    trace_nodes = float(kd @ np.diag(completed))
+    return (
+        prior_term
+        - 0.5 * n * size * LOG_2PI
+        + 0.5 * n * (float(np.log(kd).sum()) + edge_det)
+        - 0.5 * n * (trace_nodes + trace_edges)
+    )
+
+
+def identity_loglik(state, precision, cov, prior):
+    """Expected complete log-likelihood + tree entropy + n * hidden entropy."""
+    k_hidden = precision.hidden_diagonal()
+    hidden_entropy = 0.5 * precision.n_hidden * (LOG_2PI + 1.0) - 0.5 * np.log(k_hidden).sum()
+    return (
+        expected_complete_loglik(state, precision, cov, prior)
+        + tree_entropy(state)
+        + cov.n * float(hidden_entropy)
+    )
 
 
 # ----------------------------------------------------------------------

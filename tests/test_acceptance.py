@@ -134,7 +134,7 @@ def test_criterion_3_entropy_closed_form():
         np.fill_diagonal(w, 0.0)
         state = em.EStepState(
             np.zeros((0, 5)), np.zeros((0, 0)), np.zeros((0, 0)),
-            lg, w, log_partition_function(w), 0.0, np.ones((5, 5)),
+            lg, w, log_partition_function(w), 0.0,
         )
         closed = em.tree_entropy(state)
         products = tree_products(w)

@@ -74,6 +74,34 @@ class TestConfig:
         data = [] if command == "simulate" else [suite_dir / "rep_000" / "observed.csv"]
         assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            ("fit", ["--p0", "abc"], {}),
+            ("fit", ["--r", -1], {}),
+            ("select", ["--r", -1], {}),
+            ("simulate", ["--r", -1], {}),
+            ("simulate", [], {"p": 1, "r": 0}),
+            ("fit", [], {"max_iter": "abc"}),
+            ("eval", [], {"grid_size": "x"}),
+        ],
+        ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
+             "eval-grid_size"],
+    )
+    def test_bad_value_is_config_error(self, suite_dir, tmp_path, capsys, command, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if command == "simulate":
+            data = []
+        elif command == "eval":
+            data = ["--data", suite_dir, "--fits", tmp_path]
+        else:
+            data = [suite_dir / "rep_000" / "observed.csv"]
+        code = run_cli(command, *data, *flags, "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestFit:
     def test_flow_cytometry_shape(self, tmp_path, rng):

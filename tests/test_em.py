@@ -10,6 +10,7 @@ from conftest import (
     brute_log_partition,
     brute_posterior_marginals,
     figure_ground_truth,
+    identity_loglik,
     random_spd,
     tree_products,
 )
@@ -155,7 +156,7 @@ class TestEntropies:
         weights[1, 2] = weights[2, 1] = 1.0
         state = em.EStepState(
             np.zeros((0, 3)), np.zeros((0, 0)), np.zeros((0, 0)),
-            log_gamma, weights, 0.0, 0.0, np.ones((3, 3)),
+            log_gamma, weights, 0.0, 0.0,
         )
         assert em.tree_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
@@ -177,7 +178,7 @@ class TestEntropies:
 
             state = em.EStepState(
                 np.zeros((0, 5)), np.zeros((0, 0)), np.zeros((0, 0)),
-                lg, w, log_partition_function(w), 0.0, np.ones((5, 5)),
+                lg, w, log_partition_function(w), 0.0,
             )
             products = tree_products(w)
             p_tree = products / products.sum()
@@ -252,9 +253,20 @@ class TestObservedLoglik:
             + 0.5 * n * (np.log(kd).sum() - kd @ np.diag(cov.matrix))
         )
         assert ll == pytest.approx(expected, abs=1e-8)
-        # the EM identity that r > 0 still evaluates
-        identity = em.expected_complete_loglik(state, prec, cov) + em.tree_entropy(state)
-        assert identity == pytest.approx(expected, rel=1e-9)
+        # the EM identity, term by term
+        assert identity_loglik(state, prec, cov, prior) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, r, seed",
+        [(p, r, seed) for p, r in ((4, 1), (6, 1), (3, 2), (5, 2)) for seed in (0, 1)],
+        ids=str,
+    )
+    def test_hidden_matches_identity(self, p, r, seed):
+        # r > 0: the closed form against the EM identity evaluated term by term
+        cov, prec, prior = random_instance(np.random.default_rng(seed), p, r)
+        state = em.e_step(prec, cov, prior)
+        ll = em.observed_loglik(state, prec, cov)
+        assert ll == pytest.approx(identity_loglik(state, prec, cov, prior), rel=1e-9)
 
     def test_gamma_shift_invariance(self, rng):
         # adding a constant to all log gamma leaves the marginals unchanged
@@ -341,7 +353,7 @@ class TestMStep:
         state = em.e_step(prec, cov, prior)
         bad = em.EStepState(
             state.w_ho, state.v_h, -np.abs(state.b_h), state.log_gamma,
-            state.weights, state.log_z, state.log_z_prior, state.prior,
+            state.weights, state.log_z, state.log_z_prior,
         )
         with pytest.raises(InvalidMomentError):
             em.m_step(bad, prec, cov)

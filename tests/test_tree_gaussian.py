@@ -176,7 +176,7 @@ class TestLogMarginalTreeWeight:
         k = np.diag([1.0, 2.0, 3.0])
         prec = PartitionedPrecision(k, 3, 0)
         prior = np.ones((3, 3)) - np.eye(3)
-        lg = log_marginal_tree_weight(prec, prior, s, n=7)
+        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, 7))
         iu = np.triu_indices(3, 1)
         np.testing.assert_allclose(lg[iu], 0.0, atol=1e-14)  # log 1
 
@@ -188,7 +188,7 @@ class TestLogMarginalTreeWeight:
         prior = np.ones((4, 4)) - np.eye(4)
         s = np.eye(2)
         n = 6
-        lg = log_marginal_tree_weight(prec, prior, s, n=n)
+        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
         ratio = 1.0 - 0.5**2 / 4.0
         assert lg[2, 3] == pytest.approx(0.5 * n * np.log(ratio), rel=1e-12)
 
@@ -200,7 +200,7 @@ class TestLogMarginalTreeWeight:
         prec = PartitionedPrecision(k, 3, 0)
         prior = np.ones((3, 3)) - np.eye(3)
         n = 4
-        lg = log_marginal_tree_weight(prec, prior, s, n=n)
+        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
         w = np.exp(lg)
         w[~np.isfinite(lg)] = 0.0
         np.fill_diagonal(w, 0.0)
@@ -225,7 +225,7 @@ class TestLogMarginalTreeWeight:
         prior = np.ones((4, 4)) - np.eye(4)
         prior[3, 3] = 0.0
         n = 5
-        lg = log_marginal_tree_weight(prec, prior, s, n=n)
+        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
         kd = np.diag(k)
         i = 1
         cross = k[3, :3] @ s[:, i]

@@ -3,7 +3,7 @@
     python3 tools/fingerprint.py
 
 Run from a checkout of the repository; the package is imported from `src/`.
-Prints three SHA-256 digests, one a line:
+Prints four SHA-256 digests, one a line:
 
 - `select`: every `select(cov, r_max=3, keep_fits=True)` report of the 100
   acceptance-suite replicates (the signal and the null suite of
@@ -13,6 +13,9 @@ Prints three SHA-256 digests, one a line:
   log-likelihood (each row's `loglik`, `bic`, `icl_tree` and `icl_joint`, and
   the traces), plus each fit's iteration and damped-step counts.  A change
   that moves only the last digits of log-likelihoods keeps this digest;
+- `select-r0`: the r = 0 part of the same reports, log-likelihoods included:
+  each report's r = 0 row and that fit's trace and the bytes of its alpha and
+  K.  A change that moves only r > 0 log-likelihoods keeps this digest;
 - `cli`: the files the CLI pipeline writes on the `cli-study` suite of
   `treebench/run.py`: `simulate`; per replicate `fit --r 1 --p0 <p0>`,
   `fit --method fixed-tree --r 1`, `fit --r 0` and `select --r 3`; then
@@ -59,16 +62,22 @@ def suite_covariances():
 LOGLIK_KEYS = ("loglik", "bic", "icl_tree", "icl_joint")
 
 
-def select_digests() -> tuple[str, str]:
-    """The `select` and the `select-structure` digest, from one pass."""
+def select_digests() -> tuple[str, str, str]:
+    """The `select`, `select-structure` and `select-r0` digests, from one pass."""
     from treeagg import selection
 
-    digest, structure = hashlib.sha256(), hashlib.sha256()
+    digest, structure, r0 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for label, cov in suite_covariances():
         report = selection.select(cov, r_max=3, keep_fits=True)
         payload = report.to_json_dict()
         digest.update(label.encode() + b"\0")
         digest.update(json.dumps(payload, sort_keys=True).encode())
+        r0.update(label.encode() + b"\0")
+        r0.update(json.dumps(payload["rows"][0], sort_keys=True).encode())
+        if 0 in report.fits:
+            fit = report.fits[0]
+            r0.update(f"trace={fit.loglik_trace!r}".encode())
+            r0.update(fit.alpha.tobytes() + fit.precision.matrix.tobytes())
         for row in payload["rows"]:
             for key in LOGLIK_KEYS:
                 del row[key]
@@ -82,7 +91,7 @@ def select_digests() -> tuple[str, str]:
             for part in (fit.alpha, fit.precision.matrix):
                 digest.update(part.tobytes())
                 structure.update(part.tobytes())
-    return digest.hexdigest(), structure.hexdigest()
+    return digest.hexdigest(), structure.hexdigest(), r0.hexdigest()
 
 
 def cli_digest() -> str:
@@ -122,9 +131,10 @@ def cli_digest() -> str:
 
 
 def main() -> int:
-    select, structure = select_digests()
+    select, structure, r0 = select_digests()
     print(f"select           {select}")
     print(f"select-structure {structure}")
+    print(f"select-r0        {r0}")
     print(f"cli              {cli_digest()}")
     return 0
 
