@@ -20,7 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import em, evaluate, selection, simulate
-from .errors import ConfigError, DataError, DegenerateCurveError, TreeAggError
+from .errors import (
+    CalibrationError, ConfigError, DataError, DegenerateCurveError, TreeAggError
+)
 from .fixed_tree import fit_fixed_tree
 from .matrices import (
     EmpiricalCovariance,
@@ -28,6 +30,7 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
+from .spanning_trees import require_feasible_target
 
 METHODS = ("aggregation", "fixed-tree", "chow-liu")
 SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
@@ -265,6 +268,12 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"p0: cannot read {config['p0']!r} as float") from None
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
+    if config["p0"] and config["method"] == "aggregation":
+        prior = em.uniform_prior(cov.size, config["r"])
+        try:
+            require_feasible_target(prior, float(config["p0"]))
+        except CalibrationError as exc:
+            raise ConfigError(f"p0: {exc}") from None
     payload = _fit_payload(config, cov)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ weights of the tree posterior and their log partition through the Matrix-Tree
 kernel.  The all-edge appearance probabilities alpha cost O(size^4) against
 the partition's O(size^3), so they are computed on first read: the M-step and
 the fit's report read them for the iterates EM keeps, while a rejected r = 0
-line-search trial never does.  The observed log-likelihood is one closed-form
+proposal never does.  The observed log-likelihood is one closed-form
 expression in log Z, the node terms and, with hidden nodes, alpha on the
 observed-hidden pairs.  The M-step applies the closed-form off-diagonal
 updates and solves the diagonal stationarity equations by safeguarded
@@ -163,15 +163,15 @@ def e_step(
     """Moments, log gamma, tree-posterior weights and log partition at the current K.
 
     `prior` is an edge prior matrix, or the masked prior a fit precomputes.
-    The edge posteriors are left to the first read of `EStepState.alpha`; a
-    disconnected weight support raises DegenerateWeightsError here, at once.
+    A matrix is masked as `fit` masks it, hidden-hidden pairs and diagonal
+    zeroed, so log gamma and log Z(prior) see the same prior.  The edge
+    posteriors are left to the first read of `EStepState.alpha`; a disconnected
+    weight support raises DegenerateWeightsError here, at once.
     """
-    if isinstance(prior, _FitPrior):
-        fit_prior, prior = prior, prior.weights
-    else:
-        fit_prior = _FitPrior.masked(prior, precision.n_observed)
+    if not isinstance(prior, _FitPrior):
+        prior = _FitPrior.masked(prior, precision.n_observed)
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
-    log_gamma = log_marginal_tree_weight(precision, prior, cov)
+    log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
     log_z = log_partition_function(weights)
     if log_z == -np.inf:
@@ -179,7 +179,7 @@ def e_step(
             "the tree posterior's positive-weight support is disconnected"
         )
     log_z += (precision.size - 1) * shift
-    return EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, fit_prior.log_z)
+    return EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, prior.log_z)
 
 
 def tree_entropy(state: EStepState) -> float:
@@ -346,10 +346,11 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged precision estimate with edge posteriors and diagnostics.
+    """The last EM iterate: its precision, edge posteriors and diagnostics.
 
-    damped_count counts the iterations where the full M-step update would have
-    lowered the likelihood and a halved step was accepted instead.
+    Every accepted step raises the log-likelihood, so the returned iterate is
+    the best one traced and `loglik` equals `loglik_trace[-1]` whenever the
+    trace is non-empty.
     """
 
     precision: PartitionedPrecision
@@ -360,7 +361,6 @@ class FitResult:
     h_joint: float
     iterations: int
     converged: bool
-    damped_count: int
     cov: EmpiricalCovariance
     prior: np.ndarray
 
@@ -379,78 +379,50 @@ def _run_em(
     k_init: PartitionedPrecision,
     opts: FitOptions,
 ) -> FitResult:
-    """EM driver with a backtracking step size.
+    """EM driver: keep the full M-step update while it raises the likelihood.
 
-    Each iteration makes one proposal, the full M-step update.  Its
-    simultaneous closed-form updates solve each entry's stationarity condition
-    at the previous iterate; taken jointly they can overshoot and lower the
-    likelihood, so the step from K to the proposal is halved, up to 20 times,
-    until the observed log-likelihood does not decrease.  A step that stalls at
-    the smallest size terminates the run; the best iterate is returned either
-    way.  The M-step and the result read the edge posteriors of kept iterates
-    only.  Every trial is scored by `observed_loglik`.  At r = 0 that reads
-    its log partition alone, so a rejected trial costs one elimination and no
-    all-pairs kernel; with hidden nodes it reads the trial's edge posteriors
-    on the observed-hidden pairs.  The tree entropies are computed once, for
-    the returned iterate.
+    Each iteration scores the proposal with an E-step and `observed_loglik`
+    and keeps it only if its log-likelihood is strictly higher; otherwise, or
+    once the relative gain is below `opts.tol`, the run stops as converged.
+    So the trace rises strictly and ends at the returned iterate.  No proposal
+    is made once the trace holds `opts.max_iter` entries; `max_iter=0` returns
+    the initializer with an empty trace.  Only kept iterates have their edge
+    posteriors read by the M-step; at r = 0 a rejected proposal costs one
+    elimination, while with hidden nodes its log-likelihood reads its alpha.
     """
-    p, r = k_init.n_observed, k_init.n_hidden
     k = k_init
     state = e_step(k, cov, prior)
     ll = observed_loglik(state, k, cov)
     trace: list[float] = []
-    best_ll, best_k, best_state = -np.inf, k_init, state
-    damped = 0
     converged = False
     for _ in range(opts.max_iter):
         if not np.isfinite(ll):
             raise DivergenceError("observed log-likelihood is not finite")
         trace.append(ll)
-        if ll > best_ll:
-            best_ll, best_k, best_state = ll, k, state
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= opts.tol * (
+        if len(trace) >= 2 and trace[-1] - trace[-2] <= opts.tol * (
             abs(trace[-2]) + 1e-12
         ):
             converged = True
             break
-        proposal = m_step(state, k, cov).matrix
-        # Accept the first step size, halving from 1, whose trial point raises
-        # the likelihood by more than min_gain; the full step need only hold
-        # it level to within 1e-9.
-        accepted = None
-        min_gain = opts.tol * 1e-3 * (abs(ll) + 1.0)
-        if not np.array_equal(proposal, k.matrix):
-            step = 1.0
-            for _ in range(20):
-                trial_matrix = (1.0 - step) * k.matrix + step * proposal
-                trial = PartitionedPrecision(trial_matrix, p, r)
-                trial_state = e_step(trial, cov, prior)
-                trial_ll = observed_loglik(trial_state, trial, cov)
-                if trial_ll - ll > min_gain or (step == 1.0 and trial_ll - ll >= -1e-9):
-                    accepted = (trial, trial_state, trial_ll)
-                    if step < 1.0:
-                        damped += 1
-                    break
-                step *= 0.5
-        if accepted is None:
+        if len(trace) == opts.max_iter:  # no room left to trace a proposal
+            break
+        proposal = m_step(state, k, cov)
+        trial_state = e_step(proposal, cov, prior)
+        trial_ll = observed_loglik(trial_state, proposal, cov)
+        if not trial_ll > ll:
             converged = True
             break
-        k, state, ll = accepted
+        k, state, ll = proposal, trial_state, trial_ll
 
-    if trace:
-        k_hat, final_state, final_ll = best_k, best_state, best_ll
-    else:  # max_iter == 0: report the initializer as-is
-        k_hat, final_state, final_ll = k_init, state, ll
     return FitResult(
-        precision=k_hat,
-        alpha=final_state.alpha,
+        precision=k,
+        alpha=state.alpha,
         loglik_trace=tuple(trace),
-        loglik=final_ll,
-        h_tree=tree_entropy(final_state),
-        h_joint=joint_entropy(final_state, k_hat),
+        loglik=ll,
+        h_tree=tree_entropy(state),
+        h_joint=joint_entropy(state, k),
         iterations=len(trace),
         converged=converged,
-        damped_count=damped,
         cov=cov,
         prior=prior.weights,
     )

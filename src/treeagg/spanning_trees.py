@@ -201,19 +201,16 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
 
 
-def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
-    """Rescale a prior so every candidate edge has marginal p0.
+def require_feasible_target(prior: np.ndarray, p0: float) -> None:
+    """Raise CalibrationError unless `calibrate_prior(prior, p0)` can reach p0.
 
-    The candidate edges are the prior's positive off-diagonal entries; the
-    others stay zero.  Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).
-    Raises CalibrationError for infeasible targets: the marginals of a
-    spanning-tree distribution always sum to size - 1, so a uniform target
-    must equal (size - 1) / #candidate edges.
+    The marginals of a spanning-tree distribution always sum to size - 1, so
+    a uniform target over the prior's candidate edges (its positive
+    off-diagonal entries) must equal (size - 1) / #candidate edges.
     """
     w = validate_weight_matrix(prior)
     size = w.shape[0]
-    support = w > 0.0
-    n_pairs = int(np.count_nonzero(support[np.triu_indices(size, k=1)]))
+    n_pairs = int(np.count_nonzero(w[np.triu_indices(size, k=1)] > 0.0))
     if not 0.0 < p0 < 1.0:
         raise CalibrationError(f"target probability {p0} outside (0, 1)")
     feasible = (size - 1) / n_pairs if n_pairs else np.inf
@@ -222,7 +219,19 @@ def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
             f"marginals over {n_pairs} candidate edges always sum to {size - 1}; "
             f"uniform target must be {feasible:.6g}, got {p0:.6g}"
         )
-    current = w
+
+
+def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
+    """Rescale a prior so every candidate edge has marginal p0.
+
+    The candidate edges are the prior's positive off-diagonal entries; the
+    others stay zero.  Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).
+    Raises CalibrationError for the infeasible targets that
+    `require_feasible_target` rejects.
+    """
+    require_feasible_target(prior, p0)
+    current = validate_weight_matrix(prior)
+    support = current > 0.0
     for _ in range(CALIBRATION_MAX_ITER):
         marg = edge_marginals(current)
         dev = np.abs(marg[support] - p0).max(initial=0.0)

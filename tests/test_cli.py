@@ -84,9 +84,11 @@ class TestConfig:
             ("simulate", [], {"p": 1, "r": 0}),
             ("fit", [], {"max_iter": "abc"}),
             ("eval", [], {"grid_size": "x"}),
+            ("fit", ["--r", 0, "--p0", "0.5"], {}),
+            ("fit", ["--r", 0, "--p0", "nan"], {}),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
-             "eval-grid_size"],
+             "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan"],
     )
     def test_bad_value_is_config_error(self, suite_dir, tmp_path, capsys, command, flags, config):
         cfg = tmp_path / "cfg.json"

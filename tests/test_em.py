@@ -126,6 +126,20 @@ class TestEStep:
         with pytest.raises(TreeAggError):
             em.e_step(prec, cov, prior)
 
+    def test_raw_prior_masked_like_fit(self):
+        # an all-ones prior, hidden-hidden pair (4, 5) included, must act as
+        # the masked prior a fit builds: in log gamma as well as in log Z
+        data = np.random.default_rng(0).normal(size=(40, 4))
+        cov = EmpiricalCovariance.from_data(data)
+        from treeagg.initialization import initial_precision_from_cov
+
+        k = initial_precision_from_cov(cov, 2).precision
+        raw = em.e_step(k, cov, np.ones((6, 6)))
+        masked = em.e_step(k, cov, em.uniform_prior(4, 2))
+        assert raw.alpha[4, 5] == 0.0
+        np.testing.assert_array_equal(raw.alpha, masked.alpha)
+        assert em.observed_loglik(raw, k, cov) == em.observed_loglik(masked, k, cov)
+
     def test_decoupled_hidden_preserves_observed_ranking(self, rng):
         # K_OH = 0: observed-observed posteriors keep the r=0 ranking
         cov = small_cov(rng, 5)
@@ -396,14 +410,14 @@ class TestFit:
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
 
-    @pytest.mark.parametrize("r, kernel_calls", [(0, 1), (1, 21)], ids=["r0", "r1"])
+    @pytest.mark.parametrize("r, kernel_calls", [(0, 1), (1, 2)], ids=["r0", "r1"])
     def test_stalled_iteration_budget(self, monkeypatch, r, kernel_calls):
-        # a signal-suite replicate whose first M-step proposal is rejected at
-        # every step size: one E-step at the start plus one per halving, each
-        # with one log partition for the tree posterior, plus one log
-        # partition of the prior for the whole fit.  The edge posteriors are
-        # computed for the kept iterate, and at r > 0 for every trial, whose
-        # log-likelihood reads them; an r = 0 trial reads only log Z.
+        # a signal-suite replicate whose first M-step proposal is rejected:
+        # one E-step at the initializer and one at the proposal, each with one
+        # log partition for the tree posterior, plus one log partition of the
+        # prior for the whole fit.  The edge posteriors are computed for the
+        # kept iterate, and at r > 0 for the proposal too, whose
+        # log-likelihood reads them; an r = 0 proposal reads only log Z.
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
@@ -423,9 +437,26 @@ class TestFit:
         counted("edge_marginals")
         result = em.fit(cov, r)
         assert result.iterations == 1 and result.converged
-        assert calls["e_step"] == 21
-        assert calls["log_partition_function"] <= 22
+        assert calls["e_step"] == 2
+        assert calls["log_partition_function"] == 3
         assert calls["edge_marginals"] == kernel_calls
+
+    @pytest.mark.parametrize("max_iter", [500, 2], ids=["default", "max_iter2"])
+    def test_one_step_then_stop(self, max_iter):
+        # a signal-suite replicate whose first proposal is kept and whose
+        # second is rejected: with the default budget the run stops there,
+        # with max_iter=2 the budget ends it before a second proposal.  Either
+        # way the trace rises strictly and ends at the returned iterate.
+        truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=4)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(4))
+        cov = EmpiricalCovariance.from_data(observed)
+        result = em.fit(cov, 1, opts=em.FitOptions(max_iter=max_iter))
+        assert result.iterations == 2
+        assert result.converged == (max_iter > 2)
+        assert np.diff(result.loglik_trace).min() > 0.0
+        assert result.loglik == result.loglik_trace[-1]
+        state = em.e_step(result.precision, cov, result.prior)
+        assert result.loglik == em.observed_loglik(state, result.precision, cov)
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6

@@ -11,7 +11,7 @@ Prints four SHA-256 digests, one a line:
   log-likelihood trace and the bytes of its alpha and K;
 - `select-structure`: the same reports without the values derived from the
   log-likelihood (each row's `loglik`, `bic`, `icl_tree` and `icl_joint`, and
-  the traces), plus each fit's iteration and damped-step counts.  A change
+  the traces), plus each fit's iteration count.  A change
   that moves only the last digits of log-likelihoods keeps this digest;
 - `select-r0`: the r = 0 part of the same reports, log-likelihoods included:
   each report's r = 0 row and that fit's trace and the bytes of its alpha and
@@ -85,9 +85,7 @@ def select_digests() -> tuple[str, str, str]:
         structure.update(json.dumps(payload, sort_keys=True).encode())
         for r, fit in sorted(report.fits.items()):
             digest.update(f"r={r} trace={fit.loglik_trace!r}".encode())
-            structure.update(
-                f"r={r} iterations={fit.iterations} damped={fit.damped_count}".encode()
-            )
+            structure.update(f"r={r} iterations={fit.iterations}".encode())
             for part in (fit.alpha, fit.precision.matrix):
                 digest.update(part.tobytes())
                 structure.update(part.tobytes())
