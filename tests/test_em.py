@@ -441,8 +441,10 @@ class TestFit:
         assert calls["log_partition_function"] == 3
         assert calls["edge_marginals"] == kernel_calls
 
-    @pytest.mark.parametrize("max_iter", [500, 2], ids=["default", "max_iter2"])
-    def test_one_step_then_stop(self, max_iter):
+    @pytest.mark.parametrize(
+        "opts", [em.FitOptions(), em.FitOptions(max_iter=2)], ids=["default", "max_iter2"]
+    )
+    def test_one_step_then_stop(self, opts):
         # a signal-suite replicate whose first proposal is kept and whose
         # second is rejected: with the default budget the run stops there,
         # with max_iter=2 the budget ends it before a second proposal.  Either
@@ -450,9 +452,9 @@ class TestFit:
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=4)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(4))
         cov = EmpiricalCovariance.from_data(observed)
-        result = em.fit(cov, 1, opts=em.FitOptions(max_iter=max_iter))
+        result = em.fit(cov, 1, opts=opts)
         assert result.iterations == 2
-        assert result.converged == (max_iter > 2)
+        assert result.converged == (opts.max_iter > 2)
         assert np.diff(result.loglik_trace).min() > 0.0
         assert result.loglik == result.loglik_trace[-1]
         state = em.e_step(result.precision, cov, result.prior)
