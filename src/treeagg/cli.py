@@ -32,7 +32,7 @@ from .matrices import (
 )
 from .spanning_trees import require_feasible_target
 
-METHODS = ("aggregation", "fixed-tree", "chow-liu")
+METHODS = ("aggregation", "fixed-tree")
 SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
 
 
@@ -239,10 +239,7 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
             payload["alpha_recalibrated"] = matrix_to_json(
                 em.edge_posteriors(result, p0)
             )
-    elif method in ("fixed-tree", "chow-liu"):
-        if method == "chow-liu":
-            if r != 0:
-                raise ConfigError("method chow-liu does not model hidden nodes (r must be 0)")
+    else:
         result = fit_fixed_tree(cov, r, opts=opts)
         payload.update(
             converged=result.converged,
@@ -252,23 +249,25 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
             tree=[list(e) for e in result.tree],
             precision=matrix_to_json(result.precision.matrix),
         )
-    else:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     return payload
 
 
 def cmd_fit(args) -> int:
     config = _resolve(_load_config(args.config), args, FIT_KEYS)
+    if config["method"] not in METHODS:
+        raise ConfigError(f"unknown method {config['method']!r}; expected one of {METHODS}")
     if config["r"] < 0:
         raise ConfigError("r must be >= 0")
     if config["p0"]:
+        if config["method"] != "aggregation":
+            raise ConfigError(f"p0 applies to method aggregation only, not {config['method']}")
         try:
             float(config["p0"])
         except ValueError:
             raise ConfigError(f"p0: cannot read {config['p0']!r} as float") from None
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
-    if config["p0"] and config["method"] == "aggregation":
+    if config["p0"]:
         prior = em.uniform_prior(cov.size, config["r"])
         try:
             require_feasible_target(prior, float(config["p0"]))

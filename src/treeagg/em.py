@@ -433,11 +433,15 @@ def fit(
     n_hidden: int,
     prior: np.ndarray | None = None,
     opts: FitOptions | None = None,
+    merges: tuple[initialization.MergeRecord, ...] | None = None,
 ) -> FitResult:
     """Fit the tree-aggregation model with n_hidden latent nodes.
 
     Runs one EM from the clustering/PCA initializer.  Nothing in the fit is
-    random, so equal inputs give bit-identical results.
+    random, so equal inputs give bit-identical results.  `merges` is the
+    covariance's clique-search history, passed on to
+    `initialization.initial_precision_from_cov` by a caller that fits
+    several r to one covariance; the result does not depend on it.
     """
     opts = opts or FitOptions()
     if n_hidden < 0:
@@ -448,7 +452,7 @@ def fit(
     elif np.shape(prior)[0] != p + n_hidden:
         raise ValueError("prior size does not match p + n_hidden")
     fit_prior = _FitPrior.masked(prior, p)
-    init = initialization.initial_precision_from_cov(cov, n_hidden)
+    init = initialization.initial_precision_from_cov(cov, n_hidden, merges)
     return _run_em(cov, fit_prior, init.precision, opts)
 
 

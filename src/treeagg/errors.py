@@ -45,10 +45,6 @@ class DivergenceError(TreeAggError):
     """The EM produced a non-finite likelihood."""
 
 
-class InitializationFallback(TreeAggError):
-    """The clustering initializer could not propose hidden-parent groups."""
-
-
 class DegenerateCliqueError(TreeAggError):
     """A clique has zero variance and cannot be summarized."""
 

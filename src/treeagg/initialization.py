@@ -7,10 +7,12 @@ first principal component, whose covariances with the observed nodes follow
 from the covariance alone.  The starting precision is the tree MLE on the
 completed covariance.
 
-The greedy search scores each merge candidate once: the triplets as one
-batch of one-factor fits, then only the candidates each merge creates.  The
-tests keep a search that rescans every candidate in every round as the
-oracle it must match bit for bit.
+The merge history depends on the covariance alone; the number of hidden
+nodes only chooses where to cut it, so one search serves every r.  The
+search scores each merge candidate once: the triplets as one batch of
+one-factor fits, then only the candidates each merge creates.  The tests
+keep a search that rescans every candidate in every round as the oracle it
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCliqueError, InitializationFallback
+from .errors import DegenerateCliqueError
 from .graphs import Graph
 from .matrices import EmpiricalCovariance, PartitionedPrecision, floor_spectrum, symmetrize
 from .tree_gaussian import chow_liu, maximum_spanning_tree, gaussian_mutual_information, tree_precision_from_cov
@@ -44,19 +46,6 @@ class MergeRecord:
         return tuple(sorted(self.group_a + self.group_b))
 
 
-@dataclass(frozen=True)
-class CliqueHierarchy:
-    """Greedy merge history with the BIC-chosen cut.
-
-    `cliques` holds the groups at the cut level, ranked by accumulated gain and
-    capped at the requested number of hidden nodes.
-    """
-
-    merges: tuple[MergeRecord, ...]
-    cut_level: int
-    cliques: tuple[tuple[int, ...], ...]
-
-
 def _replay(merges):
     """Yield the state after each merge prefix, the empty one first: the
     cliques present, sorted, and their accumulated gains."""
@@ -70,11 +59,6 @@ def _replay(merges):
         cliques = [c for c in cliques if not set(c) <= set(new)] + [new]
         scores[new] = gain
         yield tuple(sorted(cliques)), dict(scores)
-
-
-def _ranked(cliques, scores, n_hidden: int) -> tuple[tuple[int, ...], ...]:
-    """The n_hidden cliques of highest accumulated gain."""
-    return tuple(sorted(cliques, key=lambda c: (-scores[c], c))[:n_hidden])
 
 
 def _diag_loglik(block: np.ndarray, n: int) -> float:
@@ -121,9 +105,10 @@ def _regularize_cov(sigma: np.ndarray, max_rho: float = 1.0 - 1e-6) -> np.ndarra
     return 0.5 * sigma + 0.5 * d
 
 
-def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHierarchy:
-    """Hierarchy of candidate hidden-parent groups from a regularized covariance
-    of n samples.
+def _clustering_from_cov(sigma: np.ndarray, n: int) -> tuple[MergeRecord, ...]:
+    """Greedy merge history of candidate hidden-parent groups from a
+    regularized covariance of n samples.  It does not depend on the number of
+    hidden nodes, which only cuts it (`_cliques_for_target`).
 
     Merges are restricted to groups joined by an edge of the Chow-Liu tree.
     Each step takes the candidate of largest gain, ties going to the smallest
@@ -131,12 +116,9 @@ def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHier
     triplets of nodes as one batch up front, then, after each merge, the new
     clique with each free node (one batch) and with each older clique, which
     comes first in the record.  Candidates that touch a merged group drop out.
+    With fewer than 3 nodes there is no triplet, and so no merge.
     """
-    if n_hidden == 0:
-        return CliqueHierarchy((), 0, ())
     p = sigma.shape[0]
-    if p < 3:
-        raise InitializationFallback("need at least 3 observed nodes to form a triplet")
     adj = Graph(p, chow_liu(sigma)).adjacency()
     half_log_n = 0.5 * math.log(n)
     loglik = {(i,): _diag_loglik(sigma[i : i + 1, i : i + 1], n) for i in range(p)}
@@ -160,7 +142,7 @@ def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHier
             rec = MergeRecord(a, b, delta_ll - delta_params * half_log_n)
             heapq.heappush(heap, (-rec.gain, group, a, b, rec, parts))
 
-    triples = np.array(list(itertools.combinations(range(p), 3)))
+    triples = np.array(list(itertools.combinations(range(p), 3)), dtype=int).reshape(-1, 3)
     first, second, third = triples.T
     linked = adj[first, second] | adj[first, third] | adj[second, third]
     score([((i,), (j, k), ((i,), (j,), (k,))) for i, j, k in triples[linked].tolist()])
@@ -180,27 +162,25 @@ def _clustering_from_cov(sigma: np.ndarray, n: int, n_hidden: int) -> CliqueHier
             if len(c) > 1 and touches[list(c)].any():
                 score([(c, new, (c, new))])
         groups.add(new)
-
-    prefix = np.concatenate([[0.0], np.cumsum([m.gain for m in merges])])
-    cut_level = int(np.argmax(prefix))
-    cut_cliques, scores = next(itertools.islice(_replay(merges), cut_level, None))
-    return CliqueHierarchy(tuple(merges), cut_level, _ranked(cut_cliques, scores, n_hidden))
+    return tuple(merges)
 
 
-def _cliques_for_target(hierarchy: CliqueHierarchy, n_hidden: int):
-    """Extend past the BIC cut when it yields fewer cliques than hidden nodes."""
-    if len(hierarchy.cliques) >= n_hidden:
-        return hierarchy.cliques[:n_hidden]
-    gains = [0.0] + [m.gain for m in hierarchy.merges]
-    best_key, best_state = None, None
-    prefix = 0.0
-    for level, (gain, state) in enumerate(zip(gains, _replay(hierarchy.merges))):
-        prefix += gain
-        cliques = state[0]
-        key = (len(cliques) >= n_hidden, min(len(cliques), n_hidden), prefix, -level)
-        if best_key is None or key > best_key:
-            best_key, best_state = key, state
-    return _ranked(*best_state, n_hidden)
+def _cliques_for_target(merges, n_hidden: int) -> tuple[tuple[int, ...], ...]:
+    """The n_hidden cliques of highest accumulated gain in the merge prefix
+    that holds the most cliques, up to n_hidden, then has the largest
+    accumulated gain, then is shortest.
+
+    Where the prefix of largest gain (the BIC cut) holds n_hidden cliques or
+    more, that is the prefix chosen.
+    """
+    prefixes = list(itertools.accumulate((m.gain for m in merges), initial=0.0))
+    states = list(_replay(merges))
+    best = max(
+        range(len(states)),
+        key=lambda level: (min(len(states[level][0]), n_hidden), prefixes[level], -level),
+    )
+    cliques, scores = states[best]
+    return tuple(sorted(cliques, key=lambda c: (-scores[c], c))[:n_hidden])
 
 
 def _first_loading_positive(v: np.ndarray) -> np.ndarray:
@@ -258,24 +238,25 @@ class InitialState:
     tree: tuple[tuple[int, int], ...]
 
 
-def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
+def initial_precision_from_cov(
+    cov: EmpiricalCovariance, n_hidden: int, merges: tuple[MergeRecord, ...] | None = None
+) -> InitialState:
     """Starting precision for the EM, computed from the covariance alone.
 
     The tree is the maximum-information spanning tree of the completed
     covariance without hidden-hidden edges; the precision is its tree MLE with
     the hidden block made diagonal, floored to the positive-definite cone.
+    `merges` is `_clustering_from_cov` of the regularized covariance, for a
+    caller that already holds it; without it the search runs here when
+    n_hidden > 0.
     """
     sigma = _regularize_cov(cov.matrix)
     p = cov.size
     cliques: tuple[tuple[int, ...], ...] = ()
     if n_hidden > 0:
-        try:
-            hierarchy = _clustering_from_cov(sigma, cov.n, n_hidden)
-            cliques = hierarchy.cliques
-            if len(cliques) < n_hidden:
-                cliques = _cliques_for_target(hierarchy, n_hidden)
-        except InitializationFallback:
-            cliques = ()
+        if merges is None:
+            merges = _clustering_from_cov(sigma, cov.n)
+        cliques = _cliques_for_target(merges, n_hidden)
     size = p + n_hidden
     forbidden = np.zeros((size, size), dtype=bool)
     forbidden[p:, p:] = True

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPrecisionError, NotPositiveDefiniteError
+from .errors import DataError, InvalidPrecisionError, NotPositiveDefiniteError
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -59,15 +59,21 @@ class EmpiricalCovariance:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_data(cls, data: np.ndarray, center: bool = True) -> "EmpiricalCovariance":
-        """MLE covariance (1/n normalization) of an n x p sample matrix."""
+    def from_data(cls, data: np.ndarray) -> "EmpiricalCovariance":
+        """MLE covariance (1/n normalization) of an n x p sample matrix.
+
+        Raises DataError on a non-finite entry or a constant column.
+        """
         x = np.asarray(data, dtype=float)
         if x.ndim != 2:
             raise ValueError("data must be a 2-d array")
-        n = x.shape[0]
-        if center:
-            x = x - x.mean(axis=0, keepdims=True)
-        return cls(symmetrize(x.T @ x / n), n)
+        if not np.isfinite(x).all():
+            raise DataError("data holds a non-finite entry")
+        constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+        if constant.size:
+            raise DataError(f"columns {constant.tolist()} (0-based) have zero variance")
+        x = x - x.mean(axis=0, keepdims=True)
+        return cls(symmetrize(x.T @ x / x.shape[0]), x.shape[0])
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from treeagg.em import _completed_moments, tree_entropy
-from treeagg.errors import DegenerateWeightsError, InitializationFallback
+from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind, prufer_to_edges
 from treeagg.initialization import (
     LOG_2PI,
-    CliqueHierarchy,
     MergeRecord,
     _diag_loglik,
     _factor_params,
@@ -226,7 +225,7 @@ def per_ground_log_partition(w):
 # ----------------------------------------------------------------------
 # Oracle: the greedy clique search that rescans every candidate in every
 # round.  treeagg.initialization scores each candidate once and must give
-# the same hierarchy, gains bit for bit.
+# the same merges, gains bit for bit.
 # ----------------------------------------------------------------------
 
 def rescan_factor_loglik(block, n):
@@ -253,15 +252,11 @@ def rescan_replay(merges):
     return tuple(sorted(cliques)), scores
 
 
-def greedy_clustering_oracle(sigma, n, n_hidden):
-    """The CliqueHierarchy of initialization._clustering_from_cov, each round
+def greedy_clustering_oracle(sigma, n):
+    """The merges of initialization._clustering_from_cov, each round
     rescanning every triplet of free nodes, every clique and free node and
     every pair of cliques."""
-    if n_hidden == 0:
-        return CliqueHierarchy((), 0, ())
     p = sigma.shape[0]
-    if p < 3:
-        raise InitializationFallback("need at least 3 observed nodes to form a triplet")
     adj = Graph(p, chow_liu(sigma)).adjacency()
     half_log_n = 0.5 * math.log(n)
     model_cache = {}
@@ -324,30 +319,31 @@ def greedy_clustering_oracle(sigma, n, n_hidden):
         merges.append(rec)
         free -= set(members)
         cliques = [c for c in cliques if not set(c) <= set(members)] + [members]
+    return tuple(merges)
 
+
+def ranked_cliques(cliques, scores, n_hidden):
+    return tuple(sorted(cliques, key=lambda c: (-scores[c], c))[:n_hidden])
+
+
+def cliques_for_target_oracle(merges, n_hidden):
+    """initialization._cliques_for_target in two branches, replaying every
+    merge prefix anew: the BIC cut, the first prefix of largest accumulated
+    gain, when it holds n_hidden cliques; otherwise a search over prefixes."""
     prefix = np.concatenate([[0.0], np.cumsum([m.gain for m in merges])])
-    cut_level = int(np.argmax(prefix))
-    cut_cliques, scores = rescan_replay(merges[:cut_level])
-    ranked = sorted(cut_cliques, key=lambda c: (-scores[c], c))
-    return CliqueHierarchy(tuple(merges), cut_level, tuple(ranked[:n_hidden]))
-
-
-def cliques_for_target_oracle(hierarchy, n_hidden):
-    """initialization._cliques_for_target, replaying every merge prefix anew."""
-    if len(hierarchy.cliques) >= n_hidden:
-        return hierarchy.cliques[:n_hidden]
+    cut_cliques, cut_scores = rescan_replay(merges[: int(np.argmax(prefix))])
+    if len(cut_cliques) >= n_hidden:
+        return ranked_cliques(cut_cliques, cut_scores, n_hidden)
     best_level, best_key = None, None
     states = []
-    for level in range(len(hierarchy.merges) + 1):
-        cliques, scores = rescan_replay(hierarchy.merges[:level])
-        prefix = sum(m.gain for m in hierarchy.merges[:level])
+    for level in range(len(merges) + 1):
+        cliques, scores = rescan_replay(merges[:level])
+        prefix = sum(m.gain for m in merges[:level])
         states.append((cliques, scores))
         key = (len(cliques) >= n_hidden, min(len(cliques), n_hidden), prefix, -level)
         if best_key is None or key > best_key:
             best_key, best_level = key, level
-    cliques, scores = states[best_level]
-    ranked = sorted(cliques, key=lambda c: (-scores[c], c))
-    return tuple(ranked[:n_hidden])
+    return ranked_cliques(*states[best_level], n_hidden)
 
 
 def figure_tree_graph():

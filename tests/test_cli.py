@@ -86,9 +86,12 @@ class TestConfig:
             ("eval", [], {"grid_size": "x"}),
             ("fit", ["--r", 0, "--p0", "0.5"], {}),
             ("fit", ["--r", 0, "--p0", "nan"], {}),
+            ("fit", ["--method", "fixed-tree", "--r", 1, "--p0", "0.5"], {}),
+            ("fit", [], {"method": "chow-liu"}),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
-             "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan"],
+             "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-fixed-tree",
+             "fit-method"],
     )
     def test_bad_value_is_config_error(self, suite_dir, tmp_path, capsys, command, flags, config):
         cfg = tmp_path / "cfg.json"
@@ -134,17 +137,13 @@ class TestFit:
         assert "tree" in payload and "alpha" not in payload
         assert len(payload["tree"]) == 8  # p + r - 1
 
-    def test_chow_liu_rejects_hidden(self, suite_dir, tmp_path):
+    def test_chow_liu_is_not_a_method(self, suite_dir, tmp_path):
+        # the Chow-Liu tree is `--method fixed-tree --r 0`
         csv = suite_dir / "rep_000" / "observed.csv"
-        assert run_cli("fit", csv, "--out", tmp_path / "x", "--method", "chow-liu", "--r", 1) == 2
-
-    def test_chow_liu_method(self, suite_dir, tmp_path):
-        out = tmp_path / "cl"
-        csv = suite_dir / "rep_000" / "observed.csv"
-        assert run_cli("fit", csv, "--out", out, "--method", "chow-liu") == 0
-        payload = json.loads((out / "fit.json").read_text())
-        assert payload["method"] == "chow-liu"
-        assert len(payload["tree"]) == 7  # p - 1 edges, no hidden node
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", csv, "--out", tmp_path / "x", "--method", "chow-liu")
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "x") == 3
@@ -159,6 +158,32 @@ class TestFit:
         csv = tmp_path / "tiny.csv"
         csv.write_text("a,b\n1.0,2.0\n")
         assert run_cli("fit", csv, "--out", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("cell", ["constant", "nan", "inf"])
+    def test_bad_cell_is_data_error(self, tmp_path, capsys, command, cell):
+        data = np.arange(12.0).reshape(4, 3) ** 1.5
+        if cell == "constant":
+            data[:, 1] = 2.0
+        else:
+            data[2, 0] = float(cell)
+        csv = tmp_path / "bad.csv"
+        csv.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
+        assert run_cli(command, csv, "--out", tmp_path / "x", "--r", 1) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fewer_samples_than_variables(self, tmp_path, rng):
+        # every 2 x 2 block, and so every tree MLE, exists from n = 2 on; at
+        # n = 2 every |correlation| is 1, so n = 4 here
+        csv = tmp_path / "wide.csv"
+        csv.write_text(
+            ",".join(f"x{j}" for j in range(8)) + "\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in rng.normal(size=(4, 8)).tolist())
+        )
+        for args in (["fit", "--r", 0], ["fit", "--r", 1],
+                     ["fit", "--method", "fixed-tree", "--r", 1], ["select", "--r", 2]):
+            assert run_cli(args[0], csv, "--out", tmp_path / "out", *args[1:]) == 0
 
     def test_p0_recalibration_included(self, suite_dir, tmp_path):
         out = tmp_path / "fitp0"

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from treeagg import initialization
+from treeagg import em, initialization
 from treeagg.errors import DegenerateCliqueError
 from treeagg.initialization import (
     _cliques_for_target,
@@ -27,9 +25,15 @@ def factor_data(rng, n=400, noise_cols=4):
     return np.column_stack([copies, noise])
 
 
-def clustering(data, n_hidden):
+def clustering(data):
     cov = EmpiricalCovariance.from_data(data)
-    return _clustering_from_cov(_regularize_cov(cov.matrix), cov.n, n_hidden)
+    return _clustering_from_cov(_regularize_cov(cov.matrix), cov.n)
+
+
+def bic_cut_is_empty(merges):
+    """No merge prefix has a positive accumulated gain, so the BIC cut is
+    before the first merge and holds no clique."""
+    return bool((np.cumsum([m.gain for m in merges]) <= 0).all())
 
 
 def suite_covariances(kind):
@@ -41,21 +45,15 @@ def suite_covariances(kind):
         yield EmpiricalCovariance.from_data(observed)
 
 
-def assert_matches_oracle(sigma, n, r_values):
-    """Equal hierarchies, gains bit for bit, and equal cliques past the cut."""
-    # The oracle's merges and cut do not depend on the hidden count, whose
-    # largest value only caps the ranked cliques; one run covers every r.
-    expected = greedy_clustering_oracle(sigma, n, max(r_values))
-    for r in r_values:
-        hierarchy = _clustering_from_cov(sigma, n, r)
-        assert hierarchy == replace(expected, cliques=expected.cliques[:r])
-        assert [m.gain.hex() for m in hierarchy.merges] == [
-            float(m.gain).hex() for m in expected.merges
-        ]
-        for target in (r, r + 2, r + 6):
-            assert _cliques_for_target(hierarchy, target) == cliques_for_target_oracle(
-                expected, target
-            )
+def assert_matches_oracle(sigma, n):
+    """Equal merges, gains bit for bit, and equal cliques for r = 1..9, at
+    the BIC cut and past it."""
+    merges = _clustering_from_cov(sigma, n)
+    expected = greedy_clustering_oracle(sigma, n)
+    assert merges == expected
+    assert [m.gain.hex() for m in merges] == [float(m.gain).hex() for m in expected]
+    for r in range(1, 10):
+        assert _cliques_for_target(merges, r) == cliques_for_target_oracle(expected, r)
 
 
 def initial_k(data, n_hidden):
@@ -71,34 +69,33 @@ def completed(data, cliques):
 
 class TestTripletClustering:
     def test_factor_triplet_merges_first(self, rng):
-        data = factor_data(rng)
-        hierarchy = clustering(data, 1)
-        first = hierarchy.merges[0]
-        assert first.members == (0, 1, 2)
+        merges = clustering(factor_data(rng))
+        assert merges[0].members == (0, 1, 2)
+        assert _cliques_for_target(merges, 1) == ((0, 1, 2),)
 
-    def test_r0_empty_hierarchy(self, rng):
+    def test_r0_empty_hierarchy(self, rng, monkeypatch):
+        # no hidden node takes no clique, and an r = 0 fit runs no search
         data = factor_data(rng)
-        hierarchy = clustering(data, 0)
-        assert hierarchy.merges == ()
-        assert hierarchy.cliques == ()
+        assert _cliques_for_target(clustering(data), 0) == ()
+        calls = []
+        search = initialization._clustering_from_cov
+        monkeypatch.setattr(
+            initialization, "_clustering_from_cov", lambda *a: calls.append(1) or search(*a)
+        )
+        em.fit(EmpiricalCovariance.from_data(data), 0)
+        assert calls == []
 
     def test_independent_data_yields_no_cliques(self, rng):
-        data = rng.normal(size=(300, 6))
-        hierarchy = clustering(data, 2)
-        assert hierarchy.cliques == ()
-        assert all(m.gain <= 0 for m in hierarchy.merges[: hierarchy.cut_level + 1] or [])
+        assert bic_cut_is_empty(clustering(rng.normal(size=(300, 6))))
 
     def test_deterministic(self, rng):
         data = factor_data(rng)
-        h1 = clustering(data, 1)
-        h2 = clustering(data, 1)
-        assert h1.merges == h2.merges
-        assert h1.cliques == h2.cliques
+        assert clustering(data) == clustering(data)
 
     @pytest.mark.parametrize("kind", ["signal", "null"])
     def test_suite_matches_rescan_oracle(self, kind):
         for cov in suite_covariances(kind):
-            assert_matches_oracle(_regularize_cov(cov.matrix), cov.n, (1, 2, 3))
+            assert_matches_oracle(_regularize_cov(cov.matrix), cov.n)
 
     @pytest.mark.parametrize(
         "make",
@@ -111,18 +108,18 @@ class TestTripletClustering:
     )
     def test_data_matches_rescan_oracle(self, rng, make):
         cov = EmpiricalCovariance.from_data(make(rng))
-        assert_matches_oracle(_regularize_cov(cov.matrix), cov.n, (1, 2, 3))
+        assert_matches_oracle(_regularize_cov(cov.matrix), cov.n)
 
     def test_target_past_cut_matches_rescan_oracle(self, rng):
         # independent data cut before any merge, so every hidden node comes
         # from extending past the cut
         cov = EmpiricalCovariance.from_data(rng.normal(size=(300, 9)))
         sigma = _regularize_cov(cov.matrix)
-        hierarchy = _clustering_from_cov(sigma, cov.n, 2)
-        assert hierarchy.cliques == () and len(hierarchy.merges) >= 2
-        chosen = _cliques_for_target(hierarchy, 2)
+        merges = _clustering_from_cov(sigma, cov.n)
+        assert bic_cut_is_empty(merges) and len(merges) >= 2
+        chosen = _cliques_for_target(merges, 2)
         assert chosen != ()
-        assert chosen == cliques_for_target_oracle(greedy_clustering_oracle(sigma, cov.n, 2), 2)
+        assert chosen == cliques_for_target_oracle(greedy_clustering_oracle(sigma, cov.n), 2)
 
     def test_each_candidate_scored_once(self, monkeypatch):
         # a signal-suite replicate at p = 20: every gain comes with one merge
@@ -137,8 +134,8 @@ class TestTripletClustering:
                 built.append(self.members)
 
         monkeypatch.setattr(initialization, "MergeRecord", CountedRecord)
-        hierarchy = _clustering_from_cov(_regularize_cov(cov.matrix), cov.n, 3)
-        assert len(hierarchy.merges) >= 5
+        merges = _clustering_from_cov(_regularize_cov(cov.matrix), cov.n)
+        assert len(merges) >= 5
         assert len(built) == len(set(built))
 
     def test_parameter_count_convention(self):
@@ -224,6 +221,23 @@ class TestInitialK:
             attached = {i for i in range(9) if abs(k.matrix[i, 9]) > 1e-10}
             hits += len(attached & set(truth.graph.neighbors(9))) >= 2
         assert hits >= 14  # >= 70% of 20 replicates
+
+    def test_fewer_than_three_nodes(self, rng):
+        # without a triplet the search merges nothing, and the hidden node is
+        # the covariance's leading principal component
+        for p in (1, 2):
+            cov = EmpiricalCovariance.from_data(rng.normal(size=(30, p)))
+            merges = _clustering_from_cov(_regularize_cov(cov.matrix), cov.n)
+            assert merges == ()
+            assert _cliques_for_target(merges, 1) == ()
+        x = np.random.default_rng(3).normal(size=(30, 2))
+        x[:, 1] += x[:, 0]
+        k = em.fit(EmpiricalCovariance.from_data(x), 1).precision.matrix
+        assert [v.hex() for v in k.ravel()] == [
+            "0x1.3dc2180c72bdap+1", "0x0.0p+0", "-0x1.e61a201f887dap+0",
+            "0x0.0p+0", "0x1.d09df2e589b61p+2", "-0x1.2fde2b031817dp+3",
+            "-0x1.e61a201f887dap+0", "-0x1.2fde2b031817dp+3", "0x1.dbf271fa10caep+3",
+        ]
 
     def test_underdetermined_data_still_pd(self, rng):
         data = rng.normal(size=(6, 10))  # n < p

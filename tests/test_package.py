@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import treeagg
 
 PUBLIC_API = [
@@ -37,3 +41,16 @@ def test_public_api_is_pinned():
     assert sorted(treeagg.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(treeagg, name) is not None
+
+
+def test_traced_functions_resolve():
+    # the benchmark's tracer wraps each (module, function) of its TRACED
+    # tuple by name, so a rename here breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "treebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("treebench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_name, func_name in tracing.TRACED:
+        module = importlib.import_module(f"treeagg.{module_name}")
+        assert callable(getattr(module, func_name, None)), (module_name, func_name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeagg import em, selection
+from treeagg import em, initialization, selection
 from treeagg.errors import TreeAggError
 from treeagg.matrices import EmpiricalCovariance
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
@@ -74,16 +74,45 @@ class TestSelect:
         _, cov = report_and_cov
         real_fit = em.fit
 
-        def flaky(cov_arg, r, prior=None, opts=None):
+        def flaky(cov_arg, r, prior=None, opts=None, merges=None):
             if r == 1:
                 raise TreeAggError("synthetic failure")
-            return real_fit(cov_arg, r, prior, opts)
+            return real_fit(cov_arg, r, prior, opts, merges)
 
         monkeypatch.setattr(selection.em, "fit", flaky)
         with pytest.warns(UserWarning, match="r=1 failed"):
             report = selection.select(cov, r_max=1, master_seed=2)
         assert report.rows[1].error == "synthetic failure"
         assert report.selected["bic"] == 0
+
+    def test_one_clique_search(self, report_and_cov, monkeypatch):
+        # the merge history depends on the covariance alone: one search
+        # serves r = 1, 2 and 3
+        _, cov = report_and_cov
+        calls = []
+        search = initialization._clustering_from_cov
+        monkeypatch.setattr(
+            initialization, "_clustering_from_cov", lambda *a: calls.append(1) or search(*a)
+        )
+        selection.select(cov, r_max=3, keep_fits=True)
+        assert len(calls) == 1
+
+    def test_fits_match_standalone_fits(self):
+        # a signal acceptance replicate (p = 20, n = 30)
+        truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
+        cov = EmpiricalCovariance.from_data(observed)
+        report = selection.select(cov, r_max=3, keep_fits=True)
+        for r in range(4):
+            alone = em.fit(cov, r)
+            fit = report.fits[r]
+            row = report.rows[r]
+            assert (row.loglik, row.h_tree, row.h_joint, row.converged) == (
+                alone.loglik, alone.h_tree, alone.h_joint, alone.converged
+            )
+            assert fit.loglik_trace == alone.loglik_trace
+            assert fit.alpha.tobytes() == alone.alpha.tobytes()
+            assert fit.precision.matrix.tobytes() == alone.precision.matrix.tobytes()
 
     def test_accepts_raw_data(self, rng):
         data = rng.normal(size=(30, 5)) @ random_spd(rng, 5)
