@@ -438,10 +438,10 @@ def fit(
     """Fit the tree-aggregation model with n_hidden latent nodes.
 
     Runs one EM from the clustering/PCA initializer.  Nothing in the fit is
-    random, so equal inputs give bit-identical results.  `merges` is the
-    covariance's clique-search history, passed on to
-    `initialization.initial_precision_from_cov` by a caller that fits
-    several r to one covariance; the result does not depend on it.
+    random, so equal inputs give bit-identical results.  `merges`, the
+    clique-search history of this covariance (`initialization.
+    _clustering_from_cov` of its regularized matrix), lets a caller that
+    fits several r share one search; without it the initializer runs it.
     """
     opts = opts or FitOptions()
     if n_hidden < 0:

@@ -223,8 +223,8 @@ class TestInitialK:
         assert hits >= 14  # >= 70% of 20 replicates
 
     def test_fewer_than_three_nodes(self, rng):
-        # without a triplet the search merges nothing, and the hidden node is
-        # the covariance's leading principal component
+        # without a triplet the search merges nothing; the start at p = 2,
+        # whose hidden node is the leading principal component, is pinned
         for p in (1, 2):
             cov = EmpiricalCovariance.from_data(rng.normal(size=(30, p)))
             merges = _clustering_from_cov(_regularize_cov(cov.matrix), cov.n)
