@@ -38,7 +38,7 @@ from .matrices import (
     symmetrize,
 )
 from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
-from .tree_gaussian import log_marginal_tree_weight
+from .tree_gaussian import log_marginal_tree_weight, require_imperfect_correlation
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -433,26 +433,27 @@ def fit(
     n_hidden: int,
     prior: np.ndarray | None = None,
     opts: FitOptions | None = None,
-    merges: tuple[initialization.MergeRecord, ...] | None = None,
 ) -> FitResult:
     """Fit the tree-aggregation model with n_hidden latent nodes.
 
-    Runs one EM from the clustering/PCA initializer.  Nothing in the fit is
-    random, so equal inputs give bit-identical results.  `merges`, the
-    clique-search history of this covariance (`initialization.
-    _clustering_from_cov` of its regularized matrix), lets a caller that
-    fits several r share one search; without it the initializer runs it.
+    Runs one EM from `initialization.initial_precision_from_cov`, which starts
+    hidden node k at the unit-variance score of the covariance's k-th leading
+    principal component.  Two perfectly correlated observed variables raise
+    PerfectCorrelationError before the covariance is regularized: the
+    likelihood has no finite supremum then.  Nothing in the fit is random, so
+    equal inputs give bit-identical results.
     """
     opts = opts or FitOptions()
     if n_hidden < 0:
         raise ValueError("n_hidden must be nonnegative")
+    require_imperfect_correlation(cov)
     p = cov.size
     if prior is None:
         prior = uniform_prior(p, n_hidden)
     elif np.shape(prior)[0] != p + n_hidden:
         raise ValueError("prior size does not match p + n_hidden")
     fit_prior = _FitPrior.masked(prior, p)
-    init = initialization.initial_precision_from_cov(cov, n_hidden, merges)
+    init = initialization.initial_precision_from_cov(cov, n_hidden)
     return _run_em(cov, fit_prior, init.precision, opts)
 
 
@@ -461,7 +462,11 @@ def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:
 
     Calibration runs on the support of the fitted prior (hidden-hidden pairs
     are structural zeros), so p0 must equal (size - 1) / #candidate edges.
+    Where calibration leaves the fitted prior unchanged, as the uniform prior
+    with at most one hidden node, the fit's own alpha is the answer.
     """
     calibrated = calibrate_prior(result.prior, p0)
+    if np.array_equal(calibrated, result.prior):
+        return result.alpha
     state = e_step(result.precision, result.cov, calibrated)
     return state.alpha

@@ -45,10 +45,6 @@ class DivergenceError(TreeAggError):
     """The EM produced a non-finite likelihood."""
 
 
-class DegenerateCliqueError(TreeAggError):
-    """A clique has zero variance and cannot be summarized."""
-
-
 class InfeasibleHiddenSetError(TreeAggError):
     """No identifiable hidden-node set exists for the requested size."""
 

@@ -19,6 +19,7 @@ from .tree_gaussian import (
     chow_liu,
     gaussian_mutual_information,
     maximum_spanning_tree,
+    require_imperfect_correlation,
     tree_precision_from_cov,
 )
 
@@ -83,8 +84,11 @@ def fit_fixed_tree(
     Classification EM can cycle with period > 1, so a likelihood tolerance
     backs up the tree fixed-point test.  Without hidden nodes there is nothing
     to complete: the fit is the Chow-Liu tree of the regularized covariance.
+    Two perfectly correlated observed variables raise PerfectCorrelationError
+    before the covariance is regularized.
     """
     opts = opts or FitOptions()
+    require_imperfect_correlation(cov)
     p = cov.size
     if n_hidden == 0:
         sigma = _regularize_cov(cov.matrix)

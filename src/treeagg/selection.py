@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import em, initialization
+from . import em
 from .errors import TreeAggError
 from .matrices import EmpiricalCovariance
 
@@ -93,10 +93,11 @@ def select(
 ) -> SelectionReport:
     """Fit r = 0..r_max and rank the criteria.
 
-    The initializer's clique search depends on the covariance alone, so it
-    runs once here and every r >= 1 fit cuts the same merge history.  No fit
-    draws a random number, so `master_seed` is only a label that the report
-    carries.
+    Each fit starts its hidden nodes at the covariance's leading principal
+    components.  A fit that raises a TreeAggError, such as the
+    PerfectCorrelationError of two perfectly correlated columns, leaves its
+    row's error set and is left out of the ranking.  No fit draws a random
+    number, so `master_seed` is only a label that the report carries.
     """
     if isinstance(cov_or_data, EmpiricalCovariance):
         cov = cov_or_data
@@ -104,16 +105,12 @@ def select(
         cov = EmpiricalCovariance.from_data(np.asarray(cov_or_data, dtype=float))
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    merges = None
-    if r_max > 0:
-        sigma = initialization._regularize_cov(cov.matrix)
-        merges = initialization._clustering_from_cov(sigma, cov.n)
 
     rows: list[SelectionRow] = []
     fits: dict[int, em.FitResult] = {}
     for r in range(r_max + 1):
         try:
-            result = em.fit(cov, r, opts=opts, merges=merges)
+            result = em.fit(cov, r, opts=opts)
         except TreeAggError as exc:
             warnings.warn(f"fit with r={r} failed: {exc}")
             rows.append(SelectionRow(n_hidden=r, error=str(exc)))

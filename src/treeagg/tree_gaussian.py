@@ -36,17 +36,29 @@ def correlation_matrix(cov) -> np.ndarray:
     return rho
 
 
+def require_imperfect_correlation(cov) -> np.ndarray:
+    """The correlation matrix; |rho| at or beyond 1 between two variables
+    (perfectly dependent variables) raises PerfectCorrelationError."""
+    rho = correlation_matrix(cov)
+    off = ~np.eye(rho.shape[0], dtype=bool)
+    strength = np.where(off, np.abs(rho), 0.0)
+    if strength.max(initial=0.0) >= CORRELATION_LIMIT:
+        i, j = np.unravel_index(np.argmax(strength), strength.shape)
+        raise PerfectCorrelationError(
+            f"variables {i} and {j} (0-based) have |correlation| "
+            f"{strength[i, j]:.15g}, at/above 1"
+        )
+    return rho
+
+
 def gaussian_mutual_information(cov) -> np.ndarray:
     """Pairwise Gaussian mutual information -log(1 - rho^2)/2.
 
     Even in rho, so negatively correlated pairs rank by dependence strength.
     Rejects |rho| at or beyond 1 (perfectly dependent variables).
     """
-    rho = correlation_matrix(cov)
+    rho = require_imperfect_correlation(cov)
     off = ~np.eye(rho.shape[0], dtype=bool)
-    if np.any(np.abs(rho[off]) >= CORRELATION_LIMIT):
-        worst = np.abs(rho[off]).max()
-        raise PerfectCorrelationError(f"|correlation| = {worst:.15g} is at/above 1")
     mi = -0.5 * np.log1p(-(rho**2), where=off, out=np.zeros_like(rho))
     np.fill_diagonal(mi, 0.0)
     return mi

@@ -9,26 +9,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from treeagg.em import _completed_moments, tree_entropy
+from treeagg.em import LOG_2PI, _completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind, prufer_to_edges
-from treeagg.initialization import (
-    LOG_2PI,
-    MergeRecord,
-    _diag_loglik,
-    _factor_params,
-)
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
 from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
-from treeagg.tree_gaussian import chow_liu
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -212,6 +204,14 @@ def per_ground_edge_marginals(w):
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
 
 
+def duplicated_column_data(rng, n=30, p=10):
+    """n x p standard-normal data whose column 3 repeats column 0: the two
+    are perfectly correlated."""
+    x = rng.normal(size=(n, p))
+    x[:, 3] = x[:, 0]
+    return x
+
+
 def per_ground_log_partition(w):
     w = validate_weight_matrix(w)
     ws, log_scale = _max_rescale(w)
@@ -220,130 +220,6 @@ def per_ground_log_partition(w):
     except DegenerateWeightsError:
         return -np.inf
     return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
-
-
-# ----------------------------------------------------------------------
-# Oracle: the greedy clique search that rescans every candidate in every
-# round.  treeagg.initialization scores each candidate once and must give
-# the same merges, gains bit for bit.
-# ----------------------------------------------------------------------
-
-def rescan_factor_loglik(block, n):
-    """One-factor Gaussian fit of one (m, m) block, m > 1."""
-    m = block.shape[0]
-    evals, vecs = np.linalg.eigh(block)
-    loading = math.sqrt(max(evals[-1], 0.0)) * vecs[:, -1]
-    noise = np.maximum(np.diag(block) - loading**2, 1e-12 * np.diag(block))
-    model = np.outer(loading, loading) + np.diag(noise)
-    _, logdet = np.linalg.slogdet(model)
-    trace = float(np.trace(np.linalg.solve(model, block)))
-    return -0.5 * n * (m * LOG_2PI + logdet + trace)
-
-
-def rescan_replay(merges):
-    """Cliques present after a merge prefix, sorted, and their accumulated gains."""
-    cliques, scores = [], {}
-    for rec in merges:
-        new = rec.members
-        absorbed = [c for c in cliques if set(c) <= set(new)]
-        gain = rec.gain + sum(scores.pop(c) for c in absorbed)
-        cliques = [c for c in cliques if not set(c) <= set(new)] + [new]
-        scores[new] = gain
-    return tuple(sorted(cliques)), scores
-
-
-def greedy_clustering_oracle(sigma, n):
-    """The merges of initialization._clustering_from_cov, each round
-    rescanning every triplet of free nodes, every clique and free node and
-    every pair of cliques."""
-    p = sigma.shape[0]
-    adj = Graph(p, chow_liu(sigma)).adjacency()
-    half_log_n = 0.5 * math.log(n)
-    model_cache = {}
-
-    def model_ll(group):
-        if group not in model_cache:
-            idx = np.array(group)
-            block = sigma[np.ix_(idx, idx)]
-            model_cache[group] = (
-                rescan_factor_loglik(block, n) if len(group) > 1 else _diag_loglik(block, n)
-            )
-        return model_cache[group]
-
-    def penalized_gain(parts):
-        merged = tuple(sorted(set().union(*map(set, parts))))
-        delta_ll = model_ll(merged) - sum(model_ll(g) for g in parts)
-        delta_params = _factor_params(len(merged)) - sum(
-            _factor_params(len(g)) if len(g) > 1 else 1 for g in parts
-        )
-        return delta_ll - delta_params * half_log_n
-
-    def connected(a, b):
-        return bool(adj[np.ix_(a, b)].any())
-
-    free = set(range(p))
-    cliques, merges = [], []
-    while True:
-        best = None
-
-        def consider(rec, gain):
-            nonlocal best
-            key = (-gain, rec.members, rec.group_a, rec.group_b)
-            if best is None or key < (-best[0], best[1], best[2].group_a, best[2].group_b):
-                best = (gain, rec.members, rec)
-
-        free_sorted = sorted(free)
-        for ai, i in enumerate(free_sorted):
-            for bi in range(ai + 1, len(free_sorted)):
-                j = free_sorted[bi]
-                for k in free_sorted[bi + 1 :]:
-                    if not (adj[i, j] or adj[i, k] or adj[j, k]):
-                        continue
-                    gain = penalized_gain([(i,), (j,), (k,)])
-                    consider(MergeRecord((i,), (j, k), gain), gain)
-        for c in cliques:
-            for x in free_sorted:
-                if connected(c, (x,)):
-                    gain = penalized_gain([c, (x,)])
-                    consider(MergeRecord(c, (x,), gain), gain)
-        for a_idx in range(len(cliques)):
-            for b_idx in range(a_idx + 1, len(cliques)):
-                a, b = cliques[a_idx], cliques[b_idx]
-                if connected(a, b):
-                    gain = penalized_gain([a, b])
-                    consider(MergeRecord(a, b, gain), gain)
-
-        if best is None:
-            break
-        _, members, rec = best
-        merges.append(rec)
-        free -= set(members)
-        cliques = [c for c in cliques if not set(c) <= set(members)] + [members]
-    return tuple(merges)
-
-
-def ranked_cliques(cliques, scores, n_hidden):
-    return tuple(sorted(cliques, key=lambda c: (-scores[c], c))[:n_hidden])
-
-
-def cliques_for_target_oracle(merges, n_hidden):
-    """initialization._cliques_for_target in two branches, replaying every
-    merge prefix anew: the BIC cut, the first prefix of largest accumulated
-    gain, when it holds n_hidden cliques; otherwise a search over prefixes."""
-    prefix = np.concatenate([[0.0], np.cumsum([m.gain for m in merges])])
-    cut_cliques, cut_scores = rescan_replay(merges[: int(np.argmax(prefix))])
-    if len(cut_cliques) >= n_hidden:
-        return ranked_cliques(cut_cliques, cut_scores, n_hidden)
-    best_level, best_key = None, None
-    states = []
-    for level in range(len(merges) + 1):
-        cliques, scores = rescan_replay(merges[:level])
-        prefix = sum(m.gain for m in merges[:level])
-        states.append((cliques, scores))
-        key = (len(cliques) >= n_hidden, min(len(cliques), n_hidden), prefix, -level)
-        if best_key is None or key > best_key:
-            best_key, best_level = key, level
-    return ranked_cliques(*states[best_level], n_hidden)
 
 
 def figure_tree_graph():

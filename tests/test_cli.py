@@ -10,6 +10,8 @@ import pytest
 import treeagg
 from treeagg.cli import main
 
+from conftest import duplicated_column_data
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -17,6 +19,17 @@ def run_cli(*args):
 
 def read_tree(path: Path) -> dict:
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def duplicated_csv(tmp_path, rng):
+    """A 30 x 10 CSV whose column 3 repeats column 0."""
+    csv = tmp_path / "dup.csv"
+    csv.write_text(
+        ",".join(f"x{j}" for j in range(10)) + "\n"
+        + "".join(",".join(map(repr, row)) + "\n" for row in duplicated_column_data(rng).tolist())
+    )
+    return csv
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +198,12 @@ class TestFit:
                      ["fit", "--method", "fixed-tree", "--r", 1], ["select", "--r", 2]):
             assert run_cli(args[0], csv, "--out", tmp_path / "out", *args[1:]) == 0
 
+    def test_perfect_correlation_is_numerical_failure(self, duplicated_csv, tmp_path, capsys):
+        for args in (["--r", 0], ["--r", 1], ["--method", "fixed-tree", "--r", 1]):
+            assert run_cli("fit", duplicated_csv, "--out", tmp_path / "out", *args) == 4
+            assert "variables 0 and 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_p0_recalibration_included(self, suite_dir, tmp_path):
         out = tmp_path / "fitp0"
         csv = suite_dir / "rep_000" / "observed.csv"
@@ -201,6 +220,14 @@ class TestFit:
 
 
 class TestSelect:
+    def test_perfect_correlation_fails_every_row(self, duplicated_csv, tmp_path):
+        out = tmp_path / "seldup"
+        with pytest.warns(UserWarning, match="failed"):
+            assert run_cli("select", duplicated_csv, "--out", out, "--r", 2) == 0
+        payload = json.loads((out / "selection.json").read_text())
+        assert all("variables 0 and 3" in row["error"] for row in payload["rows"])
+        assert set(payload["selected"].values()) == {None}
+
     def test_outputs_and_master_seed(self, suite_dir, tmp_path):
         out = tmp_path / "sel"
         csv = suite_dir / "rep_000" / "observed.csv"

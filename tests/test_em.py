@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from treeagg import em
-from treeagg.errors import DegeneratePosteriorError, InvalidMomentError, TreeAggError
+from treeagg import em, spanning_trees
+from treeagg.errors import (
+    DegeneratePosteriorError,
+    InvalidMomentError,
+    PerfectCorrelationError,
+    TreeAggError,
+)
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
 from conftest import (
     brute_log_partition,
     brute_posterior_marginals,
+    duplicated_column_data,
     figure_ground_truth,
     identity_loglik,
     random_spd,
@@ -395,6 +401,13 @@ class TestFit:
         top2 = {pairs[i] for i in ranked[:2]}
         assert top2 == true_edges
 
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_perfect_correlation_raises(self, rng, r):
+        # regularizing would hide the duplicate and fit an unbounded likelihood
+        cov = EmpiricalCovariance.from_data(duplicated_column_data(rng))
+        with pytest.raises(PerfectCorrelationError, match="variables 0 and 3"):
+            em.fit(cov, r)
+
     def test_max_iter_zero_returns_initializer(self, rng):
         cov = small_cov(rng, 4)
         result = em.fit(cov, 1, opts=em.FitOptions(max_iter=0))
@@ -510,3 +523,43 @@ class TestEdgePosteriors:
         alpha2 = em.edge_posteriors(result, 5.0 / 15.0)  # (size-1)/support pairs
         total = alpha2[np.triu_indices(6, k=1)].sum()
         assert total == pytest.approx(5.0, abs=1e-8)
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        calls = []
+        kernel = spanning_trees.edge_marginals
+
+        def counted(w):
+            calls.append(w.shape[0])
+            return kernel(w)
+
+        monkeypatch.setattr(spanning_trees, "edge_marginals", counted)
+        monkeypatch.setattr(em, "edge_marginals", counted)
+        return calls
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_unchanged_prior_returns_fit_alpha(self, rng, monkeypatch, r):
+        # the uniform prior with at most one hidden node is already calibrated:
+        # one kernel call, in calibration, and the fit's alpha bit for bit
+        cov = small_cov(rng, 5)
+        result = em.fit(cov, r)
+        p0 = (4.0 + r) / ((5 + r) * (4 + r) / 2)
+        recomputed = em.e_step(result.precision, cov, result.prior).alpha
+        calls = self.count_kernel_calls(monkeypatch)
+        alpha2 = em.edge_posteriors(result, p0)
+        assert len(calls) == 1
+        assert alpha2.tobytes() == recomputed.tobytes() == result.alpha.tobytes()
+
+    def test_changed_prior_recomputes(self, rng, monkeypatch):
+        # with two hidden nodes the hidden-hidden pair is excluded, so the
+        # uniform prior is not calibrated and the E-step runs again
+        cov = small_cov(rng, 5)
+        result = em.fit(cov, 2)
+        p0 = 6.0 / 20.0  # (size - 1) / #candidate pairs
+        calibrated = spanning_trees.calibrate_prior(result.prior, p0)
+        assert not np.array_equal(calibrated, result.prior)
+        expected = em.e_step(result.precision, cov, calibrated).alpha
+        calls = self.count_kernel_calls(monkeypatch)
+        alpha2 = em.edge_posteriors(result, p0)
+        assert len(calls) >= 2
+        assert alpha2.tobytes() == expected.tobytes()

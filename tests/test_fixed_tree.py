@@ -3,13 +3,14 @@ import pytest
 
 from treeagg import fixed_tree
 from treeagg.em import FitOptions
+from treeagg.errors import PerfectCorrelationError
 from treeagg.fixed_tree import completed_covariance, fit_fixed_tree, gaussian_observed_loglik
 from treeagg.initialization import _regularize_cov
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import sample_and_marginalize, sample_seed
 from treeagg.tree_gaussian import chow_liu, tree_precision_from_cov
 
-from conftest import figure_ground_truth, random_spd
+from conftest import duplicated_column_data, figure_ground_truth, random_spd
 
 
 def sample_cov(rng, p, n=60):
@@ -18,6 +19,12 @@ def sample_cov(rng, p, n=60):
 
 
 class TestFixedTree:
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_perfect_correlation_raises(self, rng, r):
+        cov = EmpiricalCovariance.from_data(duplicated_column_data(rng))
+        with pytest.raises(PerfectCorrelationError, match="variables 0 and 3"):
+            fit_fixed_tree(cov, r)
+
     def test_r0_reduces_to_chow_liu(self, rng):
         cov = sample_cov(rng, 5)
         fit = fit_fixed_tree(cov, 0)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from treeagg import em, initialization, selection
-from treeagg.errors import TreeAggError
+from treeagg import em, selection
+from treeagg.errors import PerfectCorrelationError, TreeAggError
 from treeagg.matrices import EmpiricalCovariance
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
-from conftest import random_spd
+from conftest import duplicated_column_data, random_spd
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,10 @@ class TestSelect:
         _, cov = report_and_cov
         real_fit = em.fit
 
-        def flaky(cov_arg, r, prior=None, opts=None, merges=None):
+        def flaky(cov_arg, r, prior=None, opts=None):
             if r == 1:
                 raise TreeAggError("synthetic failure")
-            return real_fit(cov_arg, r, prior, opts, merges)
+            return real_fit(cov_arg, r, prior, opts)
 
         monkeypatch.setattr(selection.em, "fit", flaky)
         with pytest.warns(UserWarning, match="r=1 failed"):
@@ -85,17 +85,14 @@ class TestSelect:
         assert report.rows[1].error == "synthetic failure"
         assert report.selected["bic"] == 0
 
-    def test_one_clique_search(self, report_and_cov, monkeypatch):
-        # the merge history depends on the covariance alone: one search
-        # serves r = 1, 2 and 3
-        _, cov = report_and_cov
-        calls = []
-        search = initialization._clustering_from_cov
-        monkeypatch.setattr(
-            initialization, "_clustering_from_cov", lambda *a: calls.append(1) or search(*a)
-        )
-        selection.select(cov, r_max=3, keep_fits=True)
-        assert len(calls) == 1
+    def test_perfect_correlation_fails_every_row(self, rng):
+        data = duplicated_column_data(rng)
+        with pytest.warns(UserWarning, match="failed"):
+            report = selection.select(data, r_max=2)
+        with pytest.raises(PerfectCorrelationError) as exc:
+            em.fit(EmpiricalCovariance.from_data(data), 0)
+        assert [row.error for row in report.rows] == [str(exc.value)] * 3
+        assert set(report.selected.values()) == {None}
 
     def test_fits_match_standalone_fits(self):
         # a signal acceptance replicate (p = 20, n = 30)
