@@ -431,28 +431,25 @@ def _run_em(
 def fit(
     cov: EmpiricalCovariance,
     n_hidden: int,
-    prior: np.ndarray | None = None,
     opts: FitOptions | None = None,
 ) -> FitResult:
     """Fit the tree-aggregation model with n_hidden latent nodes.
 
     Runs one EM from `initialization.initial_precision_from_cov`, which starts
     hidden node k at the unit-variance score of the covariance's k-th leading
-    principal component.  Two perfectly correlated observed variables raise
-    PerfectCorrelationError before the covariance is regularized: the
-    likelihood has no finite supremum then.  Nothing in the fit is random, so
-    equal inputs give bit-identical results.
+    principal component, under the uniform edge prior `uniform_prior(p,
+    n_hidden)`; `edge_posteriors` recalibrates it after the fit.  Two
+    perfectly correlated observed variables raise PerfectCorrelationError
+    before the covariance is regularized: the likelihood has no finite
+    supremum then.  Nothing in the fit is random, so equal inputs give
+    bit-identical results.
     """
     opts = opts or FitOptions()
     if n_hidden < 0:
         raise ValueError("n_hidden must be nonnegative")
     require_imperfect_correlation(cov)
     p = cov.size
-    if prior is None:
-        prior = uniform_prior(p, n_hidden)
-    elif np.shape(prior)[0] != p + n_hidden:
-        raise ValueError("prior size does not match p + n_hidden")
-    fit_prior = _FitPrior.masked(prior, p)
+    fit_prior = _FitPrior.masked(uniform_prior(p, n_hidden), p)
     init = initialization.initial_precision_from_cov(cov, n_hidden)
     return _run_em(cov, fit_prior, init.precision, opts)
 

@@ -62,7 +62,9 @@ class EmpiricalCovariance:
     def from_data(cls, data: np.ndarray) -> "EmpiricalCovariance":
         """MLE covariance (1/n normalization) of an n x p sample matrix.
 
-        Raises DataError on a non-finite entry or a constant column.
+        Raises DataError on a non-finite entry or a constant column, and when
+        the data's units push the covariance past the float range: a column
+        whose covariance overflows or whose variance underflows to zero.
         """
         x = np.asarray(data, dtype=float)
         if x.ndim != 2:
@@ -72,8 +74,16 @@ class EmpiricalCovariance:
         constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
         if constant.size:
             raise DataError(f"columns {constant.tolist()} (0-based) have zero variance")
-        x = x - x.mean(axis=0, keepdims=True)
-        return cls(symmetrize(x.T @ x / x.shape[0]), x.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x - x.mean(axis=0, keepdims=True)
+            m = symmetrize(x.T @ x / x.shape[0])
+        out_of_range = np.flatnonzero(~np.isfinite(m).all(axis=0) | (np.diag(m) == 0.0))
+        if out_of_range.size:
+            raise DataError(
+                f"columns {out_of_range.tolist()} (0-based) have a covariance "
+                "that overflows or a variance that underflows to zero: rescale them"
+            )
+        return cls(m, x.shape[0])
 
 
 @dataclass(frozen=True)

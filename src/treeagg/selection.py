@@ -40,6 +40,10 @@ class SelectionRow:
         return self.error is None
 
 
+# The numeric fields of a SelectionRow, in report order.
+_NUMERIC = ("loglik", "pen", "bic", "icl_tree", "icl_joint", "h_tree", "h_joint")
+
+
 @dataclass(frozen=True)
 class SelectionReport:
     rows: tuple[SelectionRow, ...]
@@ -48,19 +52,15 @@ class SelectionReport:
     fits: dict[int, "em.FitResult"] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values; a failed row's numeric fields are None,
+        since strict JSON has no NaN."""
         return {
             "master_seed": self.master_seed,
             "selected": dict(self.selected),
             "rows": [
                 {
                     "r": row.n_hidden,
-                    "loglik": row.loglik,
-                    "pen": row.pen,
-                    "bic": row.bic,
-                    "icl_tree": row.icl_tree,
-                    "icl_joint": row.icl_joint,
-                    "h_tree": row.h_tree,
-                    "h_joint": row.h_joint,
+                    **{name: getattr(row, name) if row.ok else None for name in _NUMERIC},
                     "converged": row.converged,
                     "error": row.error,
                 }
@@ -71,16 +71,12 @@ class SelectionReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["r", "loglik", "pen", "bic", "icl_tree", "icl_joint",
-                 "h_tree", "h_joint", "converged", "error"]
-            )
+            writer.writerow(["r", *_NUMERIC, "converged", "error"])
             for row in self.rows:
                 writer.writerow(
-                    [row.n_hidden] + [repr(v) for v in (
-                        row.loglik, row.pen, row.bic, row.icl_tree,
-                        row.icl_joint, row.h_tree, row.h_joint,
-                    )] + [row.converged, row.error if row.error else ""]
+                    [row.n_hidden]
+                    + [repr(getattr(row, name)) for name in _NUMERIC]
+                    + [row.converged, row.error if row.error else ""]
                 )
 
 

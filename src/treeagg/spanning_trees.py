@@ -17,10 +17,12 @@ off-diagonal, whose inverse is nonnegative, so R_kl = (L^-T D^-1 L^-1)_kk is
 again a sum of positives.  The n groundings of the all-pairs resistances run
 in blocks, each block one elimination in lockstep on a (b, n, n) array, so a
 block costs n - 1 Python steps; the block size comes from a fixed element
-budget.  Every grounding keeps label order and full-row pivot sums, so the
-blocks match a one-grounding-at-a-time elimination bit for bit.  The tests
-keep that elimination, and brute-force enumeration over Pruefer sequences, as
-oracles.  calibrate_prior rescales a prior to a target edge marginal.
+budget.  Each grounding eliminates a copy of W permuted to the other nodes in
+label order, then its ground, so step s removes position s under every ground
+and the factor comes out in place; the blocks match a one-grounding-at-a-time
+elimination in that order bit for bit.  The tests keep that elimination, and
+brute-force enumeration over Pruefer sequences, as oracles.  calibrate_prior
+rescales a prior to a target edge marginal.
 """
 
 from __future__ import annotations
@@ -71,64 +73,44 @@ def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
 def _eliminate(w: np.ndarray, grounds: np.ndarray, need_factor: bool):
     """Star-mesh elimination of every node but the ground, for a block of grounds.
 
-    The grounds (ascending) are eliminated in lockstep on a (b, n, n) copy of
-    w: at step s, grounding g removes node s + (g <= s), so each grounding
-    keeps label order.  Returns (pivots, fractions).  pivots[k, s] is the total
-    incident weight of the s-th node eliminated under grounds[k] at its
-    elimination time, and fractions[k, u, v] = w(u, v) / pivot of v, taken
-    when v is eliminated; it is zero where u went first, so deleting row and
-    column grounds[k] leaves the strictly-lower factor N in elimination order.
-    Z(W) equals the product of a grounding's pivots; its grounded Laplacian
-    factors as (I - N) D (I - N)^T.  A node left without incident weight
-    means the positive-weight support is disconnected (Z = 0): the last node
-    eliminated from every component that lacks the ground meets a zero pivot,
-    and DegenerateWeightsError is raised.
+    Grounding k works on its own copy of w, permuted to order[k]: the other
+    nodes in label order, then grounds[k].  Step s eliminates position s in
+    every grounding at once, so the ground, last, is never eliminated.
+    Returns (order, pivots, fractions).  pivots[k, s] is the total incident
+    weight of position s at its elimination, and fractions[k, u, s] =
+    w(u, s) / pivots[k, s] for u > s, taken then: the strictly-lower
+    (n - 1, n - 1) factor N of the grounded Laplacian in elimination order,
+    which factors as (I - N) D (I - N)^T.  Z(W) equals the product of a
+    grounding's pivots.  A node left without incident weight means the
+    positive-weight support is disconnected (Z = 0): the last node eliminated
+    from every component that lacks the ground meets a zero pivot, and
+    DegenerateWeightsError is raised.
     """
     b, n = len(grounds), w.shape[0]
-    block = np.arange(b)
-    first, last = int(grounds[0]), int(grounds[-1])
-    cur = np.empty((b, n, n))
-    cur[:] = w
+    j = np.arange(n - 1)
+    order = np.concatenate([j + (j >= grounds[:, None]), grounds[:, None]], axis=1)
+    cur = w[order[:, :, None], order[:, None, :]]
     pivots = np.empty((n - 1, b))
-    fractions = np.zeros((b, n, n)) if need_factor else None
+    fractions = np.zeros((b, n - 1, n - 1)) if need_factor else None
     # A zero pivot turns the rest of its grounding into NaN; the pivots are
-    # checked once, at the end.
+    # checked once, at the end.  The diagonal of cur is never read.
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(n - 1):
-            # Basic indexing wherever the whole block removes the same node.
-            if s < first:
-                at = (slice(None), s)
-            elif s >= last:
-                at = (slice(None), s + 1)
-            else:
-                at = (block, s + (grounds <= s))
-            # A view of cur under basic indexing: the update below reads it
-            # in full before it writes.
-            row = cur[at]
-            # The diagonal of cur is never cleared; only the removed node's
-            # own entry is ever read, here.
-            row[at] = 0.0
-            # Each pivot sums a full row in label order, zeros included, so
-            # the roundoff matches grounding one node at a time.
+            row = cur[:, s, s + 1 :]
             d = row.sum(axis=1)
             pivots[s] = d
             ratio = row / d[:, None]
             if need_factor:
-                fractions[at[0], :, at[1]] = ratio
-            # Rows and columns below lo are gone under every ground of the
-            # block.  A removed row is never read again, so only its column
-            # is cleared.
-            lo = min(s, first)
-            cur[:, lo:, lo:] += row[:, lo:, None] * ratio[:, None, lo:]
-            cur[at[0], lo:, at[1]] = 0.0
+                fractions[:, s + 1 :, s] = ratio[:, :-1]
+            cur[:, s + 1 :, s + 1 :] += row[:, :, None] * ratio[:, None, :]
     if not pivots.min() > 0.0:  # also false for NaN
         s, k = np.argwhere(~(pivots > 0.0))[0]
         raise DegenerateWeightsError(
-            f"node {s + (grounds[k] <= s)} lost all incident weight during "
-            f"elimination under ground {grounds[k]}: the positive-weight "
-            "support is disconnected"
+            f"node {order[k, s]} lost all incident weight during elimination "
+            f"under ground {grounds[k]}: the positive-weight support is "
+            "disconnected"
         )
-    return pivots.T, fractions
+    return order, pivots.T, fractions
 
 
 def log_partition_function(w: np.ndarray) -> float:
@@ -140,7 +122,7 @@ def log_partition_function(w: np.ndarray) -> float:
     w = validate_weight_matrix(w)
     ws, log_scale = _max_rescale(w)
     try:
-        pivots, _ = _eliminate(ws, np.zeros(1, dtype=np.intp), need_factor=False)
+        _, pivots, _ = _eliminate(ws, np.zeros(1, dtype=np.intp), need_factor=False)
     except DegenerateWeightsError:
         return -np.inf
     return float(np.log(pivots[0]).sum()) + (w.shape[0] - 1) * log_scale
@@ -149,29 +131,24 @@ def log_partition_function(w: np.ndarray) -> float:
 def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
     """Effective resistances to each of a block of grounds, subtraction-free.
 
-    Row k holds the resistance from every node to grounds[k].  Under ground g
-    the j-th kept node is j + (j >= g), so one gather cuts every grounding's
-    factor out of the block's fractions and one scatter places the results.
-    Each grounding's unit lower factor I - N is inverted by its own LAPACK
-    triangular solve, on the operand that scipy's solve_triangular would pass
+    Row k holds the resistance from every node to grounds[k].  Each
+    grounding's factor comes out of the elimination in its ground-last order,
+    so its unit lower factor I - N is inverted as it stands, by its own LAPACK
+    triangular solve on the operand that scipy's solve_triangular would pass
     it; the diagonal of (I - N)^-T D^-1 (I - N)^-1 is then summed along the
     contiguous axis of the transposed inverse, which fixes the summation order.
+    One scatter through the order puts each result under its node's label.
     """
-    n = w.shape[0]
-    pivots, fractions = _eliminate(w, grounds, need_factor=True)
-    j = np.arange(n - 1)
-    keep = j + (j >= grounds[:, None])
-    block = np.arange(len(grounds))[:, None]
-    eye = np.eye(n - 1)
-    lower = eye - fractions[block[:, :, None], keep[:, :, None], keep[:, None, :]]
-    inv_t = np.empty_like(lower)
+    order, pivots, fractions = _eliminate(w, grounds, need_factor=True)
+    eye = np.eye(w.shape[0] - 1)
+    inv_t = np.empty_like(fractions)
     for k in range(len(grounds)):
-        inv, _ = _trtrs(lower[k].T, eye, lower=False, trans=1, unitdiag=1)
+        inv, _ = _trtrs((eye - fractions[k]).T, eye, lower=False, trans=1, unitdiag=1)
         inv_t[k] = inv.T
     with np.errstate(over="ignore", divide="ignore"):
         gdiag = (inv_t**2 / pivots[:, None, :]).sum(axis=2)
-    out = np.zeros((len(grounds), n))
-    out[block, keep] = gdiag
+    out = np.zeros(order.shape)
+    np.put_along_axis(out, order[:, :-1], gdiag, axis=1)
     return out
 
 
@@ -179,9 +156,10 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     """Appearance probability of every edge under P(T) ~ prod w_ij.
 
     M_kl = w_kl * R_kl with R the effective resistance.  Grounding node l and
-    eliminating the rest yields the column R[:, l]; the groundings run in
-    blocks of at most _BLOCK_ELEMENTS / n^2, each block one elimination in
-    lockstep, and reproduce a one-ground-at-a-time elimination bit for bit.
+    eliminating the other nodes in label order yields the column R[:, l]; the
+    groundings run in blocks of at most _BLOCK_ELEMENTS / n^2, each block one
+    elimination in lockstep with every ground moved last, and reproduce a
+    one-ground-at-a-time elimination in that order bit for bit.
     Every quantity is a sum or product of positives, which keeps the result
     accurate while the weights stay normal floats.  Raises
     DegenerateWeightsError when the positive-weight support is disconnected.

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import itertools
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -149,30 +150,29 @@ def identity_loglik(state, precision, cov, prior):
 # ----------------------------------------------------------------------
 
 def per_ground_eliminate(w, ground, need_factor):
-    """Star-mesh elimination of every node except `ground`, in label order.
+    """Star-mesh elimination of every node except `ground`: the other nodes in
+    label order, on a copy of w permuted to put `ground` last.
 
-    Returns (order, pivots, strictly-lower fractions N); raises
-    DegenerateWeightsError on a zero pivot.
+    Returns (order, pivots, strictly-lower fractions N), with order the
+    eliminated nodes; raises DegenerateWeightsError on a zero pivot.
     """
     n = w.shape[0]
     order = [i for i in range(n) if i != ground]
-    cur = w.copy()
+    perm = order + [ground]
+    cur = w[np.ix_(perm, perm)]
     m = len(order)
     pivots = np.empty(m)
     fractions = np.zeros((m, m)) if need_factor else None
     for s, v in enumerate(order):
-        row = cur[v].copy()
+        row = cur[s, s + 1 :].copy()
         d = float(row.sum())
         if d <= 0.0:
             raise DegenerateWeightsError(f"node {v} lost all incident weight")
         pivots[s] = d
         ratio = row / d
-        if need_factor and s + 1 < m:
-            fractions[s + 1 :, s] = ratio[order[s + 1 :]]
-        cur += np.outer(row, ratio)
-        cur[v, :] = 0.0
-        cur[:, v] = 0.0
-        np.fill_diagonal(cur, 0.0)
+        if need_factor:
+            fractions[s + 1 :, s] = ratio[:-1]
+        cur[s + 1 :, s + 1 :] += np.outer(row, ratio)
     return order, pivots, fractions
 
 
@@ -181,7 +181,7 @@ def per_ground_resistance(w, ground):
     n = w.shape[0]
     order, pivots, fractions = per_ground_eliminate(w, ground, need_factor=True)
     m = len(order)
-    lower = np.eye(m) - np.tril(fractions, k=-1)
+    lower = np.eye(m) - fractions
     inv = solve_triangular(lower, np.eye(m), lower=True, unit_diagonal=True)
     with np.errstate(over="ignore", divide="ignore"):
         gdiag = (inv**2 / pivots[:, None]).sum(axis=0)
@@ -202,6 +202,15 @@ def per_ground_edge_marginals(w):
     marg[ws == 0.0] = 0.0
     np.fill_diagonal(marg, 0.0)
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
+
+
+def strict_json_loads(text):
+    """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def duplicated_column_data(rng, n=30, p=10):

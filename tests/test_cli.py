@@ -10,7 +10,7 @@ import pytest
 import treeagg
 from treeagg.cli import main
 
-from conftest import duplicated_column_data
+from conftest import duplicated_column_data, strict_json_loads
 
 
 def run_cli(*args):
@@ -186,6 +186,19 @@ class TestFit:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("args", [["fit", "--r", 1], ["select", "--r", 2]])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_units_are_data_error(self, tmp_path, capsys, rng, args, scale):
+        # the covariance underflows to zero or overflows to inf
+        csv = tmp_path / "units.csv"
+        csv.write_text(
+            "a,b,c,d\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in (scale * rng.normal(size=(6, 4))).tolist())
+        )
+        assert run_cli(args[0], csv, "--out", tmp_path / "x", *args[1:]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_fewer_samples_than_variables(self, tmp_path, rng):
         # every 2 x 2 block, and so every tree MLE, exists from n = 2 on; at
         # n = 2 every |correlation| is 1, so n = 4 here
@@ -227,6 +240,13 @@ class TestSelect:
         payload = json.loads((out / "selection.json").read_text())
         assert all("variables 0 and 3" in row["error"] for row in payload["rows"])
         assert set(payload["selected"].values()) == {None}
+
+    def test_failed_rows_are_strict_json(self, duplicated_csv, tmp_path):
+        out = tmp_path / "seldup"
+        with pytest.warns(UserWarning, match="failed"):
+            assert run_cli("select", duplicated_csv, "--out", out, "--r", 2) == 0
+        payload = strict_json_loads((out / "selection.json").read_text())
+        assert {row["loglik"] for row in payload["rows"]} == {None}
 
     def test_outputs_and_master_seed(self, suite_dir, tmp_path):
         out = tmp_path / "sel"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from treeagg.errors import PerfectCorrelationError, TreeAggError
 from treeagg.matrices import EmpiricalCovariance
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
-from conftest import duplicated_column_data, random_spd
+from conftest import duplicated_column_data, random_spd, strict_json_loads
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +76,33 @@ class TestSelect:
         _, cov = report_and_cov
         real_fit = em.fit
 
-        def flaky(cov_arg, r, prior=None, opts=None):
+        def flaky(cov_arg, r, opts=None):
             if r == 1:
                 raise TreeAggError("synthetic failure")
-            return real_fit(cov_arg, r, prior, opts)
+            return real_fit(cov_arg, r, opts)
 
         monkeypatch.setattr(selection.em, "fit", flaky)
         with pytest.warns(UserWarning, match="r=1 failed"):
             report = selection.select(cov, r_max=1, master_seed=2)
         assert report.rows[1].error == "synthetic failure"
         assert report.selected["bic"] == 0
+
+    def test_failed_row_is_strict_json(self, report_and_cov, monkeypatch):
+        _, cov = report_and_cov
+        real_fit = em.fit
+
+        def failing_r1(cov_arg, r, opts=None):
+            if r == 1:
+                raise TreeAggError("synthetic failure")
+            return real_fit(cov_arg, r, opts)
+
+        monkeypatch.setattr(selection.em, "fit", failing_r1)
+        with pytest.warns(UserWarning, match="r=1 failed"):
+            report = selection.select(cov, r_max=1)
+        ok, failed = strict_json_loads(json.dumps(report.to_json_dict()))["rows"]
+        assert ok["loglik"] == report.rows[0].loglik
+        assert failed["error"] == "synthetic failure"
+        assert {failed[key] for key in ("loglik", "pen", "bic", "h_tree")} == {None}
 
     def test_perfect_correlation_fails_every_row(self, rng):
         data = duplicated_column_data(rng)

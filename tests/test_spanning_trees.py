@@ -14,6 +14,7 @@ from treeagg.spanning_trees import (
 )
 
 from conftest import (
+    brute_log_partition,
     brute_posterior_marginals,
     is_spanning_tree,
     per_ground_edge_marginals,
@@ -224,6 +225,20 @@ class TestBlockKernel:
         assert (w == 1e-300).any()
         assert np.array_equal(edge_marginals(w), per_ground_edge_marginals(w))
         assert log_partition_function(w) == per_ground_log_partition(w)
+
+    @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
+    @pytest.mark.parametrize("size", [5, 6, 7, 8])
+    def test_floored_weights_match_enumeration(self, size, span):
+        # The per-ground oracle shares the kernel's elimination order; this
+        # guard shares nothing with it.
+        w = estep_weights(np.random.default_rng(size), size, span)
+        assert (w == 1e-300).any()
+        np.testing.assert_allclose(
+            edge_marginals(w), brute_posterior_marginals(log_brute(w)), rtol=1e-9, atol=0.0
+        )
+        assert log_partition_function(w) == pytest.approx(
+            brute_log_partition(log_brute(w)), rel=1e-12
+        )
 
     def test_peak_memory_bounded(self, rng):
         w = random_weight_matrix(rng, 80)
