@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -177,6 +176,9 @@ def cmd_simulate(args) -> int:
         for i in range(config["replicates"])
     ]
     if args.workers > 1:
+        # Imported here: the process pool costs every other run its import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_simulate_one, jobs))
     else:
@@ -397,6 +399,9 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(data_dir), str(args.fits), str(out_dir), config, rep) for rep in rep_ids]
     if args.workers > 1:
+        # Imported here: the process pool costs every other run its import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_eval_one, jobs))
     else:

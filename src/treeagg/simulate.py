@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
 from .graphs import Graph, random_tree_edges
@@ -145,7 +144,7 @@ def sample_and_marginalize(
         raise NotPositiveDefiniteError("precision is not positive definite") from exc
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, precision.size))
-    full = solve_triangular(chol.T, z.T, lower=False).T
+    full = np.linalg.solve(chol.T, z.T).T
     return full, full[:, : precision.n_observed].copy()
 
 

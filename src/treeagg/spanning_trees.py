@@ -14,9 +14,11 @@ full relative accuracy while every weight is a normal float (a dynamic range
 of about 708 nats).  Resistances come from the same elimination: grounding a
 node l and eliminating the rest yields a unit lower factor with nonpositive
 off-diagonal, whose inverse is nonnegative, so R_kl = (L^-T D^-1 L^-1)_kk is
-again a sum of positives.  The n groundings of the all-pairs resistances run
-in blocks, each block one elimination in lockstep on a (b, n, n) array, so a
-block costs n - 1 Python steps; the block size comes from a fixed element
+again a sum of positives; forward substitution builds that inverse from
+products of nonnegative numbers, so it stays subtraction-free.  The n
+groundings of the all-pairs resistances run in blocks, each block one
+elimination and one forward substitution in lockstep on a (b, n, n) array, so
+a block costs 2n - 3 Python steps; the block size comes from a fixed element
 budget.  Each grounding eliminates a copy of W permuted to the other nodes in
 label order, then its ground, so step s removes position s under every ground
 and the factor comes out in place; the blocks match a one-grounding-at-a-time
@@ -28,7 +30,6 @@ rescales a prior to a target edge marginal.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 
@@ -39,8 +40,6 @@ _BLOCK_ELEMENTS = 1 << 15
 # Marginal tolerance and iteration budget of calibrate_prior.
 CALIBRATION_TOL = 1e-6
 CALIBRATION_MAX_ITER = 200
-
-_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -133,20 +132,19 @@ def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
 
     Row k holds the resistance from every node to grounds[k].  Each
     grounding's factor comes out of the elimination in its ground-last order,
-    so its unit lower factor I - N is inverted as it stands, by its own LAPACK
-    triangular solve on the operand that scipy's solve_triangular would pass
-    it; the diagonal of (I - N)^-T D^-1 (I - N)^-1 is then summed along the
-    contiguous axis of the transposed inverse, which fixes the summation order.
-    One scatter through the order puts each result under its node's label.
+    so the inverse of its unit lower factor I - N is built as it stands, by
+    forward substitution on the whole block at once: row i of the inverse is
+    N[i, :i] times the rows above it, a sum of products of nonnegative
+    numbers.  The diagonal of (I - N)^-T D^-1 (I - N)^-1 is then summed over
+    the rows of the inverse, one row after another.  One scatter through the
+    order puts each result under its node's label.
     """
     order, pivots, fractions = _eliminate(w, grounds, need_factor=True)
-    eye = np.eye(w.shape[0] - 1)
-    inv_t = np.empty_like(fractions)
-    for k in range(len(grounds)):
-        inv, _ = _trtrs((eye - fractions[k]).T, eye, lower=False, trans=1, unitdiag=1)
-        inv_t[k] = inv.T
+    inv = np.tile(np.eye(w.shape[0] - 1), (len(grounds), 1, 1))
+    for i in range(1, w.shape[0] - 1):
+        inv[:, i : i + 1, :i] = fractions[:, i : i + 1, :i] @ inv[:, :i, :i]
     with np.errstate(over="ignore", divide="ignore"):
-        gdiag = (inv_t**2 / pivots[:, None, :]).sum(axis=2)
+        gdiag = (inv**2 / pivots[:, :, None]).sum(axis=1)
     out = np.zeros(order.shape)
     np.put_along_axis(out, order[:, :-1], gdiag, axis=1)
     return out

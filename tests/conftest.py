@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from treeagg.em import LOG_2PI, _completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
@@ -181,8 +180,9 @@ def per_ground_resistance(w, ground):
     n = w.shape[0]
     order, pivots, fractions = per_ground_eliminate(w, ground, need_factor=True)
     m = len(order)
-    lower = np.eye(m) - fractions
-    inv = solve_triangular(lower, np.eye(m), lower=True, unit_diagonal=True)
+    inv = np.eye(m)
+    for i in range(1, m):
+        inv[i : i + 1, :i] = fractions[i : i + 1, :i] @ inv[:i, :i]
     with np.errstate(over="ignore", divide="ignore"):
         gdiag = (inv**2 / pivots[:, None]).sum(axis=0)
     out = np.zeros(n)

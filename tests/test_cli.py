@@ -65,7 +65,7 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "erdos", "p": 6, "r": 0, "p_edge": 0.3, "n": 15, "replicates": 3, "seed": 2}))
         serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert run_cli("simulate", "--config", cfg, "--out", serial) == 0
+        assert run_cli("simulate", "--config", cfg, "--out", serial, "--workers", 1) == 0
         assert run_cli("simulate", "--config", cfg, "--out", parallel, "--workers", 2) == 0
         assert read_tree(serial) == read_tree(parallel)
 
@@ -334,19 +334,49 @@ class TestEval:
             assert run_cli("eval", "--data", suite_dir, "--fits", fits_dir, "--out", out) == 0
         assert read_tree(out1) == read_tree(out2)
 
+    def test_workers_match_serial(self, suite_dir, fits_dir, tmp_path):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        for out, workers in ((serial, 1), (parallel, 2)):
+            assert run_cli(
+                "eval", "--data", suite_dir, "--fits", fits_dir, "--out", out, "--workers", workers
+            ) == 0
+        assert read_tree(serial) == read_tree(parallel)
+
+
+def child_env():
+    """Environment in which a child process imports the same treeagg as this
+    one, also when the tests find it through pytest's pythonpath setting only."""
+    src = str(Path(treeagg.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same treeagg as this process, also when the
-        # tests find it through pytest's pythonpath setting only
-        src = str(Path(treeagg.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "treeagg.cli", "simulate", "--out", str(tmp_path / "o"),
              "--seed", "1", "--config", "/dev/null"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 2  # /dev/null is not valid JSON -> config error
+
+    def test_startup_imports_numpy_only(self):
+        # Every CLI process pays for what the package imports at start-up:
+        # beyond the standard library only numpy, and not the process pool,
+        # which only --workers > 1 needs.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import treeagg, treeagg.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n"
+            "print(sorted(new & {'concurrent', 'multiprocessing'}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["['numpy', 'treeagg']", "[]"]
 
     def test_help_runs(self):
         with pytest.raises(SystemExit) as exc:

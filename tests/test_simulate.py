@@ -126,6 +126,16 @@ class TestSampling:
         emp = full.T @ full / full.shape[0]
         np.testing.assert_allclose(emp, target, atol=1e-2)
 
+    @pytest.mark.parametrize("size, r, seed", [(6, 0, 1), (21, 1, 0), (40, 2, 3)])
+    def test_draw_maps_back_to_standard_normal(self, size, r, seed):
+        # full = z chol^-1 with K = chol chol^T, so full @ chol gives back
+        # the standard-normal draw of the same generator
+        truth = make_ground_truth("tree", size=size, r=r, epsilon=1.0, seed=seed)
+        full, _ = sample_and_marginalize(truth.precision, 50, 7)
+        z = np.random.default_rng(7).standard_normal((50, size))
+        chol = np.linalg.cholesky(truth.precision.matrix)
+        np.testing.assert_allclose(full @ chol, z, rtol=1e-12, atol=1e-12 * np.abs(z).max())
+
     def test_seed_determinism(self):
         truth = make_ground_truth("tree", size=8, r=0, epsilon=1.0, seed=2)
         a, _ = sample_and_marginalize(truth.precision, 10, 99)
