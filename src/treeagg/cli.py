@@ -98,6 +98,17 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _map(func, jobs: list, workers: int) -> list:
+    """[func(job) for job in jobs], over a process pool when workers > 1."""
+    if workers <= 1:
+        return [func(job) for job in jobs]
+    # Imported here: the process pool costs every other run its import.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, jobs))
+
+
 def _resolve(config: dict, args, keys: dict) -> dict:
     """Merge config-file values, CLI overrides and defaults; reject unknown keys."""
     unknown = set(config) - set(keys)
@@ -175,15 +186,7 @@ def cmd_simulate(args) -> int:
         (str(out_dir), config, _replicate_id(i), seeds[i])
         for i in range(config["replicates"])
     ]
-    if args.workers > 1:
-        # Imported here: the process pool costs every other run its import.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_simulate_one, jobs))
-    else:
-        results = [_simulate_one(job) for job in jobs]
-    results.sort()
+    results = sorted(_map(_simulate_one, jobs, args.workers))
     manifest = {
         "command": "simulate",
         "config": config,
@@ -368,7 +371,7 @@ def _eval_one(payload: tuple) -> dict:
             zip(curve.thresholds, curve.fpr, curve.power),
         )
         result["auc"][target] = curve.auc
-        result["curves"][target] = (curve.fpr.tolist(), curve.power.tolist())
+        result["curves"][target] = curve
     scores_marginal = evaluate.score_edges(fit, "marginal", two_hop=config["two_hop"])
     try:
         sp = evaluate.spurious_curve(scores_marginal, truth)
@@ -377,7 +380,7 @@ def _eval_one(payload: tuple) -> dict:
             ["threshold", "density", "spurious_fraction"],
             zip(sp.thresholds, sp.density, sp.spurious_fraction),
         )
-        result["curves"]["spurious"] = (sp.density.tolist(), sp.spurious_fraction.tolist())
+        result["curves"]["spurious"] = sp
     except DegenerateCurveError:
         result["notes"].append(f"{rep_id}: no spurious edges, curve omitted")
     return result
@@ -398,15 +401,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(data_dir), str(args.fits), str(out_dir), config, rep) for rep in rep_ids]
-    if args.workers > 1:
-        # Imported here: the process pool costs every other run its import.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_eval_one, jobs))
-    else:
-        results = [_eval_one(job) for job in jobs]
-    results.sort(key=lambda item: item["id"])
+    results = sorted(_map(_eval_one, jobs, args.workers), key=lambda item: item["id"])
 
     agg_dir = out_dir / "aggregate"
     agg_dir.mkdir(exist_ok=True)
@@ -427,13 +422,7 @@ def cmd_eval(args) -> int:
             "mean": float(values.mean()),
             "sd": float(values.std()),
         }
-        curves = [
-            SimpleNamespace(
-                fpr=np.array(item["curves"][target][0]),
-                power=np.array(item["curves"][target][1]),
-            )
-            for item in results
-        ]
+        curves = [item["curves"][target] for item in results]
         grid, mean, sd = evaluate.mean_roc(curves, grid_size)
         _write_csv(
             agg_dir / f"roc_{target}_mean.csv",
@@ -441,12 +430,7 @@ def cmd_eval(args) -> int:
             zip(grid, mean, sd),
         )
     spurious_curves = [
-        SimpleNamespace(
-            density=np.array(item["curves"]["spurious"][0]),
-            spurious_fraction=np.array(item["curves"]["spurious"][1]),
-        )
-        for item in results
-        if "spurious" in item["curves"]
+        item["curves"]["spurious"] for item in results if "spurious" in item["curves"]
     ]
     if spurious_curves:
         grid, mean, sd = evaluate.mean_spurious(spurious_curves, grid_size)

@@ -38,25 +38,13 @@ from .matrices import (
     symmetrize,
 )
 from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
-from .tree_gaussian import log_marginal_tree_weight, require_imperfect_correlation
+from .tree_gaussian import (
+    log_marginal_tree_weight,
+    require_imperfect_correlation,
+    uniform_prior,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def uniform_prior(n_observed: int, n_hidden: int = 0) -> np.ndarray:
-    """Uniform edge prior with hidden-hidden pairs excluded (identifiability)."""
-    size = n_observed + n_hidden
-    prior = np.ones((size, size))
-    np.fill_diagonal(prior, 0.0)
-    prior[n_observed:, n_observed:] = 0.0
-    return prior
-
-
-def _mask_hidden_pairs(prior: np.ndarray, n_observed: int) -> np.ndarray:
-    prior = np.asarray(prior, dtype=float).copy()
-    prior[n_observed:, n_observed:] = 0.0
-    np.fill_diagonal(prior, 0.0)
-    return prior
 
 
 def conditional_moments(
@@ -77,13 +65,15 @@ def conditional_moments(
     return w_ho, v_h, b_h
 
 
-def _completed_moments(
+def completed_moments(
     sigma: np.ndarray, w_ho: np.ndarray, b_h: np.ndarray
 ) -> np.ndarray:
     """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]].
 
-    The M-step and `fixed_tree` read the whole matrix; `observed_loglik` reads
-    only W_HO and the diagonal of B_H, from the E-step state.
+    Exactly symmetric when S and B_H are, and a copy of S without hidden
+    nodes.  The M-step and `fixed_tree` read the whole matrix;
+    `observed_loglik` reads only W_HO and the diagonal of B_H, from the
+    E-step state.
     """
     p, r = sigma.shape[0], b_h.shape[0]
     completed = np.empty((p + r, p + r))
@@ -151,7 +141,9 @@ class _FitPrior:
 
     @classmethod
     def masked(cls, prior: np.ndarray, n_observed: int) -> "_FitPrior":
-        weights = _mask_hidden_pairs(prior, n_observed)
+        prior = np.asarray(prior, dtype=float)
+        allowed = uniform_prior(n_observed, prior.shape[0] - n_observed) > 0
+        weights = np.where(allowed, prior, 0.0)
         return cls(weights, log_partition_function(weights))
 
 
@@ -325,7 +317,7 @@ def m_step(
 
     if np.any(np.diag(state.b_h) <= 0.0):
         raise InvalidMomentError("conditional second moment B_ii must be positive")
-    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
+    completed = completed_moments(cov.matrix, state.w_ho, state.b_h)
     new_k = _closed_form_offdiagonal(completed, kd)
     new_k[p:, p:] = 0.0
     np.fill_diagonal(new_k, 0.0)
@@ -334,8 +326,7 @@ def m_step(
     diag = _solve_diagonal(k_prev.matrix, state.alpha, np.diag(completed))
     new_k[np.diag_indices(p + r)] = diag
 
-    floored, _ = floor_spectrum(new_k, p)
-    return PartitionedPrecision(floored, p, r)
+    return PartitionedPrecision(floor_spectrum(new_k, p), p, r)
 
 
 @dataclass(frozen=True)

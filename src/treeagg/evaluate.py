@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DegenerateCurveError, DegenerateRocError
 from .graphs import Graph
 from .simulate import GroundTruth
+from .tree_gaussian import uniform_prior
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,12 @@ class SpuriousCurve:
     spurious_fraction: np.ndarray
 
 
-def _pair_mask(size: int, exclude_from: int | None = None) -> np.ndarray:
-    """Upper-triangle pair mask; optionally drops pairs with both ends >= exclude_from."""
-    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
-    if exclude_from is not None:
-        mask[exclude_from:, exclude_from:] = False
-    return mask
+def _tie_groups(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending stable order of s and the last sorted index of each tie group."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    last = np.nonzero(np.diff(s_sorted, append=-np.inf) != 0.0)[0]
+    return order, last
 
 
 def roc(
@@ -41,11 +42,13 @@ def roc(
     """Threshold sweep over distinct score values with trapezoidal AUC.
 
     Hidden-hidden pairs can be excluded: they are structural zeros under the
-    identifiability assumption, not inferred quantities.
+    identifiability assumption, not inferred quantities.  The pairs scored
+    are the upper triangle of `uniform_prior`'s support.
     """
     scores = np.asarray(scores, dtype=float)
     size = truth.n_nodes
-    mask = _pair_mask(size, exclude_hidden_from)
+    n_observed = size if exclude_hidden_from is None else exclude_hidden_from
+    mask = np.triu(uniform_prior(n_observed, size - n_observed) > 0)
     y = truth.adjacency()[mask]
     s = scores[mask]
     n_pos = int(y.sum())
@@ -53,13 +56,11 @@ def roc(
     if n_pos == 0 or n_neg == 0:
         raise DegenerateRocError("truth has no positives or no negatives")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
+    order, last = _tie_groups(s)
+    y_sorted = y[order]
     tp = np.cumsum(y_sorted)
     fp = np.cumsum(~y_sorted)
-    # keep the last index of each tie group
-    last = np.nonzero(np.diff(s_sorted, append=-np.inf) != 0.0)[0]
-    thresholds = np.concatenate([[np.inf], s_sorted[last]])
+    thresholds = np.concatenate([[np.inf], s[order[last]]])
     power = np.concatenate([[0.0], tp[last] / n_pos])
     fpr = np.concatenate([[0.0], fp[last] / n_neg])
     return RocCurve(thresholds, fpr, power, float(np.trapezoid(power, fpr)))
@@ -153,19 +154,17 @@ def spurious_curve(scores: np.ndarray, truth: GroundTruth) -> SpuriousCurve:
         raise DegenerateCurveError("no spurious edges: curve undefined")
     p = truth.n_observed
     scores = np.asarray(scores, dtype=float)
-    mask = _pair_mask(p)
+    mask = np.triu(uniform_prior(p) > 0)
     pairs = np.argwhere(mask)
     s = scores[mask]
     is_spurious = np.array([(i, j) in spurious for i, j in map(tuple, pairs)])
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
+    order, last = _tie_groups(s)
     included = np.cumsum(is_spurious[order])
-    count = np.arange(1, len(s_sorted) + 1)
-    last = np.nonzero(np.diff(s_sorted, append=-np.inf) != 0.0)[0]
+    count = np.arange(1, len(s) + 1)
     n_pairs = p * (p - 1) / 2
     return SpuriousCurve(
-        thresholds=s_sorted[last],
+        thresholds=s[order[last]],
         density=count[last] / n_pairs,
         spurious_fraction=included[last] / total,
     )

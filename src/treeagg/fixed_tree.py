@@ -1,29 +1,21 @@
 """Baseline EM searching for a single fixed unknown tree.
 
-Classification-EM flavor: the E-step completes the covariance over observed
-and hidden variables from the current precision's conditional moments, the
-M-step is Chow-Liu plus the tree MLE on the completed covariance.
+Classification-EM flavor: the E-step completes the second moments over
+observed and hidden variables with EM's `completed_moments`, and the M-step
+is the initializer's `tree_mle` of the completion: its maximum-information
+spanning tree without hidden-hidden edges and the tree MLE on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, _completed_moments, conditional_moments
-from .initialization import initial_precision_from_cov, _regularize_cov
-from .matrices import EmpiricalCovariance, PartitionedPrecision, symmetrize
-from .tree_gaussian import (
-    chow_liu,
-    gaussian_mutual_information,
-    maximum_spanning_tree,
-    require_imperfect_correlation,
-    tree_precision_from_cov,
-)
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .em import LOG_2PI, FitOptions, completed_moments, conditional_moments
+from .initialization import initial_precision_from_cov, tree_mle
+from .matrices import EmpiricalCovariance, PartitionedPrecision
+from .tree_gaussian import require_imperfect_correlation
 
 
 @dataclass(frozen=True)
@@ -65,25 +57,16 @@ def gaussian_observed_loglik(
     )
 
 
-def completed_covariance(
-    precision: PartitionedPrecision, cov: EmpiricalCovariance
-) -> np.ndarray:
-    """Expected covariance over observed + hidden given the observed data."""
-    if precision.n_hidden == 0:
-        return cov.matrix.copy()
-    w_ho, _, b_h = conditional_moments(precision, cov.matrix)
-    return symmetrize(_completed_moments(cov.matrix, w_ho, b_h))
-
-
 def fit_fixed_tree(
     cov: EmpiricalCovariance, n_hidden: int, opts: FitOptions | None = None
 ) -> FixedTreeFit:
-    """Alternate covariance completion and Chow-Liu until the tree stabilizes.
+    """Alternate moment completion and the tree MLE until the tree stabilizes.
 
     Hidden-hidden edges are excluded from the tree search (identifiability).
     Classification EM can cycle with period > 1, so a likelihood tolerance
     backs up the tree fixed-point test.  Without hidden nodes there is nothing
-    to complete: the fit is the Chow-Liu tree of the regularized covariance.
+    to complete: the fit is the tree MLE, on the Chow-Liu tree, of the
+    regularized covariance.
     Two perfectly correlated observed variables raise PerfectCorrelationError
     before the covariance is regularized.
     """
@@ -91,9 +74,8 @@ def fit_fixed_tree(
     require_imperfect_correlation(cov)
     p = cov.size
     if n_hidden == 0:
-        sigma = _regularize_cov(cov.matrix)
-        tree = chow_liu(sigma)
-        k = PartitionedPrecision(tree_precision_from_cov(tree, sigma), p, 0)
+        tree, kmat = tree_mle(cov.matrix, p)
+        k = PartitionedPrecision(kmat, p, 0)
         trace = (gaussian_observed_loglik(k, cov),) if opts.max_iter else ()
         return FixedTreeFit(tree, k, trace, len(trace), bool(trace))
 
@@ -103,17 +85,13 @@ def fit_fixed_tree(
     if opts.max_iter == 0:
         return FixedTreeFit(tree, k, (), 0, False)
 
-    size = p + n_hidden
-    forbidden = np.zeros((size, size), dtype=bool)
-    forbidden[p:, p:] = True
-
     trace: list[float] = []
     converged = False
     prev_tree = None
     for _ in range(opts.max_iter):
-        completed = _regularize_cov(completed_covariance(k, cov))
-        tree = maximum_spanning_tree(gaussian_mutual_information(completed), forbidden)
-        k = PartitionedPrecision(tree_precision_from_cov(tree, completed), p, n_hidden)
+        w_ho, _, b_h = conditional_moments(k, cov.matrix)
+        tree, kmat = tree_mle(completed_moments(cov.matrix, w_ho, b_h), p)
+        k = PartitionedPrecision(kmat, p, n_hidden)
         trace.append(gaussian_observed_loglik(k, cov))
         if prev_tree is not None and tree == prev_tree:
             converged = True

@@ -1,10 +1,12 @@
-"""EM starting point: principal-component hidden nodes and a spanning tree.
+"""EM starting point and the tree MLE it shares with the fixed-tree baseline.
 
-Hidden node k starts as the unit-variance score of the k-th leading
-principal component of the regularized covariance, so its covariances with
-the observed nodes and with the other hidden nodes follow from the covariance
-alone.  The starting precision is the tree MLE on the completed covariance,
-over its maximum-information spanning tree without hidden-hidden edges.
+`tree_mle` regularizes a covariance over observed plus hidden variables and
+returns its maximum-information spanning tree, hidden-hidden pairs excluded,
+with the tree-structured precision matching it on that tree.  The EM start
+applies it to a completion from the covariance alone: hidden node k is the
+unit-variance score of the k-th leading principal component of the
+regularized covariance, so its covariances with the observed nodes and with
+the other hidden nodes follow from the covariance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import EmpiricalCovariance, PartitionedPrecision, floor_spectrum, symmetrize
-from .tree_gaussian import maximum_spanning_tree, gaussian_mutual_information, tree_precision_from_cov
+from .tree_gaussian import (
+    gaussian_mutual_information,
+    maximum_spanning_tree,
+    tree_precision_from_cov,
+    uniform_prior,
+)
 
 
 def _regularize_cov(sigma: np.ndarray, max_rho: float = 1.0 - 1e-6) -> np.ndarray:
@@ -66,6 +73,21 @@ def _completed_covariance(sigma: np.ndarray, n_hidden: int) -> np.ndarray:
     return symmetrize(completed)
 
 
+def tree_mle(
+    sigma: np.ndarray, n_observed: int
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Tree and precision of the Gaussian tree MLE of a regularized sigma.
+
+    The first n_observed variables are observed, the rest hidden; the tree is
+    the maximum-information spanning tree over the pairs `uniform_prior`
+    allows, so the precision's hidden block is diagonal.
+    """
+    reg = _regularize_cov(sigma)
+    forbidden = uniform_prior(n_observed, reg.shape[0] - n_observed) == 0
+    tree = maximum_spanning_tree(gaussian_mutual_information(reg), forbidden)
+    return tree, tree_precision_from_cov(tree, reg)
+
+
 @dataclass(frozen=True)
 class InitialState:
     precision: PartitionedPrecision
@@ -75,16 +97,10 @@ class InitialState:
 def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
     """Starting precision for the EM, computed from the covariance alone.
 
-    The tree is the maximum-information spanning tree of the completed
-    covariance without hidden-hidden edges, so the tree MLE's hidden block is
-    diagonal; the precision is that MLE floored to the positive-definite cone.
+    The tree MLE of the principal-component completion, floored to the
+    positive-definite cone.
     """
-    sigma = _regularize_cov(cov.matrix)
     p = cov.size
-    size = p + n_hidden
-    forbidden = np.zeros((size, size), dtype=bool)
-    forbidden[p:, p:] = True
-    reg = _regularize_cov(_completed_covariance(sigma, n_hidden))
-    tree = maximum_spanning_tree(gaussian_mutual_information(reg), forbidden)
-    k, _ = floor_spectrum(tree_precision_from_cov(tree, reg), p)
-    return InitialState(PartitionedPrecision(k, p, n_hidden), tree)
+    completed = _completed_covariance(_regularize_cov(cov.matrix), n_hidden)
+    tree, k = tree_mle(completed, p)
+    return InitialState(PartitionedPrecision(floor_spectrum(k, p), p, n_hidden), tree)

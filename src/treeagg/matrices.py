@@ -137,7 +137,7 @@ class PartitionedPrecision:
 EIG_FLOOR = 1e-6
 
 
-def floor_spectrum(matrix: np.ndarray, n_observed: int) -> tuple[np.ndarray, bool]:
+def floor_spectrum(matrix: np.ndarray, n_observed: int) -> np.ndarray:
     """PD projection that keeps the hidden block strictly diagonal.
 
     Re-zeroing the hidden off-diagonal after clipping can push an eigenvalue
@@ -145,20 +145,18 @@ def floor_spectrum(matrix: np.ndarray, n_observed: int) -> tuple[np.ndarray, boo
     final fallback.
     """
     m = symmetrize(np.asarray(matrix, dtype=float))
-    projected = False
     for _ in range(6):
         evals = np.linalg.eigvalsh(m)
         lmax = max(evals[-1], np.finfo(float).tiny)
         floor = EIG_FLOOR * lmax
         if evals[0] >= floor:
-            return m, projected
+            return m
         w, v = np.linalg.eigh(m)
         m = symmetrize((v * np.maximum(w, floor)) @ v.T)
         hidden = m[n_observed:, n_observed:]
         m[n_observed:, n_observed:] = np.diag(np.diag(hidden))
-        projected = True
     evals = np.linalg.eigvalsh(m)
     floor = EIG_FLOOR * max(evals[-1], np.finfo(float).tiny)
     if evals[0] < floor:
         m = m + (floor - evals[0]) * np.eye(m.shape[0])
-    return symmetrize(m), True
+    return symmetrize(m)

@@ -158,16 +158,11 @@ def marginal_precision(precision: PartitionedPrecision) -> np.ndarray:
     )
 
 
-def marginal_graph(
-    graph: Graph, hidden, precision: PartitionedPrecision, atol: float = ZERO_PATTERN_TOL
-) -> Graph:
-    """Conditional-independence graph of the observed block after marginalizing."""
-    k_m = marginal_precision(precision)
-    p = precision.n_observed
-    edges = [
-        (i, j) for i in range(p) for j in range(i + 1, p) if abs(k_m[i, j]) > atol
-    ]
-    return Graph(p, tuple(edges))
+def marginal_graph(k_m: np.ndarray) -> Graph:
+    """Conditional-independence graph of the observed block, from `marginal_precision`."""
+    p = k_m.shape[0]
+    pairs = itertools.combinations(range(p), 2)
+    return Graph(p, tuple((i, j) for i, j in pairs if abs(k_m[i, j]) > ZERO_PATTERN_TOL))
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ def make_ground_truth(
         hidden=tuple(range(p, size)),
         precision=precision,
         marginal_precision_matrix=k_m,
-        marginal=marginal_graph(graph, tuple(range(p, size)), precision),
+        marginal=marginal_graph(k_m),
         snr=snr,
         diag_adjust=diag_adjust,
     )

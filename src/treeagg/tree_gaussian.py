@@ -51,6 +51,18 @@ def require_imperfect_correlation(cov) -> np.ndarray:
     return rho
 
 
+def uniform_prior(n_observed: int, n_hidden: int = 0) -> np.ndarray:
+    """Uniform edge prior with hidden-hidden pairs excluded (identifiability).
+
+    Its support is the set of pairs a tree may join, for every fit and score.
+    """
+    size = n_observed + n_hidden
+    prior = np.ones((size, size))
+    np.fill_diagonal(prior, 0.0)
+    prior[n_observed:, n_observed:] = 0.0
+    return prior
+
+
 def gaussian_mutual_information(cov) -> np.ndarray:
     """Pairwise Gaussian mutual information -log(1 - rho^2)/2.
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from treeagg.em import LOG_2PI, _completed_moments, tree_entropy
+from treeagg.em import LOG_2PI, completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind, prufer_to_edges
 from treeagg.matrices import PartitionedPrecision
@@ -120,7 +120,7 @@ def expected_complete_loglik(state, precision, cov, prior):
         - state.log_z_prior
     )
     # Hidden-hidden pairs have zero alpha, so their moments drop out.
-    completed = _completed_moments(cov.matrix, state.w_ho, state.b_h)
+    completed = completed_moments(cov.matrix, state.w_ho, state.b_h)
     trace_edges = 2.0 * float((alpha * kmat[iu] * completed[iu]).sum())
     trace_nodes = float(kd @ np.diag(completed))
     return (
@@ -252,6 +252,7 @@ def figure_ground_truth(epsilon=1.0, seed=7):
     base = PartitionedPrecision(k, 9, 1)
     precision, snr, adjust = scale_and_snr(base, epsilon)
     hidden = (9,)
+    k_m = marginal_precision(precision)
     return GroundTruth(
         kind="tree",
         epsilon=epsilon,
@@ -259,8 +260,8 @@ def figure_ground_truth(epsilon=1.0, seed=7):
         graph=graph,
         hidden=hidden,
         precision=precision,
-        marginal_precision_matrix=marginal_precision(precision),
-        marginal=marginal_graph(graph, hidden, precision),
+        marginal_precision_matrix=k_m,
+        marginal=marginal_graph(k_m),
         snr=snr,
         diag_adjust=adjust,
     )

@@ -89,11 +89,12 @@ class TestSpurious:
         for i, j in g.edges:
             k[i, j] = k[j, i] = 1.0
         prec = PartitionedPrecision(k, 4, 1)
+        k_m = marginal_precision(prec)
         truth = GroundTruth(
             kind="tree", epsilon=1.0, seed=0, graph=g, hidden=(4,),
             precision=prec,
-            marginal_precision_matrix=marginal_precision(prec),
-            marginal=marginal_graph(g, (4,), prec),
+            marginal_precision_matrix=k_m,
+            marginal=marginal_graph(k_m),
             snr=0.0, diag_adjust=0.0,
         )
         spurious = set(spurious_edges(truth))

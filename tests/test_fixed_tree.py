@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from treeagg import fixed_tree
-from treeagg.em import FitOptions
+from treeagg.em import FitOptions, completed_moments, conditional_moments
 from treeagg.errors import PerfectCorrelationError
-from treeagg.fixed_tree import completed_covariance, fit_fixed_tree, gaussian_observed_loglik
+from treeagg.fixed_tree import fit_fixed_tree, gaussian_observed_loglik
 from treeagg.initialization import _regularize_cov
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import sample_and_marginalize, sample_seed
@@ -98,7 +98,8 @@ class TestFixedTree:
         k = random_spd(rng, 5) * 2.0
         k[4, 4] = 2.0
         prec = PartitionedPrecision(k, 4, 1)
-        completed = completed_covariance(prec, cov)
+        w_ho, _, b_h = conditional_moments(prec, cov.matrix)
+        completed = completed_moments(cov.matrix, w_ho, b_h)
         np.testing.assert_allclose(completed[:4, :4], cov.matrix)
         # Schur complement of the hidden block recovers K_H^-1
         schur = completed[4:, 4:] - completed[4:, :4] @ np.linalg.solve(
