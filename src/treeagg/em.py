@@ -130,7 +130,7 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class _FitPrior:
-    """An edge prior with hidden-hidden pairs masked, and its log partition.
+    """An edge prior masked to `uniform_prior`'s support, and its log partition.
 
     Both are constant over a fit, so `fit` builds this once and every E-step
     of the fit reuses it.
