@@ -11,31 +11,25 @@ collapse under cancellation, so the minors are evaluated by star-mesh (Schur)
 elimination on the graph: removing a node adds w_iv * (w_jv / d_v) to every
 remaining pair, a subtraction-free recurrence on positive numbers that keeps
 full relative accuracy while every weight is a normal float (a dynamic range
-of about 708 nats).  Resistances come from the same elimination: grounding a
-node l and eliminating the rest yields a unit lower factor with nonpositive
-off-diagonal, whose inverse is nonnegative, so R_kl = (L^-T D^-1 L^-1)_kk is
-again a sum of positives; forward substitution builds that inverse from
-products of nonnegative numbers, so it stays subtraction-free.  The n
-groundings of the all-pairs resistances run in blocks, each block one
-elimination and one forward substitution in lockstep on a (b, n, n) array, so
-a block costs 2n - 3 Python steps; the block size comes from a fixed element
-budget.  Each grounding eliminates a copy of W permuted to the other nodes in
-label order, then its ground, so step s removes position s under every ground
-and the factor comes out in place; the blocks match a one-grounding-at-a-time
-elimination in that order bit for bit.  The tests keep that elimination, and
-brute-force enumeration over Pruefer sequences, as oracles.  calibrate_prior
-rescales a prior to a target edge marginal.
+of about 708 nats).  log Z eliminates every node but one.  The all-pairs
+resistances come from the same step, by Kron reduction: R_kl = 1 / C_kl,
+with C_kl the conductance left between k and l once every other node is
+eliminated.  A recursion over halves of the node set reaches every pair at
+O(n^3) cost: each subproblem eliminates the other half of its parent's
+nodes, and all subproblems of one level run in lockstep on one array, so a
+call takes about n Python steps.  The tests keep a one-grounding-at-a-time
+elimination with forward substitution, and brute-force enumeration over
+Pruefer sequences, as oracles.  calibrate_prior rescales a prior to a target
+edge marginal.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
-
-# Element budget of one block of groundings: each (b, n, n) array of the
-# block elimination takes at most 256 KB.
-_BLOCK_ELEMENTS = 1 << 15
 
 # Marginal tolerance and iteration budget of calibrate_prior.
 CALIBRATION_TOL = 1e-6
@@ -69,112 +63,146 @@ def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w / top, np.log(top)
 
 
-def _eliminate(w: np.ndarray, grounds: np.ndarray, need_factor: bool):
-    """Star-mesh elimination of every node but the ground, for a block of grounds.
-
-    Grounding k works on its own copy of w, permuted to order[k]: the other
-    nodes in label order, then grounds[k].  Step s eliminates position s in
-    every grounding at once, so the ground, last, is never eliminated.
-    Returns (order, pivots, fractions).  pivots[k, s] is the total incident
-    weight of position s at its elimination, and fractions[k, u, s] =
-    w(u, s) / pivots[k, s] for u > s, taken then: the strictly-lower
-    (n - 1, n - 1) factor N of the grounded Laplacian in elimination order,
-    which factors as (I - N) D (I - N)^T.  Z(W) equals the product of a
-    grounding's pivots.  A node left without incident weight means the
-    positive-weight support is disconnected (Z = 0): the last node eliminated
-    from every component that lacks the ground meets a zero pivot, and
-    DegenerateWeightsError is raised.
-    """
-    b, n = len(grounds), w.shape[0]
-    j = np.arange(n - 1)
-    order = np.concatenate([j + (j >= grounds[:, None]), grounds[:, None]], axis=1)
-    cur = w[order[:, :, None], order[:, None, :]]
-    pivots = np.empty((n - 1, b))
-    fractions = np.zeros((b, n - 1, n - 1)) if need_factor else None
-    # A zero pivot turns the rest of its grounding into NaN; the pivots are
-    # checked once, at the end.  The diagonal of cur is never read.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(n - 1):
-            row = cur[:, s, s + 1 :]
-            d = row.sum(axis=1)
-            pivots[s] = d
-            ratio = row / d[:, None]
-            if need_factor:
-                fractions[:, s + 1 :, s] = ratio[:, :-1]
-            cur[:, s + 1 :, s + 1 :] += row[:, :, None] * ratio[:, None, :]
-    if not pivots.min() > 0.0:  # also false for NaN
-        s, k = np.argwhere(~(pivots > 0.0))[0]
-        raise DegenerateWeightsError(
-            f"node {order[k, s]} lost all incident weight during elimination "
-            f"under ground {grounds[k]}: the positive-weight support is "
-            "disconnected"
-        )
-    return order, pivots.T, fractions
-
-
 def log_partition_function(w: np.ndarray) -> float:
     """log of Z(W) = sum over spanning trees of the edge-weight products.
 
-    Returns -inf when the positive-weight support is disconnected (no spanning
-    tree has positive weight), which the elimination meets as a zero pivot.
+    Star-mesh-eliminates nodes 1, ..., n - 1 in label order with node 0 as
+    the ground; Z(W) is the product of the pivots, the total incident weight
+    of each node at its elimination.  Returns -inf when the positive-weight
+    support is disconnected (no spanning tree has positive weight): the last
+    node eliminated from a component that lacks node 0 meets a zero pivot.
     """
     w = validate_weight_matrix(w)
     ws, log_scale = _max_rescale(w)
-    try:
-        _, pivots, _ = _eliminate(ws, np.zeros(1, dtype=np.intp), need_factor=False)
-    except DegenerateWeightsError:
+    order = np.roll(np.arange(ws.shape[0]), -1)
+    cur = ws[np.ix_(order, order)]
+    pivots = np.empty(ws.shape[0] - 1)
+    # A zero pivot turns the rest of the elimination into NaN; the pivots are
+    # checked once, at the end.  The diagonal of cur is never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(ws.shape[0] - 1):
+            row = cur[s, s + 1 :]
+            d = row.sum()
+            pivots[s] = d
+            cur[s + 1 :, s + 1 :] += row[:, None] * (row / d)[None, :]
+    if not pivots.min() > 0.0:  # also false for NaN
         return -np.inf
-    return float(np.log(pivots[0]).sum()) + (w.shape[0] - 1) * log_scale
+    return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
 
 
-def _resistance_to_ground(w: np.ndarray, grounds: np.ndarray) -> np.ndarray:
-    """Effective resistances to each of a block of grounds, subtraction-free.
+# Pairs of quarters (A1, A2, B1, B2) that a subproblem's children keep: the
+# four cross pairs, then A and B alone, which only owing subproblems have.
+_CHILD_QUARTERS = ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3))
 
-    Row k holds the resistance from every node to grounds[k].  Each
-    grounding's factor comes out of the elimination in its ground-last order,
-    so the inverse of its unit lower factor I - N is built as it stands, by
-    forward substitution on the whole block at once: row i of the inverse is
-    N[i, :i] times the rows above it, a sum of products of nonnegative
-    numbers.  The diagonal of (I - N)^-T D^-1 (I - N)^-1 is then summed over
-    the rows of the inverse, one row after another.  One scatter through the
-    order puts each result under its node's label.
+
+@functools.lru_cache(maxsize=16)
+def _reduction_plan(n: int):
+    """Index plan of the all-pairs Kron reduction on n nodes.
+
+    A subproblem holds a Schur complement in 2q slots: half A in the first q,
+    half B in the last q, each padded at its end with dummy slots (label -1).
+    Each half splits into two quarters, the first one node larger when the
+    half is odd.  A child keeps one quarter of A and one of B, as its halves
+    of q' = ceil(q / 2) slots; a subproblem that owes its within-half pairs
+    (the root, and each half split off such a subproblem) also has A and B
+    as owing children.  A child without a node in both kept quarters owns no
+    pair and is pruned.  Every child star-mesh-eliminates the parent's other
+    nodes, so each unordered pair ends in exactly one two-slot leaf.
+
+    A level's arrays carry a zero row and column at position 0, then the
+    eliminated positions, then the kept slots; a dummy gathers position 0.
+    Returns (levels, k, l, at): per level, each child's parent and gather
+    positions in the parent's array, a mask of the eliminated dummies (whose
+    zero pivots are raised to 1) and the eliminated count e; the two labels
+    of each leaf; and the position of a leaf's first slot in the last array.
     """
-    order, pivots, fractions = _eliminate(w, grounds, need_factor=True)
-    inv = np.tile(np.eye(w.shape[0] - 1), (len(grounds), 1, 1))
-    for i in range(1, w.shape[0] - 1):
-        inv[:, i : i + 1, :i] = fractions[:, i : i + 1, :i] @ inv[:, :i, :i]
-    with np.errstate(over="ignore", divide="ignore"):
-        gdiag = (inv**2 / pivots[:, :, None]).sum(axis=1)
-    out = np.zeros(order.shape)
-    np.put_along_axis(out, order[:, :-1], gdiag, axis=1)
-    return out
+    q = (n + 1) // 2
+    labels = np.full((1, 2 * q), -1)
+    labels[0, :n] = np.arange(n)
+    owing = np.array([True])
+    at = 1
+    levels = []
+    while q > 1:
+        half = (q + 1) // 2
+        real = labels >= 0
+        count_a, count_b = real[:, :q].sum(axis=1), real[:, q:].sum(axis=1)
+        mid_a, mid_b = (count_a + 1) // 2, q + (count_b + 1) // 2
+        # quarter i of subproblem p holds the slots lo[i, p] <= slot < hi[i, p]
+        lo = np.stack([np.zeros_like(mid_a), mid_a, np.full_like(mid_b, q), mid_b])
+        hi = np.stack([mid_a, count_a, mid_b, q + count_b])
+        subs = len(labels)
+        parent = np.tile(np.arange(subs), len(_CHILD_QUARTERS))
+        x, y = np.repeat(np.array(_CHILD_QUARTERS), subs, axis=0).T
+        owes = np.arange(len(parent)) >= 4 * subs
+        keep = (hi[x, parent] > lo[x, parent]) & (hi[y, parent] > lo[y, parent])
+        keep &= owing[parent] | ~owes
+        parent, x, y, owes = parent[keep], x[keep], y[keep], owes[keep]
+        lo_x, hi_x = lo[x, parent][:, None], hi[x, parent][:, None]
+        lo_y, hi_y = lo[y, parent][:, None], hi[y, parent][:, None]
+        # kept: quarter x, then quarter y, each padded to `half` slots
+        step = np.arange(half)
+        kept = np.concatenate([lo_x + step, lo_y + step], axis=1)
+        valid = np.concatenate([lo_x + step < hi_x, lo_y + step < hi_y], axis=1)
+        # eliminated: the parent's other nodes in slot order, padded to e
+        slot = np.arange(2 * q)
+        elim = real[parent] & ((slot < lo_x) | (slot >= hi_x)) & ((slot < lo_y) | (slot >= hi_y))
+        e = int(elim.sum(axis=1).max())
+        first = np.argsort(~elim, axis=1, kind="stable")[:, :e]
+        elim_pos = np.where(np.take_along_axis(elim, first, axis=1), at + first, 0)
+        kept_pos = np.where(valid, at + kept, 0)
+        gather = np.concatenate([np.zeros_like(parent)[:, None], elim_pos, kept_pos], axis=1)
+        levels.append((parent, gather, elim_pos == 0, e))
+        labels = np.where(valid, labels[parent[:, None], np.minimum(kept, 2 * q - 1)], -1)
+        owing, at, q = owes, 1 + e, half
+    k, l = labels.T
+    return levels, k, l, at
 
 
 def edge_marginals(w: np.ndarray) -> np.ndarray:
     """Appearance probability of every edge under P(T) ~ prod w_ij.
 
-    M_kl = w_kl * R_kl with R the effective resistance.  Grounding node l and
-    eliminating the other nodes in label order yields the column R[:, l]; the
-    groundings run in blocks of at most _BLOCK_ELEMENTS / n^2, each block one
-    elimination in lockstep with every ground moved last, and reproduce a
-    one-ground-at-a-time elimination in that order bit for bit.
-    Every quantity is a sum or product of positives, which keeps the result
-    accurate while the weights stay normal floats.  Raises
+    M_kl = w_kl / C_kl, with C_kl = 1 / R_kl the conductance left between k
+    and l once every other node is star-mesh-eliminated (Kron reduction).
+    `_reduction_plan` reaches every pair by halving: each level gathers its
+    subproblems from the level above in one step and eliminates them in
+    lockstep on one (b, m, m) array, node by node inside the eliminated part
+    of each, then onto the kept part in one batched product.  This is O(n^3)
+    work in about n Python steps.  Every quantity is a sum or product of
+    positives, so the result stays accurate while the weights are normal
+    floats, and C_kl >= w_kl keeps M_kl in [0, 1].  Raises
     DegenerateWeightsError when the positive-weight support is disconnected.
     """
     w = validate_weight_matrix(w)
     ws, _ = _max_rescale(w)
     n = ws.shape[0]
-    step = max(1, _BLOCK_ELEMENTS // (n * n))
-    resistance = np.empty((n, n))
-    for start in range(0, n, step):
-        grounds = np.arange(start, min(start + step, n))
-        resistance[:, start : start + step] = _resistance_to_ground(ws, grounds).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        marg = ws * resistance
-    marg[ws == 0.0] = 0.0
-    np.fill_diagonal(marg, 0.0)
-    return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
+    levels, k, l, at = _reduction_plan(n)
+    cur = np.zeros((1, n + 1, n + 1))
+    cur[0, 1:, 1:] = ws
+    # A zero pivot of a real node turns its subproblem into NaN, which
+    # reaches every leaf below it; the leaves are checked once, at the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for parents, gather, pad, e in levels:
+            cur = cur[parents[:, None, None], gather[:, :, None], gather[:, None, :]]
+            pivots = np.empty((len(cur), e))
+            for s in range(1, e + 1):
+                row = cur[:, s, s + 1 :]
+                d = row.sum(axis=1) + pad[:, s - 1]
+                pivots[:, s - 1] = d
+                if s < e:
+                    ratio = row[:, : e - s] / d[:, None]
+                    cur[:, s + 1 : e + 1, s + 1 :] += ratio[:, :, None] * row[:, None, :]
+            out = cur[:, 1 : e + 1, e + 1 :]
+            scaled = (out / pivots[:, :, None]).transpose(0, 2, 1)
+            cur[:, e + 1 :, e + 1 :] += np.matmul(scaled, out)
+    conductance = cur[:, at, at + 1]
+    if not conductance.min() > 0.0:  # also false for NaN
+        raise DegenerateWeightsError(
+            "a node lost all incident weight during elimination: the "
+            "positive-weight support is disconnected"
+        )
+    marg = np.zeros((n, n))
+    marg[k, l] = ws[k, l] / conductance
+    return marg + marg.T
 
 
 def require_feasible_target(prior: np.ndarray, p0: float) -> None:
@@ -203,11 +231,16 @@ def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
     The candidate edges are the prior's positive off-diagonal entries; the
     others stay zero.  Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).
     Raises CalibrationError for the infeasible targets that
-    `require_feasible_target` rejects.
+    `require_feasible_target` rejects.  A constant prior on every pair is
+    returned as it is, without a kernel call: by symmetry each edge of the
+    complete graph has marginal 2 / size, the only feasible target there.
     """
     require_feasible_target(prior, p0)
     current = validate_weight_matrix(prior)
     support = current > 0.0
+    off_diagonal = current[~np.eye(len(current), dtype=bool)]
+    if (off_diagonal == off_diagonal[0]).all() and off_diagonal[0] > 0.0:
+        return current
     for _ in range(CALIBRATION_MAX_ITER):
         marg = edge_marginals(current)
         dev = np.abs(marg[support] - p0).max(initial=0.0)

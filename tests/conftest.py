@@ -144,8 +144,9 @@ def identity_loglik(state, precision, cov, prior):
 
 # ----------------------------------------------------------------------
 # Oracle: the per-ground star-mesh kernel, one grounding and one node at a
-# time.  The block kernel in treeagg.spanning_trees must reproduce it bit for
-# bit.
+# time, with the resistances from a forward substitution.  The Kron reduction
+# in treeagg.spanning_trees must match it to 1e-14 relative, and its log Z bit
+# for bit.
 # ----------------------------------------------------------------------
 
 def per_ground_eliminate(w, ground, need_factor):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from treeagg import em, spanning_trees
+from treeagg import em
 from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 from treeagg.spanning_trees import (
     calibrate_prior,
@@ -28,7 +28,8 @@ WEIGHTED_3 = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 5.0], [3.0, 5.0, 0.0]])
 
 # Two-component supports on 5 nodes: the ground node 0 in the larger and in the
 # smaller component, components interleaved in index order, an isolated node.
-# On 80 nodes, halves and interleaved: the groundings run in several blocks.
+# On 80 nodes, halves and interleaved: components span several levels of the
+# recursion.
 DISCONNECTED_SPLITS = [
     [(0, 1, 2), (3, 4)],
     [(0, 4), (1, 2, 3)],
@@ -156,7 +157,7 @@ class TestEdgeMarginals:
         assert m[0, 1] == 0.0
 
     def test_matches_brute_force(self, rng):
-        for size in range(3, 8):
+        for size in range(2, 9):
             for _ in range(5):
                 w = random_weight_matrix(rng, size)
                 np.testing.assert_allclose(
@@ -212,24 +213,47 @@ def estep_weights(rng, size, span):
     return weights
 
 
-class TestBlockKernel:
-    """The lockstep block elimination against the per-ground oracle."""
+def assert_matches_per_ground_kernel(w):
+    """Equal zero pattern and entrywise relative error at most 1e-14 against
+    the per-ground oracle, whose arithmetic order differs; log Z bit for bit."""
+    got, want = edge_marginals(w), per_ground_edge_marginals(w)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    nonzero = want != 0.0
+    assert np.abs(got[nonzero] / want[nonzero] - 1.0).max(initial=0.0) <= 1e-14
+    assert log_partition_function(w) == per_ground_log_partition(w)
 
-    def test_size_80_spans_several_blocks(self):
-        assert spanning_trees._BLOCK_ELEMENTS // (80 * 80) < 80 // 2
+
+class TestBlockKernel:
+    """The all-pairs Kron reduction against the per-ground oracle and enumeration."""
 
     @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
     @pytest.mark.parametrize("size", [8, 21, 22, 23, 24, 40, 80])
     def test_bit_identical_to_per_ground_kernel(self, size, span):
+        # log Z is bit for bit; the marginals, summed in another order, to 1e-14
         w = estep_weights(np.random.default_rng(size), size, span)
         assert (w == 1e-300).any()
-        assert np.array_equal(edge_marginals(w), per_ground_edge_marginals(w))
-        assert log_partition_function(w) == per_ground_log_partition(w)
+        assert_matches_per_ground_kernel(w)
+
+    @pytest.mark.parametrize("size", [*range(2, 41), 80])
+    def test_every_size_matches_per_ground_kernel(self, size):
+        # odd sizes and odd halves at every level of the recursion
+        w = estep_weights(np.random.default_rng(1000 + size), size, 700.0)
+        assert_matches_per_ground_kernel(w)
+
+    @pytest.mark.parametrize("size", [5, 7, 11, 21])
+    @pytest.mark.parametrize("tail", [1, 2])
+    def test_component_in_padded_half_raises(self, size, tail):
+        # the last `tail` nodes, in the root's padded second half, form their
+        # own component: an isolated node or a two-node component
+        w = block_weights([tuple(range(size - tail)), tuple(range(size - tail, size))])
+        with pytest.raises(DegenerateWeightsError):
+            edge_marginals(w)
+        assert log_partition_function(w) == -np.inf
 
     @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
     @pytest.mark.parametrize("size", [5, 6, 7, 8])
     def test_floored_weights_match_enumeration(self, size, span):
-        # The per-ground oracle shares the kernel's elimination order; this
+        # The per-ground oracle shares the kernel's star-mesh step; this
         # guard shares nothing with it.
         w = estep_weights(np.random.default_rng(size), size, span)
         assert (w == 1e-300).any()
