@@ -192,8 +192,9 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
                     ratio = row[:, : e - s] / d[:, None]
                     cur[:, s + 1 : e + 1, s + 1 :] += ratio[:, :, None] * row[:, None, :]
             out = cur[:, 1 : e + 1, e + 1 :]
-            scaled = (out / pivots[:, :, None]).transpose(0, 2, 1)
-            cur[:, e + 1 :, e + 1 :] += np.matmul(scaled, out)
+            cur[:, e + 1 :, e + 1 :] += np.matmul(
+                (out / pivots[:, :, None]).transpose(0, 2, 1), out
+            )
     conductance = cur[:, at, at + 1]
     if not conductance.min() > 0.0:  # also false for NaN
         raise DegenerateWeightsError(
