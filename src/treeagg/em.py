@@ -4,13 +4,13 @@ The E-step computes conditional moments of the hidden block, per-edge log
 weights of the tree posterior and their log partition through the Matrix-Tree
 kernel.  The all-edge appearance probabilities alpha cost 3 to 9 times the
 partition's elimination (both O(size^3); size 21 to 80), so they are
-computed on first read: the M-step and the fit's report read them for the iterates EM keeps,
-while a rejected r = 0 proposal never does.  The observed log-likelihood is one closed-form
-expression in log Z, the node terms and, with hidden nodes, alpha on the
-observed-hidden pairs.  The M-step applies the closed-form off-diagonal
-updates and solves the diagonal stationarity equations by safeguarded
-bisection, then floors the spectrum to keep the precision positive definite.
-Everything tree related is tracked in log space.
+computed on first read: the M-step and the fit's report read them for the
+iterates EM keeps, while a rejected r = 0 proposal never does.  The observed
+log-likelihood is one closed-form expression in log Z, the node terms and,
+with hidden nodes, alpha on the observed-hidden pairs.  The M-step applies
+the closed-form off-diagonal updates and solves the diagonal stationarity
+equations by safeguarded bisection, then floors the spectrum to keep the
+precision positive definite.  Everything tree related is tracked in log space.
 """
 
 from __future__ import annotations
