@@ -9,7 +9,7 @@ iterates EM keeps, while a rejected r = 0 proposal never does.  The observed
 log-likelihood is one closed-form expression in log Z, the node terms and,
 with hidden nodes, alpha on the observed-hidden pairs.  The M-step applies
 the closed-form off-diagonal updates and solves the diagonal stationarity
-equations by safeguarded bisection, then floors the spectrum to keep the
+equations by safeguarded Newton steps, then floors the spectrum to keep the
 precision positive definite.  Everything tree related is tracked in log space.
 """
 
@@ -237,58 +237,49 @@ def observed_loglik(
     return value
 
 
-def _solve_diagonal(
-    k_prev: np.ndarray,
-    alpha: np.ndarray,
-    targets: np.ndarray,
-    max_bracket: int = 200,
-    bisect_iters: int = 100,
-) -> np.ndarray:
+def _reciprocal_residual(x, kd, ksq, mass, pos, inv_t) -> tuple[np.ndarray, np.ndarray]:
+    """phi(x) - 1/t and phi's slope, phi(x) = x / (1 + sum_k m_k / (x K_kk - K_ik^2))."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_den = np.where(pos, 1.0 / (x[:, None] * kd[None, :] - ksq), 0.0)
+    q = mass * inv_den
+    a = 1.0 + q.sum(axis=1)
+    return x / a - inv_t, (a + x * ((q * inv_den) @ kd)) / a**2
+
+
+def _solve_diagonal(k_prev: np.ndarray, alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Solve (1/x) (1 + sum_k K_ik^2 alpha_ik / (x K_kk - K_ik^2)) = t_i per node.
 
     This is the stationarity condition of the edge-factorized objective in
     K_ii; the leading 1/x on the sum is required for the equation to be
     dimensionally consistent and to have the pairwise Gaussian MLE as a fixed
-    point.  The left side decreases strictly from +inf (at the largest pole)
-    to 0, so the root is unique; all nodes are bisected simultaneously.
+    point.  In the reciprocal form phi(x) = 1/t_i, phi rises strictly from 0
+    at the largest pole to +inf, so the root is unique.  All nodes take
+    safeguarded Newton steps at once: each evaluation narrows the bracket
+    [lo, hi], from [largest pole, +inf), by the sign of phi - 1/t, and a step
+    that leaves it falls back to the midpoint, or to 2x while hi is infinite.
+    The solve stops once every step is within 4 ulps, or fails after 100.
     """
     kd = np.diag(k_prev)
-    off = k_prev - np.diag(kd)
-    ksq = off**2
+    ksq = (k_prev - np.diag(kd)) ** 2
     mass = ksq * alpha
     pos = mass > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        poles = np.where(pos, ksq / kd[None, :], 0.0)
-    lower = poles.max(axis=1)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        den = x[:, None] * kd[None, :] - ksq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(pos, mass / np.where(pos, den, 1.0), 0.0)
-        return (1.0 + terms.sum(axis=1)) / x - targets
-
-    lo = lower + np.maximum(1e-9 * np.maximum(lower, 1.0), 1e-12)
-    for _ in range(max_bracket):
-        bad = f(lo) <= 0.0
-        if not bad.any():
-            break
-        lo = np.where(bad, lower + 0.1 * (lo - lower), lo)
-    else:
-        raise MStepError("could not bracket the diagonal update from below")
-    hi = np.maximum(2.0 / targets, 2.0 * lo)
-    for _ in range(max_bracket):
-        bad = f(hi) > 0.0
-        if not bad.any():
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    else:
-        raise MStepError("could not bracket the diagonal update from above")
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        above = f(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+        lo = np.where(pos, ksq / kd[None, :], 0.0).max(axis=1)
+    hi = np.full_like(lo, np.inf)
+    inv_t = 1.0 / targets
+    x = np.maximum(2.0 * inv_t, 2.0 * lo)
+    for _ in range(100):
+        f, slope = _reciprocal_residual(x, kd, ksq, mass, pos, inv_t)
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
+        step = x - f / slope
+        # a step onto lo or hi is in the bracket: x itself is one of them
+        out = ~((lo <= step) & (step <= hi))
+        step[out] = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))[out]
+        if np.all(np.abs(step - x) <= 4.0 * np.spacing(x)):
+            return step
+        x = step
+    raise MStepError("the diagonal update did not converge")
 
 
 def _closed_form_offdiagonal(c: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -305,7 +296,7 @@ def m_step(
     k_prev: PartitionedPrecision,
     cov: EmpiricalCovariance,
 ) -> PartitionedPrecision:
-    """Closed-form off-diagonal updates plus bisection for the diagonal entries.
+    """Closed-form off-diagonal updates plus safeguarded Newton for the diagonal.
 
     All right-hand sides use the previous iterate: observed pairs see the
     empirical covariance, observed-hidden pairs the conditional cross moment

@@ -64,16 +64,23 @@ class EmpiricalCovariance:
 
         Raises DataError on a non-finite entry or a constant column, and when
         the data's units push the covariance past the float range: a column
-        whose covariance overflows or whose variance underflows to zero.
+        whose covariance overflows or whose variance underflows to zero.  A
+        column counts as constant when its standard deviation is within 4 ulps
+        of its largest magnitude: its centred values would be roundoff.
         """
         x = np.asarray(data, dtype=float)
         if x.ndim != 2:
             raise ValueError("data must be a 2-d array")
         if not np.isfinite(x).all():
             raise DataError("data holds a non-finite entry")
-        constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+        magnitude = np.abs(x).max(axis=0)
+        relative_std = np.std(x / np.where(magnitude > 0.0, magnitude, 1.0), axis=0)
+        constant = np.flatnonzero(relative_std <= 4.0 * np.finfo(float).eps)
         if constant.size:
-            raise DataError(f"columns {constant.tolist()} (0-based) have zero variance")
+            raise DataError(
+                f"columns {constant.tolist()} (0-based) have zero variance, "
+                "to within roundoff of their magnitude"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             x = x - x.mean(axis=0, keepdims=True)
             m = symmetrize(x.T @ x / x.shape[0])
@@ -140,23 +147,20 @@ EIG_FLOOR = 1e-6
 def floor_spectrum(matrix: np.ndarray, n_observed: int) -> np.ndarray:
     """PD projection that keeps the hidden block strictly diagonal.
 
-    Re-zeroing the hidden off-diagonal after clipping can push an eigenvalue
-    back below the floor, so the two steps alternate; a diagonal ridge is the
-    final fallback.
+    One pass: eigenvalues below EIG_FLOOR times the largest are clipped to
+    that floor, the hidden off-diagonal the clip fills in is zeroed again, and
+    one diagonal ridge lifts the smallest eigenvalue back to EIG_FLOOR times
+    the largest (which it lifts too).  A matrix at or above the floor is
+    returned as it is.
     """
     m = symmetrize(np.asarray(matrix, dtype=float))
-    for _ in range(6):
-        evals = np.linalg.eigvalsh(m)
-        lmax = max(evals[-1], np.finfo(float).tiny)
-        floor = EIG_FLOOR * lmax
-        if evals[0] >= floor:
-            return m
-        w, v = np.linalg.eigh(m)
-        m = symmetrize((v * np.maximum(w, floor)) @ v.T)
-        hidden = m[n_observed:, n_observed:]
-        m[n_observed:, n_observed:] = np.diag(np.diag(hidden))
+    w, v = np.linalg.eigh(m)
+    floor = EIG_FLOOR * max(w[-1], np.finfo(float).tiny)
+    if w[0] >= floor:
+        return m
+    m = symmetrize((v * np.maximum(w, floor)) @ v.T)
+    m[n_observed:, n_observed:] = np.diag(np.diag(m[n_observed:, n_observed:]))
     evals = np.linalg.eigvalsh(m)
     floor = EIG_FLOOR * max(evals[-1], np.finfo(float).tiny)
-    if evals[0] < floor:
-        m = m + (floor - evals[0]) * np.eye(m.shape[0])
-    return symmetrize(m)
+    m[np.diag_indices_from(m)] += max(floor - evals[0], 0.0) / (1.0 - EIG_FLOOR)
+    return m

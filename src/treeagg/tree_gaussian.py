@@ -82,16 +82,14 @@ def maximum_spanning_tree(
     """Kruskal maximum spanning tree, ties broken by lexicographic edge order."""
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if forbidden is not None and forbidden[i, j]:
-                continue
-            candidates.append((-w[i, j], i, j))
-    candidates.sort()
+    rows, cols = np.triu_indices(n, k=1)
+    if forbidden is not None:
+        allowed = ~np.asarray(forbidden, dtype=bool)[rows, cols]
+        rows, cols = rows[allowed], cols[allowed]
+    order = np.lexsort((cols, rows, -w[rows, cols]))
     uf = UnionFind(n)
     edges = []
-    for _, i, j in candidates:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if uf.union(i, j):
             edges.append((i, j))
             if len(edges) == n - 1:

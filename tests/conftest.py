@@ -205,6 +205,53 @@ def per_ground_edge_marginals(w):
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
 
 
+# ----------------------------------------------------------------------
+# Oracle: the M-step's diagonal by bisection, with bracket searches from the
+# largest pole and from max(2/t, 2 lo).  treeagg.em._solve_diagonal must
+# match it to 1e-14 relative.
+# ----------------------------------------------------------------------
+
+def bisect_diagonal(k_prev, alpha, targets, max_bracket=200, bisect_iters=100):
+    """Roots of (1/x) (1 + sum_k K_ik^2 alpha_ik / (x K_kk - K_ik^2)) = t_i,
+    all nodes bisected at once."""
+    kd = np.diag(k_prev)
+    ksq = (k_prev - np.diag(kd)) ** 2
+    mass = ksq * alpha
+    pos = mass > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        poles = np.where(pos, ksq / kd[None, :], 0.0)
+    lower = poles.max(axis=1)
+
+    def f(x):
+        den = x[:, None] * kd[None, :] - ksq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(pos, mass / np.where(pos, den, 1.0), 0.0)
+        return (1.0 + terms.sum(axis=1)) / x - targets
+
+    lo = lower + np.maximum(1e-9 * np.maximum(lower, 1.0), 1e-12)
+    for _ in range(max_bracket):
+        bad = f(lo) <= 0.0
+        if not bad.any():
+            break
+        lo = np.where(bad, lower + 0.1 * (lo - lower), lo)
+    else:
+        raise AssertionError("could not bracket the diagonal update from below")
+    hi = np.maximum(2.0 / targets, 2.0 * lo)
+    for _ in range(max_bracket):
+        bad = f(hi) > 0.0
+        if not bad.any():
+            break
+        hi = np.where(bad, 2.0 * hi, hi)
+    else:
+        raise AssertionError("could not bracket the diagonal update from above")
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        above = f(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def strict_json_loads(text):
     """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
 

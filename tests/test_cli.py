@@ -199,6 +199,17 @@ class TestFit:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("args", [["fit", "--r", 0], ["fit", "--r", 1], ["select", "--r", 2]])
+    def test_column_constant_up_to_one_ulp_is_data_error(self, tmp_path, capsys, rng, args):
+        data = rng.normal(size=(6, 4))
+        data[:, 2] = 1.0
+        data[3, 2] = 1.0 + 2.0**-52
+        csv = tmp_path / "ulp.csv"
+        csv.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
+        assert run_cli(args[0], csv, "--out", tmp_path / "x", *args[1:]) == 3
+        assert "to within roundoff" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_fewer_samples_than_variables(self, tmp_path, rng):
         # every 2 x 2 block, and so every tree MLE, exists from n = 2 on; at
         # n = 2 every |correlation| is 1, so n = 4 here

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeagg import em, spanning_trees
+from treeagg import em, selection, spanning_trees
 from treeagg.errors import (
     DegeneratePosteriorError,
     InvalidMomentError,
@@ -12,6 +12,7 @@ from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
 from conftest import (
+    bisect_diagonal,
     brute_log_partition,
     brute_posterior_marginals,
     duplicated_column_data,
@@ -385,6 +386,78 @@ class TestMStep:
         assert np.linalg.eigvalsh(new.matrix)[0] > 0
         # hidden block stays diagonal
         assert new.matrix[6, 6] > 0
+
+
+def diagonal_instance(rng, size):
+    """(K, alpha, targets) for `_solve_diagonal`: a positive-definite K and a
+    symmetric alpha with some zero entries."""
+    k = random_spd(rng, size) * rng.uniform(0.1, 10.0)
+    alpha = np.triu(rng.uniform(0.0, 1.0, (size, size)) * (rng.uniform(size=(size, size)) > 0.3), 1)
+    targets = rng.uniform(0.1, 10.0, size) / np.diag(k)
+    return k, alpha + alpha.T, targets
+
+
+def count_newton_steps(monkeypatch):
+    """Record the Newton steps of each `_solve_diagonal` call into a list."""
+    counts = []
+    solve, residual = em._solve_diagonal, em._reciprocal_residual
+
+    def counted_solve(*args):
+        counts.append(0)
+        return solve(*args)
+
+    def counted_residual(*args):
+        counts[-1] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(em, "_solve_diagonal", counted_solve)
+    monkeypatch.setattr(em, "_reciprocal_residual", counted_residual)
+    return counts
+
+
+class TestSolveDiagonal:
+    """Safeguarded Newton against the bisection oracle, to 1e-14 relative."""
+
+    @pytest.mark.parametrize("size", [3, 4, 7, 12, 21, 23, 40, 80])
+    def test_matches_bisection(self, rng, size):
+        for _ in range(5):
+            k, alpha, targets = diagonal_instance(rng, size)
+            np.testing.assert_allclose(
+                em._solve_diagonal(k, alpha, targets), bisect_diagonal(k, alpha, targets), rtol=1e-14
+            )
+
+    @pytest.mark.parametrize("size", [3, 21, 80])
+    def test_root_next_to_the_largest_pole(self, rng, size):
+        # targets placed so that every root sits 1e-7 above its largest pole
+        k, alpha, _ = diagonal_instance(rng, size)
+        alpha[alpha == 0.0] = 0.5
+        np.fill_diagonal(alpha, 0.0)
+        kd = np.diag(k)
+        ksq = (k - np.diag(kd)) ** 2
+        root = (ksq / kd[None, :]).max(axis=1) + 1e-7
+        targets = (1.0 + (ksq * alpha / (root[:, None] * kd[None, :] - ksq)).sum(axis=1)) / root
+        x = em._solve_diagonal(k, alpha, targets)
+        np.testing.assert_allclose(x, bisect_diagonal(k, alpha, targets), rtol=1e-14)
+        np.testing.assert_allclose(x, root, rtol=1e-14)
+
+    def test_all_zero_offdiagonal(self, rng):
+        k = np.diag(rng.uniform(0.5, 3.0, 6))
+        alpha = 1.0 - np.eye(6)
+        targets = rng.uniform(0.2, 5.0, 6)
+        x = em._solve_diagonal(k, alpha, targets)
+        np.testing.assert_allclose(x, bisect_diagonal(k, alpha, targets), rtol=1e-14)
+        np.testing.assert_allclose(x, 1.0 / targets, rtol=1e-15)
+
+    def test_acceptance_suite_steps(self, monkeypatch):
+        # every M-step of `select` (r = 0..3) on the 50-replicate signal and
+        # null suites of test_acceptance converges within 20 Newton steps
+        counts = count_newton_steps(monkeypatch)
+        for size, r, epsilon, offset in ((21, 1, 10.0, 0), (20, 0, 1.0, 1000)):
+            for seed in range(offset, offset + 50):
+                truth = make_ground_truth("tree", size=size, r=r, epsilon=epsilon, seed=seed)
+                _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(seed))
+                selection.select(EmpiricalCovariance.from_data(observed), r_max=3)
+        assert len(counts) >= 400 and max(counts) <= 20
 
 
 class TestFit:

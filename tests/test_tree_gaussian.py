@@ -3,6 +3,7 @@ import pytest
 
 from treeagg.em import conditional_moments
 from treeagg.errors import PerfectCorrelationError, SingularPrecisionError
+from treeagg.graphs import UnionFind
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 from treeagg.tree_gaussian import (
@@ -65,6 +66,24 @@ class TestChowLiu:
         forbidden[2, 3] = forbidden[3, 2] = True
         tree = maximum_spanning_tree(w, forbidden)
         assert (2, 3) not in tree
+
+
+    @pytest.mark.parametrize("size", [21, 23, 80])
+    def test_ties_broken_in_lexicographic_edge_order(self, rng, size):
+        # integer weights tie often; the reference sorts (-w, i, j) tuples
+        for hidden in (0, 2):
+            w = np.triu(rng.integers(0, 3, (size, size)).astype(float), 1)
+            w = w + w.T
+            forbidden = np.zeros((size, size), dtype=bool)
+            forbidden[size - hidden :, size - hidden :] = True
+            candidates = sorted(
+                (-w[i, j], i, j) for i in range(size) for j in range(i + 1, size) if not forbidden[i, j]
+            )
+            uf, expected = UnionFind(size), []
+            for _, i, j in candidates:
+                if uf.union(i, j):
+                    expected.append((i, j))
+            assert maximum_spanning_tree(w, forbidden) == tuple(sorted(expected))
 
 
 class TestTreePrecision:
