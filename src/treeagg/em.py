@@ -237,7 +237,10 @@ def observed_loglik(
     return value
 
 
-def _reciprocal_residual(x, kd, ksq, mass, pos, inv_t) -> tuple[np.ndarray, np.ndarray]:
+def _reciprocal_residual(
+    x: np.ndarray, kd: np.ndarray, ksq: np.ndarray, mass: np.ndarray, pos: np.ndarray,
+    inv_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """phi(x) - 1/t and phi's slope, phi(x) = x / (1 + sum_k m_k / (x K_kk - K_ik^2))."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_den = np.where(pos, 1.0 / (x[:, None] * kd[None, :] - ksq), 0.0)

@@ -38,7 +38,7 @@ class DegeneratePosteriorError(TreeAggError):
 
 
 class MStepError(TreeAggError):
-    """The M-step root finder failed to bracket or converge."""
+    """The M-step's diagonal solve did not converge."""
 
 
 class DivergenceError(TreeAggError):

@@ -211,7 +211,7 @@ def per_ground_edge_marginals(w):
 # match it to 1e-14 relative.
 # ----------------------------------------------------------------------
 
-def bisect_diagonal(k_prev, alpha, targets, max_bracket=200, bisect_iters=100):
+def bisect_diagonal(k_prev, alpha, targets):
     """Roots of (1/x) (1 + sum_k K_ik^2 alpha_ik / (x K_kk - K_ik^2)) = t_i,
     all nodes bisected at once."""
     kd = np.diag(k_prev)
@@ -229,7 +229,7 @@ def bisect_diagonal(k_prev, alpha, targets, max_bracket=200, bisect_iters=100):
         return (1.0 + terms.sum(axis=1)) / x - targets
 
     lo = lower + np.maximum(1e-9 * np.maximum(lower, 1.0), 1e-12)
-    for _ in range(max_bracket):
+    for _ in range(200):
         bad = f(lo) <= 0.0
         if not bad.any():
             break
@@ -237,14 +237,14 @@ def bisect_diagonal(k_prev, alpha, targets, max_bracket=200, bisect_iters=100):
     else:
         raise AssertionError("could not bracket the diagonal update from below")
     hi = np.maximum(2.0 / targets, 2.0 * lo)
-    for _ in range(max_bracket):
+    for _ in range(200):
         bad = f(hi) > 0.0
         if not bad.any():
             break
         hi = np.where(bad, 2.0 * hi, hi)
     else:
         raise AssertionError("could not bracket the diagonal update from above")
-    for _ in range(bisect_iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         above = f(mid) > 0.0
         lo = np.where(above, mid, lo)

@@ -317,7 +317,8 @@ class TestMStep:
         state = em.e_step(prec, cov, prior)
         targets = np.concatenate([np.diag(cov.matrix), np.diag(state.b_h)])
         diag = em._solve_diagonal(prec.matrix, state.alpha, targets)
-        np.testing.assert_allclose(diag, 1.0 / targets, rtol=1e-9)
+        np.testing.assert_allclose(diag, 1.0 / targets, rtol=1e-15)
+        np.testing.assert_allclose(diag, bisect_diagonal(prec.matrix, state.alpha, targets), rtol=1e-14)
 
     def test_offdiagonal_stationarity_by_finite_differences(self, rng):
         # the closed form is a stationary point of the per-edge surrogate
@@ -397,24 +398,6 @@ def diagonal_instance(rng, size):
     return k, alpha + alpha.T, targets
 
 
-def count_newton_steps(monkeypatch):
-    """Record the Newton steps of each `_solve_diagonal` call into a list."""
-    counts = []
-    solve, residual = em._solve_diagonal, em._reciprocal_residual
-
-    def counted_solve(*args):
-        counts.append(0)
-        return solve(*args)
-
-    def counted_residual(*args):
-        counts[-1] += 1
-        return residual(*args)
-
-    monkeypatch.setattr(em, "_solve_diagonal", counted_solve)
-    monkeypatch.setattr(em, "_reciprocal_residual", counted_residual)
-    return counts
-
-
 class TestSolveDiagonal:
     """Safeguarded Newton against the bisection oracle, to 1e-14 relative."""
 
@@ -440,18 +423,22 @@ class TestSolveDiagonal:
         np.testing.assert_allclose(x, bisect_diagonal(k, alpha, targets), rtol=1e-14)
         np.testing.assert_allclose(x, root, rtol=1e-14)
 
-    def test_all_zero_offdiagonal(self, rng):
-        k = np.diag(rng.uniform(0.5, 3.0, 6))
-        alpha = 1.0 - np.eye(6)
-        targets = rng.uniform(0.2, 5.0, 6)
-        x = em._solve_diagonal(k, alpha, targets)
-        np.testing.assert_allclose(x, bisect_diagonal(k, alpha, targets), rtol=1e-14)
-        np.testing.assert_allclose(x, 1.0 / targets, rtol=1e-15)
-
     def test_acceptance_suite_steps(self, monkeypatch):
         # every M-step of `select` (r = 0..3) on the 50-replicate signal and
         # null suites of test_acceptance converges within 20 Newton steps
-        counts = count_newton_steps(monkeypatch)
+        counts = []
+        solve, residual = em._solve_diagonal, em._reciprocal_residual
+
+        def counted_solve(*args):
+            counts.append(0)
+            return solve(*args)
+
+        def counted_residual(*args):
+            counts[-1] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(em, "_solve_diagonal", counted_solve)
+        monkeypatch.setattr(em, "_reciprocal_residual", counted_residual)
         for size, r, epsilon, offset in ((21, 1, 10.0, 0), (20, 0, 1.0, 1000)):
             for seed in range(offset, offset + 50):
                 truth = make_ground_truth("tree", size=size, r=r, epsilon=epsilon, seed=seed)
