@@ -67,7 +67,6 @@ class TestChowLiu:
         tree = maximum_spanning_tree(w, forbidden)
         assert (2, 3) not in tree
 
-
     @pytest.mark.parametrize("size", [21, 23, 80])
     def test_ties_broken_in_lexicographic_edge_order(self, rng, size):
         # integer weights tie often; the reference sorts (-w, i, j) tuples
