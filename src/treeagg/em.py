@@ -242,11 +242,11 @@ def _reciprocal_residual(
     inv_t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi(x) - 1/t and phi's slope, phi(x) = x / (1 + sum_k m_k / (x K_kk - K_ik^2))."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # x on a pole: a = inf, slope NaN
         inv_den = np.where(pos, 1.0 / (x[:, None] * kd[None, :] - ksq), 0.0)
-    q = mass * inv_den
-    a = 1.0 + q.sum(axis=1)
-    return x / a - inv_t, (a + x * ((q * inv_den) @ kd)) / a**2
+        q = mass * inv_den
+        a = 1.0 + q.sum(axis=1)
+        return x / a - inv_t, (a + x * ((q * inv_den) @ kd)) / a**2
 
 
 def _solve_diagonal(k_prev: np.ndarray, alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
