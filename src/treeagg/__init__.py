@@ -19,7 +19,7 @@ from .matrices import EmpiricalCovariance, PartitionedPrecision
 from .selection import SelectionReport, penalty, select
 from .simulate import GroundTruth, make_ground_truth
 from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
-from .tree_gaussian import chow_liu, log_marginal_tree_weight, tree_precision_from_cov
+from .tree_gaussian import log_marginal_tree_weight, tree_precision_from_cov
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "PartitionedPrecision",
     "SelectionReport",
     "calibrate_prior",
-    "chow_liu",
     "e_step",
     "edge_marginals",
     "edge_posteriors",

@@ -2,15 +2,19 @@
 
 The E-step computes conditional moments of the hidden block, per-edge log
 weights of the tree posterior and their log partition through the Matrix-Tree
-kernel.  The all-edge appearance probabilities alpha cost 3 to 9 times the
-partition's elimination (both O(size^3); size 21 to 80), so they are
-computed on first read: the M-step and the fit's report read them for the
-iterates EM keeps, while a rejected r = 0 proposal never does.  The observed
-log-likelihood is one closed-form expression in log Z, the node terms and,
-with hidden nodes, alpha on the observed-hidden pairs.  The M-step applies
-the closed-form off-diagonal updates and solves the diagonal stationarity
-equations by safeguarded Newton steps, then floors the spectrum to keep the
-precision positive definite.  Everything tree related is tracked in log space.
+kernel.  With hidden nodes the observed log-likelihood reads the all-edge
+appearance probabilities alpha, so one kernel call gives alpha and log Z
+together.  Without them, alpha costs 3 to 9 times the partition's own
+elimination (both O(size^3); size 21 to 80), so log Z comes from that
+elimination and alpha is computed on first read: the M-step and the fit's
+report read it for the iterates EM keeps, while a rejected r = 0 proposal
+never does.  The uniform prior's log partition has a closed form.  The
+observed log-likelihood is one closed-form expression in log Z, the node
+terms and, with hidden nodes, alpha on the observed-hidden pairs.  The
+M-step applies the closed-form off-diagonal updates and solves the diagonal
+stationarity equations by safeguarded Newton steps, then floors the spectrum
+to keep the precision positive definite.  Everything tree related is tracked
+in log space.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ from .matrices import (
     floor_spectrum,
     symmetrize,
 )
-from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
+from .spanning_trees import (
+    calibrate_prior,
+    edge_marginals,
+    log_partition_function,
+    tree_posterior,
+)
 from .tree_gaussian import (
     log_marginal_tree_weight,
     require_imperfect_correlation,
@@ -90,7 +99,7 @@ class EStepState:
 
     `weights` are the materialized tree-posterior weights, exp(log gamma)
     up to a common factor.  The edge posteriors `alpha` are computed from
-    them on first read and kept.
+    them on first read and kept, unless `e_step` already stored them.
     """
 
     w_ho: np.ndarray
@@ -146,6 +155,19 @@ class _FitPrior:
         weights = np.where(allowed, prior, 0.0)
         return cls(weights, log_partition_function(weights))
 
+    @classmethod
+    def uniform(cls, n_observed: int, n_hidden: int) -> "_FitPrior":
+        """`uniform_prior(p, r)`, with log Z = (p - 1) log(p + r) + (r - 1) log p.
+
+        The prior is K_{p+r} without its hidden-hidden edges, the join of K_p
+        and r isolated nodes.  For r >= 1 its Laplacian has eigenvalues 0,
+        p + r (p times) and p (r - 1 times), so by the Matrix-Tree theorem it
+        has (p + r)^(p-1) p^(r-1) spanning trees; at r = 0 that is Cayley's
+        p^(p-2).  No elimination is needed.
+        """
+        p, r = n_observed, n_hidden
+        return cls(uniform_prior(p, r), (p - 1) * math.log(p + r) + (r - 1) * math.log(p))
+
 
 def e_step(
     precision: PartitionedPrecision,
@@ -156,22 +178,31 @@ def e_step(
 
     `prior` is an edge prior matrix, or the masked prior a fit precomputes.
     A matrix is masked as `fit` masks it, hidden-hidden pairs and diagonal
-    zeroed, so log gamma and log Z(prior) see the same prior.  The edge
-    posteriors are left to the first read of `EStepState.alpha`; a disconnected
-    weight support raises DegenerateWeightsError here, at once.
+    zeroed, so log gamma and log Z(prior) see the same prior.  With hidden
+    nodes, whose log-likelihood reads the edge posteriors, one kernel call
+    gives them and log Z.  Without, log Z is one elimination and the edge
+    posteriors are left to the first read of `EStepState.alpha`.  Either way
+    a disconnected weight support raises DegenerateWeightsError here, at once.
     """
     if not isinstance(prior, _FitPrior):
         prior = _FitPrior.masked(prior, precision.n_observed)
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
-    log_z = log_partition_function(weights)
-    if log_z == -np.inf:
-        raise DegenerateWeightsError(
-            "the tree posterior's positive-weight support is disconnected"
-        )
+    alpha = None
+    if precision.n_hidden:
+        alpha, log_z = tree_posterior(weights)
+    else:
+        log_z = log_partition_function(weights)
+        if log_z == -np.inf:
+            raise DegenerateWeightsError(
+                "the tree posterior's positive-weight support is disconnected"
+            )
     log_z += (precision.size - 1) * shift
-    return EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, prior.log_z)
+    state = EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, prior.log_z)
+    if alpha is not None:
+        vars(state)["alpha"] = alpha  # the cache that `EStepState.alpha` fills
+    return state
 
 
 def tree_entropy(state: EStepState) -> float:
@@ -371,9 +402,11 @@ def _run_em(
     once the relative gain is below `opts.tol`, the run stops as converged.
     So the trace rises strictly and ends at the returned iterate.  No proposal
     is made once the trace holds `opts.max_iter` entries; `max_iter=0` returns
-    the initializer with an empty trace.  Only kept iterates have their edge
-    posteriors read by the M-step; at r = 0 a rejected proposal costs one
-    elimination, while with hidden nodes its log-likelihood reads its alpha.
+    the initializer with an empty trace.  Every E-step is one elimination:
+    with hidden nodes the kernel call that gives log Z also gives the alpha
+    the log-likelihood reads; at r = 0 log Z is the partition's own
+    elimination, and only kept iterates have their edge posteriors computed,
+    for the M-step, so a rejected proposal costs that one elimination.
     """
     k = k_init
     state = e_step(k, cov, prior)
@@ -434,7 +467,7 @@ def fit(
         raise ValueError("n_hidden must be nonnegative")
     require_imperfect_correlation(cov)
     p = cov.size
-    fit_prior = _FitPrior.masked(uniform_prior(p, n_hidden), p)
+    fit_prior = _FitPrior.uniform(p, n_hidden)
     init = initialization.initial_precision_from_cov(cov, n_hidden)
     return _run_em(cov, fit_prior, init.precision, opts)
 

@@ -17,7 +17,9 @@ with C_kl the conductance left between k and l once every other node is
 eliminated.  A recursion over halves of the node set reaches every pair at
 O(n^3) cost: each subproblem eliminates the other half of its parent's
 nodes, and all subproblems of one level run in lockstep on one array, so a
-call takes about n Python steps.  The tests keep a one-grounding-at-a-time
+call takes about n Python steps.  Any root-to-leaf path of the recursion
+eliminates every node but two, so its pivots give log Z as well, and one
+call of `tree_posterior` returns both.  The tests keep a one-grounding-at-a-time
 elimination with forward substitution, and brute-force enumeration over
 Pruefer sequences, as oracles.  calibrate_prior rescales a prior to a target
 edge marginal.
@@ -158,8 +160,8 @@ def _reduction_plan(n: int):
     return levels, k, l, at
 
 
-def edge_marginals(w: np.ndarray) -> np.ndarray:
-    """Appearance probability of every edge under P(T) ~ prod w_ij.
+def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Edge appearance probabilities and log Z(W), from one elimination.
 
     M_kl = w_kl / C_kl, with C_kl = 1 / R_kl the conductance left between k
     and l once every other node is star-mesh-eliminated (Kron reduction).
@@ -169,15 +171,20 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     of each, then onto the kept part in one batched product.  This is O(n^3)
     work in about n Python steps.  Every quantity is a sum or product of
     positives, so the result stays accurate while the weights are normal
-    floats, and C_kl >= w_kl keeps M_kl in [0, 1].  Raises
+    floats, and C_kl >= w_kl keeps M_kl in [0, 1].
+
+    A root-to-leaf path of the recursion eliminates every node but the
+    leaf's two, so log Z is the sum of that path's log pivots plus log C of
+    the leaf, the last pivot; the dummy pivots of 1 add nothing.  Raises
     DegenerateWeightsError when the positive-weight support is disconnected.
     """
     w = validate_weight_matrix(w)
-    ws, _ = _max_rescale(w)
+    ws, log_scale = _max_rescale(w)
     n = ws.shape[0]
     levels, k, l, at = _reduction_plan(n)
     cur = np.zeros((1, n + 1, n + 1))
     cur[0, 1:, 1:] = ws
+    log_pivots = np.zeros(1)
     # A zero pivot of a real node turns its subproblem into NaN, which
     # reaches every leaf below it; the leaves are checked once, at the end.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,6 +202,7 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
             cur[:, e + 1 :, e + 1 :] += np.matmul(
                 (out / pivots[:, :, None]).transpose(0, 2, 1), out
             )
+            log_pivots = log_pivots[parents] + np.log(pivots).sum(axis=1)
     conductance = cur[:, at, at + 1]
     if not conductance.min() > 0.0:  # also false for NaN
         raise DegenerateWeightsError(
@@ -203,7 +211,18 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
         )
     marg = np.zeros((n, n))
     marg[k, l] = ws[k, l] / conductance
-    return marg + marg.T
+    log_z = float(log_pivots[0] + np.log(conductance[0])) + (n - 1) * log_scale
+    return marg + marg.T, log_z
+
+
+def edge_marginals(w: np.ndarray) -> np.ndarray:
+    """Appearance probability of every edge under P(T) ~ prod w_ij.
+
+    The edge posteriors of `tree_posterior`, whose docstring has the method.
+    Raises DegenerateWeightsError when the positive-weight support is
+    disconnected.
+    """
+    return tree_posterior(w)[0]
 
 
 def require_feasible_target(prior: np.ndarray, p0: float) -> None:

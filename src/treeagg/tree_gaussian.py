@@ -99,11 +99,6 @@ def maximum_spanning_tree(
     return tuple(sorted(edges))
 
 
-def chow_liu(cov) -> tuple[tuple[int, int], ...]:
-    """Maximum-likelihood spanning tree under Gaussian mutual-information weights."""
-    return maximum_spanning_tree(gaussian_mutual_information(cov))
-
-
 def tree_precision_from_cov(tree_edges, cov) -> np.ndarray:
     """Precision of the tree-structured MLE matching cov on nodes and tree edges.
 

@@ -21,6 +21,7 @@ from treeagg.graphs import Graph, UnionFind, prufer_to_edges
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
 from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
+from treeagg.tree_gaussian import gaussian_mutual_information, maximum_spanning_tree
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -53,6 +54,11 @@ def tree_products(w):
     """Product of the edge weights of every labeled spanning tree."""
     edges = tree_edges(w.shape[0])
     return w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
+
+
+def chow_liu(cov):
+    """Maximum-likelihood spanning tree under Gaussian mutual-information weights."""
+    return maximum_spanning_tree(gaussian_mutual_information(cov))
 
 
 def is_spanning_tree(edges, n_nodes):

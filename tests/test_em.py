@@ -166,6 +166,29 @@ class TestEStep:
         np.testing.assert_array_equal(order0, order1)
 
 
+class TestUniformPriorLogZ:
+    """The uniform prior's log partition in closed form, without elimination."""
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_matches_elimination(self, r):
+        for p in range(2, 81):
+            prior = em._FitPrior.uniform(p, r)
+            np.testing.assert_array_equal(prior.weights, em.uniform_prior(p, r))
+            eliminated = spanning_trees.log_partition_function(em.uniform_prior(p, r))
+            assert prior.log_z == pytest.approx(eliminated, rel=1e-12, abs=1e-12)
+
+    def test_matches_enumeration(self):
+        # p = 1: a star on the observed node, the only tree without
+        # hidden-hidden edges; a single node has one (empty) tree
+        assert em._FitPrior.uniform(1, 0).log_z == 0.0
+        for p in range(1, 9):
+            for r in range(max(0, 2 - p), 9 - p):
+                trees = tree_products(em.uniform_prior(p, r)).sum()
+                assert em._FitPrior.uniform(p, r).log_z == pytest.approx(
+                    np.log(trees), rel=1e-12, abs=1e-12
+                ), (p, r)
+
+
 class TestEntropies:
     def test_single_tree_entropy_zero(self):
         log_gamma = np.full((3, 3), -np.inf)
@@ -483,18 +506,26 @@ class TestFit:
         assert (np.diff(trace) >= -1e-6).all()
         assert result.loglik == pytest.approx(trace.max())
 
-    @pytest.mark.parametrize("r, kernel_calls", [(0, 1), (1, 2)], ids=["r0", "r1"])
-    def test_stalled_iteration_budget(self, monkeypatch, r, kernel_calls):
+    @pytest.mark.parametrize(
+        "r, expected",
+        [
+            (0, {"log_partition_function": 2, "tree_posterior": 0, "edge_marginals": 1}),
+            (1, {"log_partition_function": 0, "tree_posterior": 2, "edge_marginals": 0}),
+        ],
+        ids=["r0", "r1"],
+    )
+    def test_stalled_iteration_budget(self, monkeypatch, r, expected):
         # a signal-suite replicate whose first M-step proposal is rejected:
-        # one E-step at the initializer and one at the proposal, each with one
-        # log partition for the tree posterior, plus one log partition of the
-        # prior for the whole fit.  The edge posteriors are computed for the
-        # kept iterate, and at r > 0 for the proposal too, whose
-        # log-likelihood reads them; an r = 0 proposal reads only log Z.
+        # one E-step at the initializer and one at the proposal, each one
+        # elimination, and none for the uniform prior, whose log partition
+        # has a closed form.  With a hidden node each E-step is one kernel
+        # call for alpha and log Z, as the proposal's log-likelihood reads
+        # alpha.  At r = 0 each E-step is one log partition, and the edge
+        # posteriors are computed only for the kept iterate.
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
-        calls = {"e_step": 0, "log_partition_function": 0, "edge_marginals": 0}
+        calls = dict.fromkeys(["e_step", *expected], 0)
 
         def counted(name):
             func = getattr(em, name)
@@ -505,14 +536,11 @@ class TestFit:
 
             monkeypatch.setattr(em, name, wrapper)
 
-        counted("e_step")
-        counted("log_partition_function")
-        counted("edge_marginals")
+        for name in calls:
+            counted(name)
         result = em.fit(cov, r)
         assert result.iterations == 1 and result.converged
-        assert calls["e_step"] == 2
-        assert calls["log_partition_function"] == 3
-        assert calls["edge_marginals"] == kernel_calls
+        assert calls == {"e_step": 2, **expected}
 
     @pytest.mark.parametrize(
         "opts", [em.FitOptions(), em.FitOptions(max_iter=2)], ids=["default", "max_iter2"]

@@ -8,9 +8,9 @@ from treeagg.fixed_tree import fit_fixed_tree, gaussian_observed_loglik
 from treeagg.initialization import _regularize_cov
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import sample_and_marginalize, sample_seed
-from treeagg.tree_gaussian import chow_liu, tree_precision_from_cov
+from treeagg.tree_gaussian import tree_precision_from_cov
 
-from conftest import duplicated_column_data, figure_ground_truth, random_spd
+from conftest import chow_liu, duplicated_column_data, figure_ground_truth, random_spd
 
 
 def sample_cov(rng, p, n=60):

@@ -15,7 +15,6 @@ PUBLIC_API = [
     "PartitionedPrecision",
     "SelectionReport",
     "calibrate_prior",
-    "chow_liu",
     "e_step",
     "edge_marginals",
     "edge_posteriors",

@@ -10,6 +10,7 @@ from treeagg.spanning_trees import (
     calibrate_prior,
     edge_marginals,
     log_partition_function,
+    tree_posterior,
     validate_weight_matrix,
 )
 
@@ -274,6 +275,37 @@ class TestBlockKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestTreePosterior:
+    """log Z from the Kron reduction's pivots, next to the edge posteriors."""
+
+    @pytest.mark.parametrize("span", [10.0, 700.0, 3000.0])
+    @pytest.mark.parametrize("size", [*range(2, 41), 80])
+    def test_log_z_matches_eliminations(self, size, span):
+        # spans past 708 nats go through the E-step floor of 1e-300
+        w = estep_weights(np.random.default_rng(2000 + size), size, span)
+        alpha, log_z = tree_posterior(w)
+        for reference in (log_partition_function(w), per_ground_log_partition(w)):
+            assert log_z == pytest.approx(reference, rel=1e-13, abs=1e-13)
+        np.testing.assert_array_equal(alpha, edge_marginals(w))
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_log_z_matches_enumeration(self, rng, size):
+        for w in (random_weight_matrix(rng, size), estep_weights(rng, size, 700.0)):
+            _, log_z = tree_posterior(w)
+            assert log_z == pytest.approx(brute_log_partition(log_brute(w)), rel=1e-9, abs=1e-9)
+
+    def test_log_z_keeps_the_scale(self, rng):
+        w = random_weight_matrix(rng, 6)
+        assert tree_posterior(1e200 * w)[1] == pytest.approx(
+            tree_posterior(w)[1] + 5 * np.log(1e200), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("components", DISCONNECTED_SPLITS)
+    def test_disconnected_raises(self, components):
+        with pytest.raises(DegenerateWeightsError):
+            tree_posterior(block_weights(components))
 
 
 class TestEnumerateTrees:

@@ -7,14 +7,13 @@ from treeagg.graphs import UnionFind
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 from treeagg.tree_gaussian import (
-    chow_liu,
     gaussian_mutual_information,
     log_marginal_tree_weight,
     maximum_spanning_tree,
     tree_precision_from_cov,
 )
 
-from conftest import random_spd, tree_edges, tree_products
+from conftest import chow_liu, random_spd, tree_edges, tree_products
 
 
 def cov_from_corr(rho_pairs, size):

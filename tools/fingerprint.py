@@ -9,10 +9,12 @@ Prints four SHA-256 digests, one a line:
   acceptance-suite replicates (the signal and the null suite of
   `tests/test_acceptance.py`): its rows, selections, and each fit's
   log-likelihood trace and the bytes of its alpha and K;
-- `select-structure`: the same reports without the values derived from the
-  log-likelihood (each row's `loglik`, `bic`, `icl_tree` and `icl_joint`, and
-  the traces), plus each fit's iteration count.  A change
-  that moves only the last digits of log-likelihoods keeps this digest;
+- `select-structure`: the same reports without the values that carry log Z
+  (each row's `loglik`, `bic`, `icl_tree`, `icl_joint`, `h_tree` and
+  `h_joint`, and the traces), plus each fit's iteration count.  The
+  entropies are log Z minus alpha-weighted sums, so they move with log Z's
+  last bits as the log-likelihoods do.  A change that moves only the last
+  digits of log Z and the log-likelihoods keeps this digest;
 - `select-r0`: the r = 0 part of the same reports, log-likelihoods included:
   each report's r = 0 row and that fit's trace and the bytes of its alpha and
   K.  A change that moves only r > 0 log-likelihoods keeps this digest;
@@ -59,7 +61,8 @@ def suite_covariances():
             yield f"{suite} {seed}", EmpiricalCovariance.from_data(observed)
 
 
-LOGLIK_KEYS = ("loglik", "bic", "icl_tree", "icl_joint")
+# Row values that carry log Z: left out of the `select-structure` digest.
+LOG_Z_KEYS = ("loglik", "bic", "icl_tree", "icl_joint", "h_tree", "h_joint")
 
 
 def select_digests() -> tuple[str, str, str]:
@@ -79,7 +82,7 @@ def select_digests() -> tuple[str, str, str]:
             r0.update(f"trace={fit.loglik_trace!r}".encode())
             r0.update(fit.alpha.tobytes() + fit.precision.matrix.tobytes())
         for row in payload["rows"]:
-            for key in LOGLIK_KEYS:
+            for key in LOG_Z_KEYS:
                 del row[key]
         structure.update(label.encode() + b"\0")
         structure.update(json.dumps(payload, sort_keys=True).encode())
