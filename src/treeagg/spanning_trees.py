@@ -19,10 +19,10 @@ O(n^3) cost: each subproblem eliminates the other half of its parent's
 nodes, and all subproblems of one level run in lockstep on one array, so a
 call takes about n Python steps.  Any root-to-leaf path of the recursion
 eliminates every node but two, so its pivots give log Z as well, and one
-call of `tree_posterior` returns both.  The tests keep a one-grounding-at-a-time
-elimination with forward substitution, and brute-force enumeration over
-Pruefer sequences, as oracles.  calibrate_prior rescales a prior to a target
-edge marginal.
+call of `tree_posterior` returns both.  The tests keep a
+one-grounding-at-a-time elimination with forward substitution, and
+brute-force enumeration over Pruefer sequences, as oracles.
+calibrate_prior rescales a prior to a target edge marginal.
 """
 
 from __future__ import annotations
