@@ -216,13 +216,9 @@ def tree_entropy(state: EStepState) -> float:
 
 def joint_entropy(state: EStepState, precision: PartitionedPrecision) -> float:
     """H(T, X_H | X_O): tree entropy plus the constant hidden-signal entropy."""
-    r = precision.n_hidden
-    h = tree_entropy(state)
-    if r == 0:
-        return h
     precision.require_positive_hidden_diagonal()
-    k_hidden = precision.hidden_diagonal()
-    return float(h + 0.5 * r * (LOG_2PI + 1.0) - 0.5 * np.log(k_hidden).sum())
+    h_signal = 0.5 * precision.n_hidden * (LOG_2PI + 1.0)
+    return float(tree_entropy(state) + h_signal - 0.5 * np.log(precision.hidden_diagonal()).sum())
 
 
 def observed_loglik(

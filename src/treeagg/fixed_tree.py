@@ -41,13 +41,8 @@ def gaussian_observed_loglik(
     precision: PartitionedPrecision, cov: EmpiricalCovariance
 ) -> float:
     """Exact marginal Gaussian log-likelihood of the observed block."""
-    p, r = precision.n_observed, precision.n_hidden
-    if r:
-        schur = precision.k_oo - precision.k_oh @ np.linalg.solve(
-            precision.k_hh, precision.k_ho
-        )
-    else:
-        schur = precision.k_oo
+    p = precision.n_observed
+    schur = precision.k_oo - precision.k_oh @ np.linalg.solve(precision.k_hh, precision.k_ho)
     sign, logdet = np.linalg.slogdet(schur)
     if sign <= 0:
         return -np.inf

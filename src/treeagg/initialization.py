@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import EmpiricalCovariance, PartitionedPrecision, floor_spectrum, symmetrize
+from .matrices import EmpiricalCovariance, PartitionedPrecision, symmetrize
 from .tree_gaussian import (
     gaussian_mutual_information,
     maximum_spanning_tree,
@@ -25,18 +25,24 @@ from .tree_gaussian import (
 )
 
 
-def _regularize_cov(sigma: np.ndarray, max_rho: float = 1.0 - 1e-6) -> np.ndarray:
-    """Shrink toward the diagonal until correlations and eigenvalues are usable."""
+MAX_RHO = 1.0 - 1e-6  # largest |correlation| the shrinkage leaves
+
+
+def _regularize_cov(sigma: np.ndarray) -> np.ndarray:
+    """Least shrinkage toward the diagonal whose correlation matrix is usable.
+
+    Usable: every |rho| below MAX_RHO and the smallest eigenvalue above 1e-10.
+    Both tests read the correlations, so the choice does not depend on units.
+    Halfway, the correlation matrix R/2 + I/2 always passes them.
+    """
     d = np.diag(np.diag(sigma))
-    for lam in (0.0, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5):
+    off = ~np.eye(sigma.shape[0], dtype=bool)
+    for lam in (0.0, 1e-6, 1e-4, 1e-3, 1e-2, 0.1):
         s = (1.0 - lam) * sigma + lam * d
         rho = s / np.sqrt(np.outer(np.diag(s), np.diag(s)))
-        off = ~np.eye(s.shape[0], dtype=bool)
-        if np.abs(rho[off]).max(initial=0.0) >= max_rho:
-            continue
-        if np.linalg.eigvalsh(s)[0] <= 1e-10 * np.diag(s).mean():
-            continue
-        return s
+        if np.abs(rho[off]).max(initial=0.0) < MAX_RHO:
+            if np.linalg.eigvalsh(rho)[0] > 1e-10:
+                return s
     return 0.5 * sigma + 0.5 * d
 
 
@@ -97,10 +103,11 @@ class InitialState:
 def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
     """Starting precision for the EM, computed from the covariance alone.
 
-    The tree MLE of the principal-component completion, floored to the
-    positive-definite cone.
+    The tree MLE of the principal-component completion.  A tree MLE built
+    from positive-definite 2 x 2 edge blocks is positive definite, so the
+    start needs no floor.
     """
     p = cov.size
     completed = _completed_covariance(_regularize_cov(cov.matrix), n_hidden)
     tree, k = tree_mle(completed, p)
-    return InitialState(PartitionedPrecision(floor_spectrum(k, p), p, n_hidden), tree)
+    return InitialState(PartitionedPrecision(k, p, n_hidden), tree)

@@ -21,7 +21,8 @@ from .matrices import (
 )
 
 ZERO_PATTERN_TOL = 1e-10
-DIAG_MARGIN = 0.1
+DIAG_MARGIN = 0.1  # smallest eigenvalue of a ground-truth precision
+FLIP_PROB = 0.5  # chance that an edge weight is negative
 
 
 def gen_graph(kind: str, size: int, seed, p_edge: float = 0.1) -> Graph:
@@ -44,21 +45,20 @@ def gen_graph(kind: str, size: int, seed, p_edge: float = 0.1) -> Graph:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def gen_precision(
-    graph: Graph, seed, delta: float = DIAG_MARGIN, flip_prob: float = 0.5
-) -> np.ndarray:
+def gen_precision(graph: Graph, seed) -> np.ndarray:
     """Signed incidence pattern with a diagonally dominant diagonal.
 
-    Edge weights are +-1 with independent sign flips; the diagonal is the
-    absolute row sum plus delta, so the smallest eigenvalue is at least delta.
+    Edge weights are +-1, each negative with probability FLIP_PROB; the
+    diagonal is the absolute row sum plus DIAG_MARGIN, so the smallest
+    eigenvalue is at least DIAG_MARGIN.
     """
     rng = np.random.default_rng(seed)
     n = graph.n_nodes
     k = np.zeros((n, n))
     for i, j in graph.edges:
-        sign = -1.0 if rng.random() < flip_prob else 1.0
+        sign = -1.0 if rng.random() < FLIP_PROB else 1.0
         k[i, j] = k[j, i] = sign
-    k[np.diag_indices(n)] = np.abs(k).sum(axis=1) + delta
+    k[np.diag_indices(n)] = np.abs(k).sum(axis=1) + DIAG_MARGIN
     return k
 
 
@@ -88,15 +88,15 @@ def choose_hidden(graph: Graph, r: int, seed) -> tuple[int, ...]:
 
 
 def scale_and_snr(
-    precision: PartitionedPrecision, epsilon: float, delta: float = DIAG_MARGIN
+    precision: PartitionedPrecision, epsilon: float
 ) -> tuple[PartitionedPrecision, float, float]:
     """Scale the hidden blocks by epsilon and measure the signal-to-noise ratio.
 
     SNR is computed from the scaled blocks before any repair, so it scales
-    exactly as epsilon^2.  If the scaled matrix loses positive definiteness
-    the diagonal is re-loaded: half the eigenvalue deficit as a uniform ridge,
-    the rest on the nodes carrying the deficient eigendirections, so the
-    repair does not drown the correlation structure away from the hidden
+    exactly as epsilon^2.  If the scaled matrix's smallest eigenvalue is below
+    DIAG_MARGIN, the diagonal is re-loaded: half the deficit as a uniform
+    ridge, the rest on the nodes carrying the deficient eigendirections, so
+    the repair does not drown the correlation structure away from the hidden
     nodes.  The largest per-entry addition is returned as diag_adjust.
     """
     p, r = precision.n_observed, precision.n_hidden
@@ -115,20 +115,20 @@ def scale_and_snr(
 
     added = np.zeros(k.shape[0])
     evals = np.linalg.eigvalsh(k)
-    if evals[0] < delta:
-        ridge = 0.5 * (delta - evals[0])
+    if evals[0] < DIAG_MARGIN:
+        ridge = 0.5 * (DIAG_MARGIN - evals[0])
         k += ridge * np.eye(k.shape[0])
         added += ridge
         for _ in range(100):
             evals2, vecs = np.linalg.eigh(k)
-            if evals2[0] >= delta:
+            if evals2[0] >= DIAG_MARGIN:
                 break
             direction = vecs[:, 0] ** 2
-            bump = (delta - evals2[0]) * direction / (direction**2).sum()
+            bump = (DIAG_MARGIN - evals2[0]) * direction / (direction**2).sum()
             k += np.diag(bump)
             added += bump
         else:
-            rest = delta - np.linalg.eigvalsh(k)[0]
+            rest = DIAG_MARGIN - np.linalg.eigvalsh(k)[0]
             k += rest * np.eye(k.shape[0])
             added += rest
     return PartitionedPrecision(symmetrize(k), p, r), snr, float(added.max())
@@ -236,8 +236,6 @@ def make_ground_truth(
     epsilon: float,
     seed: int,
     p_edge: float = 0.1,
-    delta: float = DIAG_MARGIN,
-    flip_prob: float = 0.5,
 ) -> GroundTruth:
     """Assemble a reproducible instance from a single master seed."""
     seq = np.random.SeedSequence(seed)
@@ -248,9 +246,9 @@ def make_ground_truth(
     hidden = choose_hidden(graph, r, seed_hidden)
     graph = _relabel_hidden_last(graph, hidden)
     p = size - r
-    k_mat = gen_precision(graph, seed_prec, delta=delta, flip_prob=flip_prob)
+    k_mat = gen_precision(graph, seed_prec)
     base = PartitionedPrecision(k_mat, p, r)
-    precision, snr, diag_adjust = scale_and_snr(base, epsilon, delta=delta)
+    precision, snr, diag_adjust = scale_and_snr(base, epsilon)
     k_m = marginal_precision(precision)
     return GroundTruth(
         kind=kind,

@@ -8,7 +8,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import itertools
 import json
 from functools import lru_cache
 
@@ -17,7 +16,7 @@ import pytest
 
 from treeagg.em import LOG_2PI, completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
-from treeagg.graphs import Graph, UnionFind, prufer_to_edges
+from treeagg.graphs import Graph, UnionFind
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
 from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
@@ -45,9 +44,28 @@ def random_spd(rng, size, strength=0.5):
 @lru_cache(maxsize=None)
 def tree_edges(size):
     """Edges of all size^(size-2) labeled trees on {0..size-1}, decoded from
-    their Pruefer sequences, as an int array (n_trees, size - 1, 2)."""
-    seqs = itertools.product(range(size), repeat=size - 2)
-    return np.array([prufer_to_edges(seq, size) for seq in seqs], dtype=np.intp)
+    their Pruefer sequences, as an int array (n_trees, size - 1, 2).
+
+    Trees come in the sequences' lexicographic order, each with its edges
+    sorted, as `prufer_to_edges` gives them.  All sequences are decoded in
+    lockstep: step t joins every tree's smallest leaf to its entry t.
+    """
+    n_trees = size ** (size - 2)
+    seqs = np.arange(n_trees)[:, None] // size ** np.arange(size - 3, -1, -1) % size
+    rows = np.arange(n_trees)
+    degree = 1 + (seqs[:, :, None] == np.arange(size)).sum(axis=1)
+    edges = np.empty((n_trees, size - 1, 2), dtype=np.intp)
+    for t in range(size - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        edges[:, t, 0] = np.minimum(leaf, seqs[:, t])
+        edges[:, t, 1] = np.maximum(leaf, seqs[:, t])
+        degree[rows, leaf] -= 1
+        degree[rows, seqs[:, t]] -= 1
+    last = degree == 1  # the two nodes left
+    edges[:, -1, 0] = np.argmax(last, axis=1)
+    edges[:, -1, 1] = size - 1 - np.argmax(last[:, ::-1], axis=1)
+    order = np.argsort(edges[:, :, 0] * size + edges[:, :, 1], axis=1)
+    return np.take_along_axis(edges, order[:, :, None], axis=1)
 
 
 def tree_products(w):

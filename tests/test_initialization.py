@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treeagg import em, initialization
+from treeagg.em import FitOptions
 from treeagg.initialization import _completed_covariance, initial_precision_from_cov
 from treeagg.matrices import EmpiricalCovariance
 from treeagg.simulate import sample_and_marginalize, sample_seed
@@ -20,6 +21,16 @@ def factor_data(rng, n=400, noise_cols=4):
 def initial_k(data, n_hidden):
     cov = EmpiricalCovariance.from_data(data)
     return initial_precision_from_cov(cov, n_hidden).precision
+
+
+def unit_pairs(column, d):
+    """6 x 4 normal data and a copy with one column's units scaled by d: the
+    covariances of both, and the scales D (the covariance is D S D)."""
+    data = np.random.default_rng(0).normal(size=(6, 4))
+    scale = np.ones(4)
+    scale[column] = d
+    base = EmpiricalCovariance.from_data(data)
+    return base, EmpiricalCovariance.from_data(data * scale), scale
 
 
 def completed(data, n_hidden):
@@ -134,6 +145,31 @@ class TestInitialK:
             "0x0.0p+0", "0x1.d09df2e589b61p+2", "-0x1.2fde2b031817dp+3",
             "-0x1.e61a201f887dap+0", "-0x1.2fde2b031817dp+3", "0x1.dbf271fa10caep+3",
         ]
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
+    @pytest.mark.parametrize("column", range(4))
+    def test_r0_start_is_unit_free(self, column, d):
+        # the start reads correlations and variances only, so it maps K to
+        # D^-1 K D^-1 whatever the spread of the columns' scales
+        base, scaled, scale = unit_pairs(column, d)
+        start = initial_precision_from_cov(base, 0)
+        scaled_start = initial_precision_from_cov(scaled, 0)
+        assert scaled_start.tree == start.tree
+        np.testing.assert_allclose(
+            scaled_start.precision.matrix,
+            start.precision.matrix / np.outer(scale, scale),
+            rtol=1e-12, atol=0,
+        )
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
+    @pytest.mark.parametrize("column", range(4))
+    def test_r0_start_loglik_is_unit_free(self, column, d):
+        # loglik moves by the Jacobian -n log d, alpha not at all
+        base, scaled, _ = unit_pairs(column, d)
+        fit = em.fit(base, 0, FitOptions(max_iter=0))
+        scaled_fit = em.fit(scaled, 0, FitOptions(max_iter=0))
+        assert scaled_fit.loglik == pytest.approx(fit.loglik - base.n * np.log(d), rel=1e-9)
+        np.testing.assert_allclose(scaled_fit.alpha, fit.alpha, rtol=0, atol=1e-12)
 
     def test_underdetermined_data_still_pd(self, rng):
         data = rng.normal(size=(6, 10))  # n < p

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from treeagg import em
 from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
+from treeagg.graphs import prufer_to_edges
 from treeagg.spanning_trees import (
     calibrate_prior,
     edge_marginals,
@@ -317,6 +319,12 @@ class TestEnumerateTrees:
         for tree in trees:
             assert is_spanning_tree(tree, 5)
         assert len(set(trees)) == 125
+
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_lockstep_decoding_matches_prufer_to_edges(self, size):
+        seqs = itertools.product(range(size), repeat=size - 2)
+        expected = [prufer_to_edges(seq, size) for seq in seqs]
+        assert tree_edges(size).tolist() == [[list(e) for e in tree] for tree in expected]
 
 
 class TestCalibratePrior:
