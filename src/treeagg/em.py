@@ -3,12 +3,14 @@
 The E-step computes conditional moments of the hidden block, per-edge log
 weights of the tree posterior and their log partition through the Matrix-Tree
 kernel.  With hidden nodes the observed log-likelihood reads the all-edge
-appearance probabilities alpha, so one kernel call gives alpha and log Z
-together.  Without them, alpha costs 3 to 9 times the partition's own
-elimination (both O(size^3); size 21 to 80), so log Z comes from that
-elimination and alpha is computed on first read: the M-step and the fit's
-report read it for the iterates EM keeps, while a rejected r = 0 proposal
-never does.  The uniform prior's log partition has a closed form.  The
+appearance probabilities alpha, and the EM start's alpha is always read, by
+the first M-step or by the fit's report, so those E-steps take alpha and log
+Z from one kernel call.  An r = 0 proposal's log-likelihood reads log Z
+alone, and alpha costs 3 to 8 times the partition's own elimination (both
+O(size^3); size 21 to 80), so log Z comes from that elimination and alpha is
+computed on first read: the M-step and the fit's report read it for the
+proposals EM keeps, while a rejected one never does.  The uniform prior's
+log partition has a closed form.  The
 observed log-likelihood is one closed-form expression in log Z, the node
 terms and, with hidden nodes, alpha on the observed-hidden pairs.  The
 M-step applies the closed-form off-diagonal updates and solves the diagonal
@@ -173,16 +175,20 @@ def e_step(
     precision: PartitionedPrecision,
     cov: EmpiricalCovariance,
     prior: np.ndarray | _FitPrior,
+    *,
+    _alpha_read: bool = False,
 ) -> EStepState:
     """Moments, log gamma, tree-posterior weights and log partition at the current K.
 
     `prior` is an edge prior matrix, or the masked prior a fit precomputes.
     A matrix is masked as `fit` masks it, hidden-hidden pairs and diagonal
     zeroed, so log gamma and log Z(prior) see the same prior.  With hidden
-    nodes, whose log-likelihood reads the edge posteriors, one kernel call
-    gives them and log Z.  Without, log Z is one elimination and the edge
-    posteriors are left to the first read of `EStepState.alpha`.  Either way
-    a disconnected weight support raises DegenerateWeightsError here, at once.
+    nodes, whose log-likelihood reads the edge posteriors, or when the caller
+    will read them (`_alpha_read`, as `_run_em` does for its start), one
+    kernel call gives them and log Z.  Otherwise log Z is one elimination and
+    the edge posteriors are left to the first read of `EStepState.alpha`.
+    Either way a disconnected weight support raises DegenerateWeightsError
+    here, at once.
     """
     if not isinstance(prior, _FitPrior):
         prior = _FitPrior.masked(prior, precision.n_observed)
@@ -190,7 +196,7 @@ def e_step(
     log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
     alpha = None
-    if precision.n_hidden:
+    if precision.n_hidden or _alpha_read:
         alpha, log_z = tree_posterior(weights)
     else:
         log_z = log_partition_function(weights)
@@ -398,14 +404,16 @@ def _run_em(
     once the relative gain is below `opts.tol`, the run stops as converged.
     So the trace rises strictly and ends at the returned iterate.  No proposal
     is made once the trace holds `opts.max_iter` entries; `max_iter=0` returns
-    the initializer with an empty trace.  Every E-step is one elimination:
-    with hidden nodes the kernel call that gives log Z also gives the alpha
-    the log-likelihood reads; at r = 0 log Z is the partition's own
-    elimination, and only kept iterates have their edge posteriors computed,
-    for the M-step, so a rejected proposal costs that one elimination.
+    the initializer with an empty trace.  The start's E-step is one kernel
+    call for log Z and alpha at every r, as the first M-step, or the report
+    when `max_iter=0`, reads its alpha; so is every E-step with hidden
+    nodes, whose log-likelihood reads alpha.  An r = 0 proposal takes log Z
+    from the partition's own elimination and computes its edge posteriors
+    only if it is kept, for the next M-step, so a rejected proposal costs
+    that one elimination.
     """
     k = k_init
-    state = e_step(k, cov, prior)
+    state = e_step(k, cov, prior, _alpha_read=True)
     ll = observed_loglik(state, k, cov)
     trace: list[float] = []
     converged = False

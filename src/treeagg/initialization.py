@@ -6,7 +6,9 @@ with the tree-structured precision matching it on that tree.  The EM start
 applies it to a completion from the covariance alone: hidden node k is the
 unit-variance score of the k-th leading principal component of the
 regularized covariance, so its covariances with the observed nodes and with
-the other hidden nodes follow from the covariance.
+the other hidden nodes follow from the covariance.  Without hidden nodes the
+start is the tree MLE of the covariance itself: one shrinkage and no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -103,11 +105,14 @@ class InitialState:
 def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
     """Starting precision for the EM, computed from the covariance alone.
 
-    The tree MLE of the principal-component completion.  A tree MLE built
-    from positive-definite 2 x 2 edge blocks is positive definite, so the
-    start needs no floor.
+    The tree MLE of the principal-component completion; without hidden
+    nodes there is nothing to complete, and the start is `tree_mle` of the
+    covariance, as in `fixed_tree`.  A tree MLE built from positive-definite
+    2 x 2 edge blocks is positive definite, so the start needs no floor.
     """
     p = cov.size
-    completed = _completed_covariance(_regularize_cov(cov.matrix), n_hidden)
-    tree, k = tree_mle(completed, p)
+    sigma = cov.matrix
+    if n_hidden:
+        sigma = _completed_covariance(_regularize_cov(sigma), n_hidden)
+    tree, k = tree_mle(sigma, p)
     return InitialState(PartitionedPrecision(k, p, n_hidden), tree)

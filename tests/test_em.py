@@ -509,7 +509,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "r, expected",
         [
-            (0, {"log_partition_function": 2, "tree_posterior": 0, "edge_marginals": 1}),
+            (0, {"log_partition_function": 1, "tree_posterior": 1, "edge_marginals": 0}),
             (1, {"log_partition_function": 0, "tree_posterior": 2, "edge_marginals": 0}),
         ],
         ids=["r0", "r1"],
@@ -518,10 +518,11 @@ class TestFit:
         # a signal-suite replicate whose first M-step proposal is rejected:
         # one E-step at the initializer and one at the proposal, each one
         # elimination, and none for the uniform prior, whose log partition
-        # has a closed form.  With a hidden node each E-step is one kernel
-        # call for alpha and log Z, as the proposal's log-likelihood reads
-        # alpha.  At r = 0 each E-step is one log partition, and the edge
-        # posteriors are computed only for the kept iterate.
+        # has a closed form.  The initializer's E-step is one kernel call for
+        # alpha and log Z at every r, as the M-step reads its alpha.  With a
+        # hidden node so is the proposal's, as its log-likelihood reads
+        # alpha; at r = 0 the proposal's is one log partition, and its edge
+        # posteriors, never read once it is rejected, are not computed.
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
@@ -530,9 +531,9 @@ class TestFit:
         def counted(name):
             func = getattr(em, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return func(*args)
+                return func(*args, **kwargs)
 
             monkeypatch.setattr(em, name, wrapper)
 

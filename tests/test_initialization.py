@@ -108,19 +108,25 @@ class TestInitialK:
             k = initial_k(data, r)
             assert np.linalg.eigvalsh(k.matrix)[0] > 0
 
-    def test_hidden_block_diagonal(self, rng, monkeypatch):
+    @pytest.mark.parametrize("r, shrinkages", [(0, 1), (2, 2)], ids=["r0", "r2"])
+    def test_hidden_block_diagonal(self, rng, monkeypatch, r, shrinkages):
         data = factor_data(rng)
         calls = []
         regularize = initialization._regularize_cov
         monkeypatch.setattr(
             initialization, "_regularize_cov", lambda m: calls.append(1) or regularize(m)
         )
-        k = initial_k(data, 2)
+        k = initial_k(data, r)
         hidden = k.matrix[7:, 7:]
         np.testing.assert_allclose(hidden - np.diag(np.diag(hidden)), 0.0)
-        # once for the observed covariance and once for the completed
-        # covariance
-        assert len(calls) == 2
+        # with hidden nodes, once for the observed covariance and once for
+        # the completed covariance; at r = 0 the start is the tree MLE of the
+        # covariance, which shrinks it once
+        assert len(calls) == shrinkages
+        if r == 0:
+            cov = EmpiricalCovariance.from_data(data)
+            _, mle = initialization.tree_mle(cov.matrix, cov.size)
+            assert k.matrix.tobytes() == mle.tobytes()
 
     def test_figure_pattern_attachment(self):
         hits = 0
