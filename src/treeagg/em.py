@@ -6,17 +6,16 @@ kernel.  With hidden nodes the observed log-likelihood reads the all-edge
 appearance probabilities alpha, and the EM start's alpha is always read, by
 the first M-step or by the fit's report, so those E-steps take alpha and log
 Z from one kernel call.  An r = 0 proposal's log-likelihood reads log Z
-alone, and alpha costs 3 to 8 times the partition's own elimination (both
+alone, and alpha costs 3 to 7 times the partition's own elimination (both
 O(size^3); size 21 to 80), so log Z comes from that elimination and alpha is
 computed on first read: the M-step and the fit's report read it for the
 proposals EM keeps, while a rejected one never does.  The uniform prior's
-log partition has a closed form.  The
-observed log-likelihood is one closed-form expression in log Z, the node
-terms and, with hidden nodes, alpha on the observed-hidden pairs.  The
-M-step applies the closed-form off-diagonal updates and solves the diagonal
-stationarity equations by safeguarded Newton steps, then floors the spectrum
-to keep the precision positive definite.  Everything tree related is tracked
-in log space.
+log partition has a closed form.  The observed log-likelihood is one
+closed-form expression in log Z, the node terms and, with hidden nodes,
+alpha on the observed-hidden pairs.  The M-step applies the closed-form
+off-diagonal updates and solves the diagonal stationarity equations by
+safeguarded Newton steps, then floors the spectrum to keep the precision
+positive definite.  Everything tree related is tracked in log space.
 """
 
 from __future__ import annotations

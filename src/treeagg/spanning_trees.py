@@ -17,9 +17,11 @@ with C_kl the conductance left between k and l once every other node is
 eliminated.  A recursion over halves of the node set reaches every pair at
 O(n^3) cost: each subproblem eliminates the other half of its parent's
 nodes, and all subproblems of one level run in lockstep on one array, so a
-call takes about n Python steps.  Any root-to-leaf path of the recursion
-eliminates every node but two, so its pivots give log Z as well, and one
-call of `tree_posterior` returns both.  The tests keep a
+call takes about n Python steps.  The last level, which leaves each pair's
+two nodes, eliminates at most two nodes of a four-node block and is done in
+closed form, on six conductances per pair.  Any root-to-leaf path of the
+recursion eliminates every node but two, so its pivots give log Z as well,
+and one call of `tree_posterior` returns both.  The tests keep a
 one-grounding-at-a-time elimination with forward substitution, and
 brute-force enumeration over Pruefer sequences, as oracles.
 calibrate_prior rescales a prior to a target edge marginal.
@@ -113,10 +115,17 @@ def _reduction_plan(n: int):
 
     A level's arrays carry a zero row and column at position 0, then the
     eliminated positions, then the kept slots; a dummy gathers position 0.
-    Returns (levels, k, l, at): per level, each child's parent and gather
-    positions in the parent's array, a mask of the eliminated dummies (whose
-    zero pivots are raised to 1) and the eliminated count e; the two labels
-    of each leaf; and the position of a leaf's first slot in the last array.
+    The last level, whose children are the two-slot leaves, eliminates one
+    or two slots of a four-slot block (one at sizes 2^k + 1); `tree_posterior`
+    does it in closed form, so it is returned apart, and padded to two
+    eliminated slots with dummies.  At n = 2 there is no level, and the
+    closed form's two dummies leave the one pair's weight as it is.
+    Returns (levels, last, k, l): per level but the last, each child's
+    parent and gather positions in the parent's array, a mask of the
+    eliminated dummies (whose zero pivots are raised to 1) and the
+    eliminated count e; for the last level, each leaf's parent and the
+    positions there of its eliminated slots u and v (0 for a dummy) and of
+    its kept slots; and the two labels of each leaf.
     """
     q = (n + 1) // 2
     labels = np.full((1, 2 * q), -1)
@@ -157,7 +166,11 @@ def _reduction_plan(n: int):
         labels = np.where(valid, labels[parent[:, None], np.minimum(kept, 2 * q - 1)], -1)
         owing, at, q = owes, 1 + e, half
     k, l = labels.T
-    return levels, k, l, at
+    parent, gather, e = np.zeros(1, int), np.array([[0, 1, 2]]), 0  # n = 2: no level
+    if levels:
+        parent, gather, _, e = levels.pop()
+    u, v = np.pad(gather[:, 1 : e + 1], ((0, 0), (0, 2 - e))).T
+    return levels, (parent, u, v, gather[:, -2], gather[:, -1]), k, l
 
 
 def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -168,10 +181,17 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
     `_reduction_plan` reaches every pair by halving: each level gathers its
     subproblems from the level above in one step and eliminates them in
     lockstep on one (b, m, m) array, node by node inside the eliminated part
-    of each, then onto the kept part in one batched product.  This is O(n^3)
-    work in about n Python steps.  Every quantity is a sum or product of
-    positives, so the result stays accurate while the weights are normal
-    floats, and C_kl >= w_kl keeps M_kl in [0, 1].
+    of each, then onto the kept part in one batched product.  The last level
+    takes each leaf's two slots x, y from a block {u, v, x, y} of the level
+    above (u, v dummies where it eliminates fewer) by the same steps in
+    closed form, on six gathered conductances per leaf:
+
+        d_u = c_uv + c_ux + c_uy,  c'_vz = c_vz + (c_uv / d_u) c_uz,
+        d_v = c'_vx + c'_vy,  C_xy = c_xy + ((c_ux / d_u) c_uy + (c'_vx / d_v) c'_vy).
+
+    This is O(n^3) work in about n Python steps.  Every quantity is a sum or
+    product of positives, so the result stays accurate while the weights are
+    normal floats, and C_kl >= w_kl keeps M_kl in [0, 1].
 
     A root-to-leaf path of the recursion eliminates every node but the
     leaf's two, so log Z is the sum of that path's log pivots plus log C of
@@ -181,7 +201,7 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
     w = validate_weight_matrix(w)
     ws, log_scale = _max_rescale(w)
     n = ws.shape[0]
-    levels, k, l, at = _reduction_plan(n)
+    levels, (par, u, v, x, y), k, l = _reduction_plan(n)
     cur = np.zeros((1, n + 1, n + 1))
     cur[0, 1:, 1:] = ws
     log_pivots = np.zeros(1)
@@ -203,7 +223,16 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
                 (out / pivots[:, :, None]).transpose(0, 2, 1), out
             )
             log_pivots = log_pivots[parents] + np.log(pivots).sum(axis=1)
-    conductance = cur[:, at, at + 1]
+        # the last level: eliminate u, then v, from the block {u, v, x, y}
+        c_uv, c_ux, c_uy = cur[par, u, v], cur[par, u, x], cur[par, u, y]
+        c_vx, c_vy, c_xy = cur[par, v, x], cur[par, v, y], cur[par, x, y]
+        d_u = c_uv + c_ux + c_uy + (u == 0)
+        ratio = c_uv / d_u
+        c_vx = c_vx + ratio * c_ux
+        c_vy = c_vy + ratio * c_uy
+        d_v = c_vx + c_vy + (v == 0)
+        conductance = c_xy + (c_ux / d_u * c_uy + c_vx / d_v * c_vy)
+        log_pivots = log_pivots[par] + (np.log(d_u) + np.log(d_v))
     if not conductance.min() > 0.0:  # also false for NaN
         raise DegenerateWeightsError(
             "a node lost all incident weight during elimination: the "

@@ -237,9 +237,10 @@ class TestBlockKernel:
         assert (w == 1e-300).any()
         assert_matches_per_ground_kernel(w)
 
-    @pytest.mark.parametrize("size", [*range(2, 41), 80])
+    @pytest.mark.parametrize("size", [*range(2, 41), 65, 80])
     def test_every_size_matches_per_ground_kernel(self, size):
-        # odd sizes and odd halves at every level of the recursion
+        # odd sizes and odd halves at every level of the recursion; the
+        # closed-form last level eliminates one slot only at sizes 2^k + 1
         w = estep_weights(np.random.default_rng(1000 + size), size, 700.0)
         assert_matches_per_ground_kernel(w)
 
