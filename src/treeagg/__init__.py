@@ -18,7 +18,7 @@ from .graphs import Graph
 from .matrices import EmpiricalCovariance, PartitionedPrecision
 from .selection import SelectionReport, penalty, select
 from .simulate import GroundTruth, make_ground_truth
-from .spanning_trees import calibrate_prior, edge_marginals, log_partition_function
+from .spanning_trees import edge_marginals, log_partition_function
 from .tree_gaussian import log_marginal_tree_weight, tree_precision_from_cov
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "GroundTruth",
     "PartitionedPrecision",
     "SelectionReport",
-    "calibrate_prior",
     "e_step",
     "edge_marginals",
     "edge_posteriors",

@@ -6,11 +6,13 @@ kernel.  With hidden nodes the observed log-likelihood reads the all-edge
 appearance probabilities alpha, and the EM start's alpha is always read, by
 the first M-step or by the fit's report, so those E-steps take alpha and log
 Z from one kernel call.  An r = 0 proposal's log-likelihood reads log Z
-alone, and alpha costs 3 to 7 times the partition's own elimination (both
-O(size^3); size 21 to 80), so log Z comes from that elimination and alpha is
-computed on first read: the M-step and the fit's report read it for the
-proposals EM keeps, while a rejected one never does.  The uniform prior's
-log partition has a closed form.  The observed log-likelihood is one
+alone, and alpha costs 2 to 7 times log Z alone, the same elimination run
+along one root-to-leaf path (both O(size^3); size 21 to 80), so log Z comes
+from that path, with the same bits, and alpha is computed on first read:
+the M-step and the fit's report read it for the proposals EM keeps, while a
+rejected one never does.  The uniform prior's log partition has a closed
+form, and so does the prior calibrated to a target edge marginal, which
+`edge_posteriors` uses.  The observed log-likelihood is one
 closed-form expression in log Z, the node terms and, with hidden nodes,
 alpha on the observed-hidden pairs.  The M-step applies the closed-form
 off-diagonal updates and solves the diagonal stationarity equations by
@@ -43,9 +45,9 @@ from .matrices import (
     symmetrize,
 )
 from .spanning_trees import (
-    calibrate_prior,
     edge_marginals,
     log_partition_function,
+    require_feasible_target,
     tree_posterior,
 )
 from .tree_gaussian import (
@@ -140,34 +142,32 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class _FitPrior:
-    """An edge prior masked to `uniform_prior`'s support, and its log partition.
+    """An edge prior on `uniform_prior`'s support, and its log partition.
 
     Both are constant over a fit, so `fit` builds this once and every E-step
-    of the fit reuses it.
+    of the fit reuses it; `edge_posteriors` builds the calibrated one.
     """
 
     weights: np.ndarray
     log_z: float
 
     @classmethod
-    def masked(cls, prior: np.ndarray, n_observed: int) -> "_FitPrior":
-        prior = np.asarray(prior, dtype=float)
-        allowed = uniform_prior(n_observed, prior.shape[0] - n_observed) > 0
-        weights = np.where(allowed, prior, 0.0)
-        return cls(weights, log_partition_function(weights))
+    def uniform(cls, n_observed: int, n_hidden: int, t: float = 1.0) -> "_FitPrior":
+        """`uniform_prior(p, r)` with weight t on the observed-hidden pairs.
 
-    @classmethod
-    def uniform(cls, n_observed: int, n_hidden: int) -> "_FitPrior":
-        """`uniform_prior(p, r)`, with log Z = (p - 1) log(p + r) + (r - 1) log p.
+        The prior is K_p joined to r isolated nodes by edges of weight t.  For
+        r >= 1 its Laplacian has eigenvalues 0, p + r t (p - 1 times), p t
+        (r - 1 times) and (p + r) t, so by the Matrix-Tree theorem
 
-        The prior is K_{p+r} without its hidden-hidden edges, the join of K_p
-        and r isolated nodes.  For r >= 1 its Laplacian has eigenvalues 0,
-        p + r (p times) and p (r - 1 times), so by the Matrix-Tree theorem it
-        has (p + r)^(p-1) p^(r-1) spanning trees; at r = 0 that is Cayley's
-        p^(p-2).  No elimination is needed.
+            log Z = (p - 1) log(p + r t) + r log t + (r - 1) log p;
+
+        at r = 0 that is Cayley's p^(p-2) trees.  No elimination is needed.
         """
         p, r = n_observed, n_hidden
-        return cls(uniform_prior(p, r), (p - 1) * math.log(p + r) + (r - 1) * math.log(p))
+        weights = uniform_prior(p, r)
+        weights[:p, p:] = weights[p:, :p] = t
+        log_z = (p - 1) * math.log(p + r * t) + r * math.log(t) + (r - 1) * math.log(p)
+        return cls(weights, log_z)
 
 
 def e_step(
@@ -179,18 +179,22 @@ def e_step(
 ) -> EStepState:
     """Moments, log gamma, tree-posterior weights and log partition at the current K.
 
-    `prior` is an edge prior matrix, or the masked prior a fit precomputes.
-    A matrix is masked as `fit` masks it, hidden-hidden pairs and diagonal
-    zeroed, so log gamma and log Z(prior) see the same prior.  With hidden
-    nodes, whose log-likelihood reads the edge posteriors, or when the caller
-    will read them (`_alpha_read`, as `_run_em` does for its start), one
-    kernel call gives them and log Z.  Otherwise log Z is one elimination and
-    the edge posteriors are left to the first read of `EStepState.alpha`.
+    `prior` is an edge prior matrix, or a `_FitPrior` with its log partition
+    in closed form.  A matrix is masked to `uniform_prior`'s support,
+    hidden-hidden pairs and diagonal zeroed, and its log partition is
+    eliminated, so log gamma and log Z(prior) see the same prior.  With
+    hidden nodes, whose log-likelihood reads the edge posteriors, or when the
+    caller will read them (`_alpha_read`, as `_run_em` does for its start),
+    one kernel call gives them and log Z.  Otherwise log Z comes from
+    `log_partition_function`, with the same bits, and the edge posteriors
+    are left to the first read of `EStepState.alpha`.
     Either way a disconnected weight support raises DegenerateWeightsError
     here, at once.
     """
     if not isinstance(prior, _FitPrior):
-        prior = _FitPrior.masked(prior, precision.n_observed)
+        allowed = uniform_prior(precision.n_observed, precision.n_hidden) > 0
+        weights = np.where(allowed, np.asarray(prior, dtype=float), 0.0)
+        prior = _FitPrior(weights, log_partition_function(weights))
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
@@ -407,9 +411,9 @@ def _run_em(
     call for log Z and alpha at every r, as the first M-step, or the report
     when `max_iter=0`, reads its alpha; so is every E-step with hidden
     nodes, whose log-likelihood reads alpha.  An r = 0 proposal takes log Z
-    from the partition's own elimination and computes its edge posteriors
-    only if it is kept, for the next M-step, so a rejected proposal costs
-    that one elimination.
+    from `log_partition_function`, the kernel's elimination along one path,
+    and computes its edge posteriors only if it is kept, for the next
+    M-step, so a rejected proposal costs that one path.
     """
     k = k_init
     state = e_step(k, cov, prior, _alpha_read=True)
@@ -476,15 +480,19 @@ def fit(
 
 
 def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:
-    """Edge posteriors recomputed under the prior calibrated to marginal p0.
+    """Edge posteriors recomputed under the fit's prior calibrated to marginal p0.
 
-    Calibration runs on the support of the fitted prior (hidden-hidden pairs
-    are structural zeros), so p0 must equal (size - 1) / #candidate edges.
-    Where calibration leaves the fitted prior unchanged, as the uniform prior
-    with at most one hidden node, the fit's own alpha is the answer.
+    Calibration keeps the support of the fit's uniform prior (hidden-hidden
+    pairs are structural zeros), so p0 must equal (size - 1) / #candidate
+    pairs.  By symmetry every observed pair of the calibrated prior weighs 1
+    and every observed-hidden pair t: an observed pair's marginal is then
+    2 / (p + r t), and the marginals sum to size - 1, so
+    t = p / (p + r - 1).  With at most one hidden node t = 1, the fit's own
+    prior, and the fit's alpha is the answer.
     """
-    calibrated = calibrate_prior(result.prior, p0)
-    if np.array_equal(calibrated, result.prior):
+    require_feasible_target(result.prior, p0)
+    p, r = result.n_observed, result.n_hidden
+    if r <= 1:
         return result.alpha
-    state = e_step(result.precision, result.cov, calibrated)
-    return state.alpha
+    prior = _FitPrior.uniform(p, r, p / (p + r - 1))
+    return e_step(result.precision, result.cov, prior).alpha

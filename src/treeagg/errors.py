@@ -14,7 +14,7 @@ class DegenerateWeightsError(TreeAggError):
 
 
 class CalibrationError(TreeAggError):
-    """Prior calibration is infeasible or did not converge."""
+    """No prior on the candidate edges gives each of them the target marginal."""
 
 
 class PerfectCorrelationError(TreeAggError):

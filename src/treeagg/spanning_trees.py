@@ -11,8 +11,8 @@ collapse under cancellation, so the minors are evaluated by star-mesh (Schur)
 elimination on the graph: removing a node adds w_iv * (w_jv / d_v) to every
 remaining pair, a subtraction-free recurrence on positive numbers that keeps
 full relative accuracy while every weight is a normal float (a dynamic range
-of about 708 nats).  log Z eliminates every node but one.  The all-pairs
-resistances come from the same step, by Kron reduction: R_kl = 1 / C_kl,
+of about 708 nats).  One routine, `_kron_reduce`, does every elimination.
+The all-pairs resistances come from it by Kron reduction: R_kl = 1 / C_kl,
 with C_kl the conductance left between k and l once every other node is
 eliminated.  A recursion over halves of the node set reaches every pair at
 O(n^3) cost: each subproblem eliminates the other half of its parent's
@@ -20,11 +20,12 @@ nodes, and all subproblems of one level run in lockstep on one array, so a
 call takes about n Python steps.  The last level, which leaves each pair's
 two nodes, eliminates at most two nodes of a four-node block and is done in
 closed form, on six conductances per pair.  Any root-to-leaf path of the
-recursion eliminates every node but two, so its pivots give log Z as well,
-and one call of `tree_posterior` returns both.  The tests keep a
-one-grounding-at-a-time elimination with forward substitution, and
-brute-force enumeration over Pruefer sequences, as oracles.
-calibrate_prior rescales a prior to a target edge marginal.
+recursion eliminates every node but two, so its pivots give log Z as well:
+one call of `tree_posterior` returns both, and `log_partition_function` runs
+the one path alone.  The tests keep a one-grounding-at-a-time elimination
+with forward substitution, and brute-force enumeration over Pruefer
+sequences, as oracles.  `require_feasible_target` checks a uniform target
+edge marginal for a prior.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 
 from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 
-# Marginal tolerance and iteration budget of calibrate_prior.
+# How far a target marginal may be from the feasible one.
 CALIBRATION_TOL = 1e-6
-CALIBRATION_MAX_ITER = 200
 
 
 def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -67,33 +67,6 @@ def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w / top, np.log(top)
 
 
-def log_partition_function(w: np.ndarray) -> float:
-    """log of Z(W) = sum over spanning trees of the edge-weight products.
-
-    Star-mesh-eliminates nodes 1, ..., n - 1 in label order with node 0 as
-    the ground; Z(W) is the product of the pivots, the total incident weight
-    of each node at its elimination.  Returns -inf when the positive-weight
-    support is disconnected (no spanning tree has positive weight): the last
-    node eliminated from a component that lacks node 0 meets a zero pivot.
-    """
-    w = validate_weight_matrix(w)
-    ws, log_scale = _max_rescale(w)
-    order = np.roll(np.arange(ws.shape[0]), -1)
-    cur = ws[np.ix_(order, order)]
-    pivots = np.empty(ws.shape[0] - 1)
-    # A zero pivot turns the rest of the elimination into NaN; the pivots are
-    # checked once, at the end.  The diagonal of cur is never read.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(ws.shape[0] - 1):
-            row = cur[s, s + 1 :]
-            d = row.sum()
-            pivots[s] = d
-            cur[s + 1 :, s + 1 :] += row[:, None] * (row / d)[None, :]
-    if not pivots.min() > 0.0:  # also false for NaN
-        return -np.inf
-    return float(np.log(pivots).sum()) + (w.shape[0] - 1) * log_scale
-
-
 # Pairs of quarters (A1, A2, B1, B2) that a subproblem's children keep: the
 # four cross pairs, then A and B alone, which only owing subproblems have.
 _CHILD_QUARTERS = ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3))
@@ -116,7 +89,7 @@ def _reduction_plan(n: int):
     A level's arrays carry a zero row and column at position 0, then the
     eliminated positions, then the kept slots; a dummy gathers position 0.
     The last level, whose children are the two-slot leaves, eliminates one
-    or two slots of a four-slot block (one at sizes 2^k + 1); `tree_posterior`
+    or two slots of a four-slot block (one at sizes 2^k + 1); `_kron_reduce`
     does it in closed form, so it is returned apart, and padded to two
     eliminated slots with dummies.  At n = 2 there is no level, and the
     closed form's two dummies leave the one pair's weight as it is.
@@ -173,40 +146,32 @@ def _reduction_plan(n: int):
     return levels, (parent, u, v, gather[:, -2], gather[:, -1]), k, l
 
 
-def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Edge appearance probabilities and log Z(W), from one elimination.
+def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
+    """Run a reduction plan on ws: each leaf's conductance, and log Z from leaf 0.
 
-    M_kl = w_kl / C_kl, with C_kl = 1 / R_kl the conductance left between k
-    and l once every other node is star-mesh-eliminated (Kron reduction).
-    `_reduction_plan` reaches every pair by halving: each level gathers its
-    subproblems from the level above in one step and eliminates them in
-    lockstep on one (b, m, m) array, node by node inside the eliminated part
-    of each, then onto the kept part in one batched product.  The last level
-    takes each leaf's two slots x, y from a block {u, v, x, y} of the level
-    above (u, v dummies where it eliminates fewer) by the same steps in
-    closed form, on six gathered conductances per leaf:
+    `levels` and `last` are `_reduction_plan`'s, or a subset of its rows
+    that keeps every kept row's parent.  Each level gathers its subproblems
+    from the level above in one step and eliminates them in lockstep on one
+    (b, m, m) array, node by node inside the eliminated part of each, then
+    onto the kept part in one batched product.  The last level takes each
+    leaf's two slots x, y from a block {u, v, x, y} of the level above (u, v
+    dummies where it eliminates fewer) by the same steps in closed form, on
+    six gathered conductances per leaf:
 
         d_u = c_uv + c_ux + c_uy,  c'_vz = c_vz + (c_uv / d_u) c_uz,
         d_v = c'_vx + c'_vy,  C_xy = c_xy + ((c_ux / d_u) c_uy + (c'_vx / d_v) c'_vy).
 
-    This is O(n^3) work in about n Python steps.  Every quantity is a sum or
-    product of positives, so the result stays accurate while the weights are
-    normal floats, and C_kl >= w_kl keeps M_kl in [0, 1].
-
-    A root-to-leaf path of the recursion eliminates every node but the
-    leaf's two, so log Z is the sum of that path's log pivots plus log C of
-    the leaf, the last pivot; the dummy pivots of 1 add nothing.  Raises
-    DegenerateWeightsError when the positive-weight support is disconnected.
+    Leaf 0's path eliminates every node but the leaf's two, so log Z of ws
+    is the sum of that path's log pivots plus log C of the leaf, the last
+    pivot; the dummy pivots of 1 add nothing.  A zero pivot of a real node
+    turns its subproblem into NaN, which reaches every leaf below it; the
+    callers check the conductances.
     """
-    w = validate_weight_matrix(w)
-    ws, log_scale = _max_rescale(w)
+    par, u, v, x, y = last
     n = ws.shape[0]
-    levels, (par, u, v, x, y), k, l = _reduction_plan(n)
     cur = np.zeros((1, n + 1, n + 1))
     cur[0, 1:, 1:] = ws
     log_pivots = np.zeros(1)
-    # A zero pivot of a real node turns its subproblem into NaN, which
-    # reaches every leaf below it; the leaves are checked once, at the end.
     with np.errstate(divide="ignore", invalid="ignore"):
         for parents, gather, pad, e in levels:
             cur = cur[parents[:, None, None], gather[:, :, None], gather[:, None, :]]
@@ -233,6 +198,27 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
         d_v = c_vx + c_vy + (v == 0)
         conductance = c_xy + (c_ux / d_u * c_uy + c_vx / d_v * c_vy)
         log_pivots = log_pivots[par] + (np.log(d_u) + np.log(d_v))
+        log_z = float(log_pivots[0] + np.log(conductance[0]))
+    return conductance, log_z
+
+
+def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Edge appearance probabilities and log Z(W), from one elimination.
+
+    M_kl = w_kl / C_kl, with C_kl = 1 / R_kl the conductance left between k
+    and l once every other node is star-mesh-eliminated (Kron reduction).
+    `_reduction_plan` reaches every pair by halving, and `_kron_reduce` runs
+    it: O(n^3) work in about n Python steps, with log Z from the pivots of
+    one root-to-leaf path.  Every quantity is a sum or product of positives,
+    so the result stays accurate while the weights are normal floats, and
+    C_kl >= w_kl keeps M_kl in [0, 1].  Raises DegenerateWeightsError when
+    the positive-weight support is disconnected.
+    """
+    w = validate_weight_matrix(w)
+    ws, log_scale = _max_rescale(w)
+    n = ws.shape[0]
+    levels, last, k, l = _reduction_plan(n)
+    conductance, log_z = _kron_reduce(ws, levels, last)
     if not conductance.min() > 0.0:  # also false for NaN
         raise DegenerateWeightsError(
             "a node lost all incident weight during elimination: the "
@@ -240,8 +226,29 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
         )
     marg = np.zeros((n, n))
     marg[k, l] = ws[k, l] / conductance
-    log_z = float(log_pivots[0] + np.log(conductance[0])) + (n - 1) * log_scale
-    return marg + marg.T, log_z
+    return marg + marg.T, log_z + (n - 1) * log_scale
+
+
+def log_partition_function(w: np.ndarray) -> float:
+    """log of Z(W) = sum over spanning trees of the edge-weight products.
+
+    The elimination of `tree_posterior` along one root-to-leaf path of its
+    recursion, row 0 of every level (whose parent is row 0 of the level
+    above): that path eliminates every node but its leaf's two, so Z(W) is
+    the product of its pivots and the leaf's conductance, and log Z equals
+    `tree_posterior(w)[1]` bit for bit.  Returns -inf when the
+    positive-weight support is disconnected (no spanning tree has positive
+    weight): the leaf's conductance is then zero or NaN.
+    """
+    w = validate_weight_matrix(w)
+    ws, log_scale = _max_rescale(w)
+    n = ws.shape[0]
+    levels, last, _, _ = _reduction_plan(n)
+    path = [(parents[:1], gather[:1], pad[:1], e) for parents, gather, pad, e in levels]
+    conductance, log_z = _kron_reduce(ws, path, tuple(index[:1] for index in last))
+    if not conductance[0] > 0.0:  # also false for NaN
+        return -np.inf
+    return log_z + (n - 1) * log_scale
 
 
 def edge_marginals(w: np.ndarray) -> np.ndarray:
@@ -255,7 +262,7 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
 
 
 def require_feasible_target(prior: np.ndarray, p0: float) -> None:
-    """Raise CalibrationError unless `calibrate_prior(prior, p0)` can reach p0.
+    """Raise CalibrationError unless p0 can be every candidate edge's marginal.
 
     The marginals of a spanning-tree distribution always sum to size - 1, so
     a uniform target over the prior's candidate edges (its positive
@@ -272,35 +279,3 @@ def require_feasible_target(prior: np.ndarray, p0: float) -> None:
             f"marginals over {n_pairs} candidate edges always sum to {size - 1}; "
             f"uniform target must be {feasible:.6g}, got {p0:.6g}"
         )
-
-
-def calibrate_prior(prior: np.ndarray, p0: float) -> np.ndarray:
-    """Rescale a prior so every candidate edge has marginal p0.
-
-    The candidate edges are the prior's positive off-diagonal entries; the
-    others stay zero.  Multiplicative fixed point pi_ij <- pi_ij * p0 / M_ij(pi).
-    Raises CalibrationError for the infeasible targets that
-    `require_feasible_target` rejects.  A constant prior on every pair is
-    returned as it is, without a kernel call: by symmetry each edge of the
-    complete graph has marginal 2 / size, the only feasible target there.
-    """
-    require_feasible_target(prior, p0)
-    current = validate_weight_matrix(prior)
-    support = current > 0.0
-    off_diagonal = current[~np.eye(len(current), dtype=bool)]
-    if (off_diagonal == off_diagonal[0]).all() and off_diagonal[0] > 0.0:
-        return current
-    for _ in range(CALIBRATION_MAX_ITER):
-        marg = edge_marginals(current)
-        dev = np.abs(marg[support] - p0).max(initial=0.0)
-        if dev <= CALIBRATION_TOL:
-            return current
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(support, p0 / np.where(marg > 0, marg, 1.0), 1.0)
-        current = current * ratio
-        current, _ = _max_rescale(np.where(support, current, 0.0))
-        np.fill_diagonal(current, 0.0)
-    raise CalibrationError(
-        f"fixed point did not reach tolerance {CALIBRATION_TOL} in "
-        f"{CALIBRATION_MAX_ITER} iterations"
-    )

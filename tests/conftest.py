@@ -169,8 +169,8 @@ def identity_loglik(state, precision, cov, prior):
 # ----------------------------------------------------------------------
 # Oracle: the per-ground star-mesh kernel, one grounding and one node at a
 # time, with the resistances from a forward substitution.  The Kron reduction
-# in treeagg.spanning_trees must match it to 1e-14 relative, and its log Z bit
-# for bit.
+# in treeagg.spanning_trees must match it to 1e-14 relative, and its log Z to
+# 1e-15 relative.
 # ----------------------------------------------------------------------
 
 def per_ground_eliminate(w, ground, need_factor):
@@ -227,6 +227,27 @@ def per_ground_edge_marginals(w):
     marg[ws == 0.0] = 0.0
     np.fill_diagonal(marg, 0.0)
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Oracle: prior calibration by the multiplicative fixed point
+# pi_ij <- pi_ij * p0 / M_ij(pi) on the prior's support, with the per-ground
+# marginals.  The closed-form prior of treeagg.em.edge_posteriors must match
+# it.
+# ----------------------------------------------------------------------
+
+def fixed_point_calibrate(prior, p0, tol=1e-13, max_iter=1000):
+    """Prior on the support of `prior` whose every candidate edge has
+    marginal p0, scaled to a largest weight of 1."""
+    current = validate_weight_matrix(prior)
+    support = current > 0.0
+    for _ in range(max_iter):
+        marg = per_ground_edge_marginals(current)
+        if np.abs(marg[support] - p0).max(initial=0.0) <= tol:
+            return current
+        current = np.where(support, current * p0 / np.where(support, marg, 1.0), 0.0)
+        current, _ = _max_rescale(current)
+    raise AssertionError(f"fixed point did not reach tolerance {tol} in {max_iter} iterations")
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import treeagg
 from treeagg.cli import main
+from treeagg.matrices import matrix_from_json
 
 from conftest import duplicated_column_data, strict_json_loads
 
@@ -99,11 +100,13 @@ class TestConfig:
             ("eval", [], {"grid_size": "x"}),
             ("fit", ["--r", 0, "--p0", "0.5"], {}),
             ("fit", ["--r", 0, "--p0", "nan"], {}),
+            ("fit", ["--r", 2, "--p0", repr(2.0 / 8.0)], {}),
             ("fit", ["--method", "fixed-tree", "--r", 1, "--p0", "0.5"], {}),
             ("fit", [], {"method": "chow-liu"}),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
-             "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-fixed-tree",
+             "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-unreachable-r2",
+             "fit-p0-fixed-tree",
              "fit-method"],
     )
     def test_bad_value_is_config_error(self, suite_dir, tmp_path, capsys, command, flags, config):
@@ -226,6 +229,20 @@ class TestFit:
         assert run_cli("fit", csv, "--out", out, "--r", 0, "--p0", repr(2.0 / 8.0)) == 0
         payload = json.loads((out / "fit.json").read_text())
         assert payload["alpha_recalibrated"]["shape"] == [8, 8]
+
+    def test_p0_recalibration_with_two_hidden_nodes(self, suite_dir, tmp_path):
+        # 8 observed and 2 hidden nodes: 9 edges over 28 + 16 candidate pairs
+        out = tmp_path / "fitp0r2"
+        csv = suite_dir / "rep_000" / "observed.csv"
+        assert run_cli("fit", csv, "--out", out, "--r", 2, "--p0", repr(9.0 / 44.0)) == 0
+        payload = json.loads((out / "fit.json").read_text())
+        alpha = matrix_from_json(payload["alpha"])
+        recalibrated = matrix_from_json(payload["alpha_recalibrated"])
+        assert recalibrated.shape == (10, 10)
+        assert not np.array_equal(recalibrated, alpha)
+        assert recalibrated.min() >= 0.0 and recalibrated.max() <= 1.0
+        assert recalibrated[np.triu_indices(10, k=1)].sum() == pytest.approx(9.0, abs=1e-9)
+        assert recalibrated[8, 9] == recalibrated[9, 8] == 0.0
 
     def test_byte_identical_rerun(self, suite_dir, tmp_path):
         csv = suite_dir / "rep_001" / "observed.csv"

@@ -17,6 +17,7 @@ from conftest import (
     brute_posterior_marginals,
     duplicated_column_data,
     figure_ground_truth,
+    fixed_point_calibrate,
     identity_loglik,
     random_spd,
     tree_products,
@@ -50,6 +51,16 @@ class TestEStep:
         np.testing.assert_allclose(state.w_ho, 0.0)
         np.testing.assert_allclose(state.v_h, 0.0)
         np.testing.assert_allclose(state.b_h, [[0.25]])
+
+    @pytest.mark.parametrize("p", [*range(2, 41), 80])
+    def test_r0_log_z_same_on_both_routes(self, p):
+        # the start's E-step takes log Z from `tree_posterior`, a proposal's
+        # from `log_partition_function`: one elimination, the same bits
+        cov, prec, prior = random_instance(np.random.default_rng(p), p, 0)
+        read = em.e_step(prec, cov, prior, _alpha_read=True)
+        lazy = em.e_step(prec, cov, prior)
+        assert "alpha" in vars(read) and "alpha" not in vars(lazy)
+        assert read.log_z == lazy.log_z
 
     def test_alpha_matches_enumeration_r0(self, rng):
         cov, prec, prior = random_instance(rng, 3, 0)
@@ -167,15 +178,19 @@ class TestEStep:
 
 
 class TestUniformPriorLogZ:
-    """The uniform prior's log partition in closed form, without elimination."""
+    """The uniform prior's log partition in closed form, without elimination,
+    with observed-hidden weight t = 1 (the fit's) and t != 1."""
 
     @pytest.mark.parametrize("r", range(4))
     def test_matches_elimination(self, r):
         for p in range(2, 81):
-            prior = em._FitPrior.uniform(p, r)
-            np.testing.assert_array_equal(prior.weights, em.uniform_prior(p, r))
-            eliminated = spanning_trees.log_partition_function(em.uniform_prior(p, r))
-            assert prior.log_z == pytest.approx(eliminated, rel=1e-12, abs=1e-12)
+            np.testing.assert_array_equal(
+                em._FitPrior.uniform(p, r).weights, em.uniform_prior(p, r)
+            )
+            for t in (1.0, p / (p + r - 1), 0.25, 3.0):
+                prior = em._FitPrior.uniform(p, r, t)
+                eliminated = spanning_trees.log_partition_function(prior.weights)
+                assert prior.log_z == pytest.approx(eliminated, rel=1e-12, abs=1e-12), (p, t)
 
     def test_matches_enumeration(self):
         # p = 1: a star on the observed node, the only tree without
@@ -183,10 +198,12 @@ class TestUniformPriorLogZ:
         assert em._FitPrior.uniform(1, 0).log_z == 0.0
         for p in range(1, 9):
             for r in range(max(0, 2 - p), 9 - p):
-                trees = tree_products(em.uniform_prior(p, r)).sum()
-                assert em._FitPrior.uniform(p, r).log_z == pytest.approx(
-                    np.log(trees), rel=1e-12, abs=1e-12
-                ), (p, r)
+                for t in (1.0, 0.25, 3.0):
+                    prior = em._FitPrior.uniform(p, r, t)
+                    trees = tree_products(prior.weights).sum()
+                    assert prior.log_z == pytest.approx(
+                        np.log(trees), rel=1e-12, abs=1e-12
+                    ), (p, r, t)
 
 
 class TestEntropies:
@@ -615,15 +632,15 @@ class TestEdgePosteriors:
 
     @staticmethod
     def count_kernel_calls(monkeypatch):
-        calls = []
-        kernel = spanning_trees.edge_marginals
+        calls = dict.fromkeys(["tree_posterior", "log_partition_function", "edge_marginals"], 0)
+        for name in calls:
+            kernel = getattr(em, name)
 
-        def counted(w):
-            calls.append(w.shape[0])
-            return kernel(w)
+            def counted(w, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(w)
 
-        monkeypatch.setattr(spanning_trees, "edge_marginals", counted)
-        monkeypatch.setattr(em, "edge_marginals", counted)
+            monkeypatch.setattr(em, name, counted)
         return calls
 
     @pytest.mark.parametrize("r", [0, 1])
@@ -636,19 +653,20 @@ class TestEdgePosteriors:
         recomputed = em.e_step(result.precision, cov, result.prior).alpha
         calls = self.count_kernel_calls(monkeypatch)
         alpha2 = em.edge_posteriors(result, p0)
-        assert len(calls) == 0
+        assert sum(calls.values()) == 0
         assert alpha2.tobytes() == recomputed.tobytes() == result.alpha.tobytes()
 
     def test_changed_prior_recomputes(self, rng, monkeypatch):
         # with two hidden nodes the hidden-hidden pair is excluded, so the
-        # uniform prior is not calibrated and the E-step runs again
+        # uniform prior is not calibrated and the E-step runs again: one
+        # kernel call, and the calibrated prior's log partition in closed form
         cov = small_cov(rng, 5)
         result = em.fit(cov, 2)
         p0 = 6.0 / 20.0  # (size - 1) / #candidate pairs
-        calibrated = spanning_trees.calibrate_prior(result.prior, p0)
-        assert not np.array_equal(calibrated, result.prior)
+        calibrated = fixed_point_calibrate(result.prior, p0)
         expected = em.e_step(result.precision, cov, calibrated).alpha
         calls = self.count_kernel_calls(monkeypatch)
         alpha2 = em.edge_posteriors(result, p0)
-        assert len(calls) >= 2
-        assert alpha2.tobytes() == expected.tobytes()
+        assert calls == {"tree_posterior": 1, "log_partition_function": 0, "edge_marginals": 0}
+        assert not np.allclose(alpha2, result.alpha, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(alpha2, expected, rtol=0.0, atol=1e-11)

@@ -14,7 +14,6 @@ PUBLIC_API = [
     "GroundTruth",
     "PartitionedPrecision",
     "SelectionReport",
-    "calibrate_prior",
     "e_step",
     "edge_marginals",
     "edge_posteriors",

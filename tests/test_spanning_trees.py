@@ -9,9 +9,9 @@ from treeagg import em
 from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 from treeagg.graphs import prufer_to_edges
 from treeagg.spanning_trees import (
-    calibrate_prior,
     edge_marginals,
     log_partition_function,
+    require_feasible_target,
     tree_posterior,
     validate_weight_matrix,
 )
@@ -19,6 +19,7 @@ from treeagg.spanning_trees import (
 from conftest import (
     brute_log_partition,
     brute_posterior_marginals,
+    fixed_point_calibrate,
     is_spanning_tree,
     per_ground_edge_marginals,
     per_ground_log_partition,
@@ -218,12 +219,16 @@ def estep_weights(rng, size, span):
 
 def assert_matches_per_ground_kernel(w):
     """Equal zero pattern and entrywise relative error at most 1e-14 against
-    the per-ground oracle, whose arithmetic order differs; log Z bit for bit."""
+    the per-ground oracle, whose arithmetic order differs; log Z within
+    1e-15 relative of it, and bit for bit `tree_posterior`'s."""
     got, want = edge_marginals(w), per_ground_edge_marginals(w)
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
     nonzero = want != 0.0
     assert np.abs(got[nonzero] / want[nonzero] - 1.0).max(initial=0.0) <= 1e-14
-    assert log_partition_function(w) == per_ground_log_partition(w)
+    log_z = log_partition_function(w)
+    assert log_z == tree_posterior(w)[1]
+    reference = per_ground_log_partition(w)
+    assert abs(log_z - reference) <= 1e-15 * max(1.0, abs(reference))
 
 
 class TestBlockKernel:
@@ -232,7 +237,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("span", [1.0, 300.0, 700.0])
     @pytest.mark.parametrize("size", [8, 21, 22, 23, 24, 40, 80])
     def test_bit_identical_to_per_ground_kernel(self, size, span):
-        # log Z is bit for bit; the marginals, summed in another order, to 1e-14
+        # the marginals and log Z, summed in another order, to 1e-14 and 1e-15
         w = estep_weights(np.random.default_rng(size), size, span)
         assert (w == 1e-300).any()
         assert_matches_per_ground_kernel(w)
@@ -328,49 +333,55 @@ class TestEnumerateTrees:
         assert tree_edges(size).tolist() == [[list(e) for e in tree] for tree in expected]
 
 
+def calibrated_prior(p, r):
+    """The prior `em.edge_posteriors` calibrates to: weight p / (p + r - 1)
+    on the observed-hidden pairs of `uniform_prior(p, r)`."""
+    return em._FitPrior.uniform(p, r, p / (p + r - 1))
+
+
+def support_marginals(prior):
+    return edge_marginals(prior.weights)[prior.weights > 0.0]
+
+
 class TestCalibratePrior:
+    """The calibrated prior in closed form, against the fixed-point oracle."""
+
     def test_uniform_already_calibrated(self):
-        prior = np.ones((3, 3)) - np.eye(3)
-        out = calibrate_prior(prior, 2.0 / 3.0)
-        np.testing.assert_allclose(out, prior)
+        # with at most one hidden node the fit's uniform prior is calibrated:
+        # each candidate pair has marginal (2 + r) / #pairs
+        for r in (0, 1):
+            prior = calibrated_prior(3, r)
+            np.testing.assert_array_equal(prior.weights, em.uniform_prior(3, r))
+            assert prior.log_z == em._FitPrior.uniform(3, r).log_z
+            np.testing.assert_allclose(support_marginals(prior), (2 + r) / (3 + 3 * r), rtol=1e-14)
 
     def test_size_four_half(self):
-        prior = np.ones((4, 4)) - np.eye(4)
-        out = calibrate_prior(prior, 0.5)
-        m = edge_marginals(out)
-        off = ~np.eye(4, dtype=bool)
-        np.testing.assert_allclose(m[off], 0.5, atol=1e-6)
-
-    def test_nonuniform_input(self, rng):
-        prior = random_weight_matrix(rng, 5, low=0.2, high=4.0)
-        out = calibrate_prior(prior, 2.0 / 5.0)
-        m = edge_marginals(out)
-        off = ~np.eye(5, dtype=bool)
-        np.testing.assert_allclose(m[off], 0.4, atol=1e-6)
-        # verified against enumeration
-        np.testing.assert_allclose(
-            brute_posterior_marginals(log_brute(out))[off], 0.4, atol=1e-6
-        )
-
-    def test_zero_entry_rejected(self):
-        prior = np.ones((4, 4)) - np.eye(4)
-        prior[0, 1] = prior[1, 0] = 0.0
-        with pytest.raises(CalibrationError):
-            calibrate_prior(prior, 0.5)
+        np.testing.assert_allclose(support_marginals(calibrated_prior(4, 0)), 0.5, rtol=1e-14)
 
     def test_zero_entry_stays_out_of_support(self):
         # a hidden-hidden pair: 4 edges over the 9 positive pairs
-        prior = np.ones((5, 5)) - np.eye(5)
-        prior[3, 4] = prior[4, 3] = 0.0
-        out = calibrate_prior(prior, 4.0 / 9.0)
-        support = prior > 0.0
-        assert out[3, 4] == 0.0
-        np.testing.assert_allclose(edge_marginals(out)[support], 4.0 / 9.0, atol=1e-6)
+        prior = calibrated_prior(3, 2)
+        assert prior.weights[3, 4] == 0.0
+        np.testing.assert_allclose(support_marginals(prior), 4.0 / 9.0, rtol=1e-14)
+        support = prior.weights > 0.0
+        np.testing.assert_allclose(
+            brute_posterior_marginals(log_brute(prior.weights))[support], 4.0 / 9.0, rtol=1e-12
+        )
+        oracle = fixed_point_calibrate(em.uniform_prior(3, 2), 4.0 / 9.0)
+        np.testing.assert_allclose(prior.weights, oracle, rtol=1e-11)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_marginals_equal_target(self, r):
+        for p in range(2, 31):
+            prior = calibrated_prior(p, r)
+            p0 = (p + r - 1) / (p * (p - 1) / 2 + p * r)
+            np.testing.assert_allclose(support_marginals(prior), p0, rtol=1e-14, atol=0.0)
 
     def test_infeasible_target_rejected(self):
-        prior = np.ones((5, 5)) - np.eye(5)
-        # marginals on 5 nodes must average 2/5; 0.9 is impossible
-        with pytest.raises(CalibrationError):
-            calibrate_prior(prior, 0.9)
-        with pytest.raises(CalibrationError):
-            calibrate_prior(prior, 1.5)
+        # marginals on 5 + r nodes must average (4 + r) / #pairs; 0.9 is impossible
+        for r in (0, 2):
+            prior = em.uniform_prior(5, r)
+            with pytest.raises(CalibrationError):
+                require_feasible_target(prior, 0.9)
+            with pytest.raises(CalibrationError):
+                require_feasible_target(prior, 1.5)
