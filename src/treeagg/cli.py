@@ -273,9 +273,8 @@ def cmd_fit(args) -> int:
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
     if config["p0"]:
-        prior = em.uniform_prior(cov.size, config["r"])
         try:
-            require_feasible_target(prior, float(config["p0"]))
+            require_feasible_target(cov.size, config["r"], float(config["p0"]))
         except CalibrationError as exc:
             raise ConfigError(f"p0: {exc}") from None
     payload = _fit_payload(config, cov)

@@ -1,20 +1,17 @@
 """EM over the two hidden layers: the latent spanning tree and the hidden signal.
 
 The E-step computes conditional moments of the hidden block, per-edge log
-weights of the tree posterior and their log partition through the Matrix-Tree
-kernel.  With hidden nodes the observed log-likelihood reads the all-edge
-appearance probabilities alpha, and the EM start's alpha is always read, by
-the first M-step or by the fit's report, so those E-steps take alpha and log
-Z from one kernel call.  An r = 0 proposal's log-likelihood reads log Z
-alone, and alpha costs 2 to 7 times log Z alone, the same elimination run
-along one root-to-leaf path (both O(size^3); size 21 to 80), so log Z comes
-from that path, with the same bits, and alpha is computed on first read:
-the M-step and the fit's report read it for the proposals EM keeps, while a
-rejected one never does.  The uniform prior's log partition has a closed
-form, and so does the prior calibrated to a target edge marginal, which
-`edge_posteriors` uses.  The observed log-likelihood is one
-closed-form expression in log Z, the node terms and, with hidden nodes,
-alpha on the observed-hidden pairs.  The M-step applies the closed-form
+weights of the tree posterior, and from them, in one Matrix-Tree kernel call,
+the all-edge appearance probabilities alpha and the log partition.  The
+observed log-likelihood is one closed-form expression in log Z, the node
+terms and, with hidden nodes, alpha on the observed-hidden pairs.  Most
+M-step proposals are rejected, and their kernel call would be wasted: EM
+first bounds a proposal's log-likelihood by the same expression, with log Z
+bounded by Hadamard's inequality on the grounded Laplacian and alpha by
+[0, 1], and a bound already below the current log-likelihood rejects the
+proposal without the kernel.  The uniform prior's log partition has a
+closed form, and so does the prior calibrated to a target edge marginal,
+which `edge_posteriors` uses.  The M-step applies the closed-form
 off-diagonal updates and solves the diagonal stationarity equations by
 safeguarded Newton steps, then floors the spectrum to keep the precision
 positive definite.  Everything tree related is tracked in log space.
@@ -31,7 +28,6 @@ import numpy as np
 from . import initialization
 from .errors import (
     DegeneratePosteriorError,
-    DegenerateWeightsError,
     DivergenceError,
     InvalidMomentError,
     InvalidPrecisionError,
@@ -57,6 +53,11 @@ from .tree_gaussian import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# How far, relative to |loglik| (at least 1), `_loglik_bound` must fall below
+# the current log-likelihood to reject a proposal without its E-step.  The
+# bound holds up to roundoff, about 1e-15 relative, which this margin covers.
+_BOUND_RTOL = 1e-6
 
 
 def conditional_moments(
@@ -170,47 +171,65 @@ class _FitPrior:
         return cls(weights, log_z)
 
 
+@dataclass(frozen=True)
+class _Weighed:
+    """An E-step up to its kernel call: the moments, log gamma and its weights.
+
+    `weights` and `shift` are `_materialize_weights(log_gamma)`, and
+    `log_z_prior` is the prior's log partition.
+    """
+
+    w_ho: np.ndarray
+    v_h: np.ndarray
+    b_h: np.ndarray
+    log_gamma: np.ndarray
+    weights: np.ndarray
+    shift: float
+    log_z_prior: float
+
+
+def _weigh(
+    precision: PartitionedPrecision, cov: EmpiricalCovariance, prior: _FitPrior
+) -> _Weighed:
+    """Everything of `e_step` but the kernel call."""
+    w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
+    log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
+    weights, shift = _materialize_weights(log_gamma)
+    return _Weighed(w_ho, v_h, b_h, log_gamma, weights, shift, prior.log_z)
+
+
 def e_step(
-    precision: PartitionedPrecision,
+    precision: PartitionedPrecision | _Weighed,
     cov: EmpiricalCovariance,
     prior: np.ndarray | _FitPrior,
-    *,
-    _alpha_read: bool = False,
 ) -> EStepState:
     """Moments, log gamma, tree-posterior weights and log partition at the current K.
 
     `prior` is an edge prior matrix, or a `_FitPrior` with its log partition
     in closed form.  A matrix is masked to `uniform_prior`'s support,
     hidden-hidden pairs and diagonal zeroed, and its log partition is
-    eliminated, so log gamma and log Z(prior) see the same prior.  With
-    hidden nodes, whose log-likelihood reads the edge posteriors, or when the
-    caller will read them (`_alpha_read`, as `_run_em` does for its start),
-    one kernel call gives them and log Z.  Otherwise log Z comes from
-    `log_partition_function`, with the same bits, and the edge posteriors
-    are left to the first read of `EStepState.alpha`.
-    Either way a disconnected weight support raises DegenerateWeightsError
-    here, at once.
+    eliminated, so log gamma and log Z(prior) see the same prior.  One
+    kernel call, `tree_posterior`, gives the edge posteriors and log Z, and
+    the edge posteriors fill the `EStepState.alpha` cache.  A disconnected
+    weight support raises DegenerateWeightsError there.  `_run_em` passes a
+    proposal it has already weighed, with `cov` and `prior` unread, so that
+    the moments and log gamma are computed once.
     """
-    if not isinstance(prior, _FitPrior):
-        allowed = uniform_prior(precision.n_observed, precision.n_hidden) > 0
-        weights = np.where(allowed, np.asarray(prior, dtype=float), 0.0)
-        prior = _FitPrior(weights, log_partition_function(weights))
-    w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
-    log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
-    weights, shift = _materialize_weights(log_gamma)
-    alpha = None
-    if precision.n_hidden or _alpha_read:
-        alpha, log_z = tree_posterior(weights)
+    if isinstance(precision, _Weighed):
+        weighed = precision
     else:
-        log_z = log_partition_function(weights)
-        if log_z == -np.inf:
-            raise DegenerateWeightsError(
-                "the tree posterior's positive-weight support is disconnected"
-            )
-    log_z += (precision.size - 1) * shift
-    state = EStepState(w_ho, v_h, b_h, log_gamma, weights, log_z, prior.log_z)
-    if alpha is not None:
-        vars(state)["alpha"] = alpha  # the cache that `EStepState.alpha` fills
+        if not isinstance(prior, _FitPrior):
+            allowed = uniform_prior(precision.n_observed, precision.n_hidden) > 0
+            weights = np.where(allowed, np.asarray(prior, dtype=float), 0.0)
+            prior = _FitPrior(weights, log_partition_function(weights))
+        weighed = _weigh(precision, cov, prior)
+    alpha, log_z = tree_posterior(weighed.weights)
+    log_z += (len(weighed.weights) - 1) * weighed.shift
+    state = EStepState(
+        weighed.w_ho, weighed.v_h, weighed.b_h, weighed.log_gamma, weighed.weights,
+        log_z, weighed.log_z_prior,
+    )
+    vars(state)["alpha"] = alpha  # the cache that `EStepState.alpha` fills
     return state
 
 
@@ -251,26 +270,73 @@ def observed_loglik(
     trace term is half the completed-moment one.
 
     At r = 0 the value is log sum_T P(T) p(X_O | T) exactly and reads no
-    alpha, so it costs one elimination.  With hidden nodes it is the free
-    energy of the E-step posterior, which stays bounded where the raw
-    edge-factorized evidence need not be; its last sum reads alpha.
+    alpha.  With hidden nodes it is the free energy of the E-step posterior,
+    which stays bounded where the raw edge-factorized evidence need not be;
+    its last sum reads alpha.  `_loglik_bound` evaluates the same expression
+    with log Z and alpha replaced by bounds.
     """
+    p = precision.n_observed
+    alpha_oh = state.alpha[:p, p:] if precision.n_hidden else None
+    return _loglik(state, state.log_z, alpha_oh, precision, cov)
+
+
+def _loglik(
+    moments: EStepState | _Weighed,
+    log_z: float,
+    alpha_oh: np.ndarray | None,
+    precision: PartitionedPrecision,
+    cov: EmpiricalCovariance,
+) -> float:
+    """`observed_loglik`'s expression at log Z(gamma) = `log_z` and the
+    observed-hidden edge posteriors `alpha_oh` (None without hidden nodes);
+    W_HO, B_H and log Z(prior) come from `moments`."""
     n, p, r = cov.n, precision.n_observed, precision.n_hidden
     kd = np.diag(precision.matrix)
     if np.any(kd <= 0.0):
         raise InvalidPrecisionError("diagonal of K must be positive")
     value = float(
-        state.log_z
-        - state.log_z_prior
+        log_z
+        - moments.log_z_prior
         - 0.5 * n * p * LOG_2PI
         + 0.5 * n * float(np.log(kd[:p]).sum())
         - 0.5 * n * float(kd[:p] @ np.diag(cov.matrix))
     )
     if r:
-        hidden = r - float(kd[p:] @ np.diag(state.b_h))
-        cross = float((state.alpha[:p, p:] * precision.k_oh * state.w_ho.T).sum())
+        hidden = r - float(kd[p:] @ np.diag(moments.b_h))
+        cross = float((alpha_oh * precision.k_oh * moments.w_ho.T).sum())
         value += 0.5 * n * (hidden + cross)
     return value
+
+
+def _hadamard_log_z(weights: np.ndarray) -> float:
+    """An upper bound on log Z(weights): sum_i log d_i - max_i log d_i.
+
+    Z is the determinant of the Laplacian grounded at any node, a positive
+    semidefinite matrix whose diagonal holds the other nodes' weighted
+    degrees d_i, so Hadamard's inequality bounds it by their product;
+    grounding the node of largest degree gives the tightest of these bounds.
+    A node without weight gives -inf.
+    """
+    with np.errstate(divide="ignore"):
+        log_d = np.log(weights.sum(axis=1))
+    return float(log_d.sum() - log_d.max())
+
+
+def _loglik_bound(
+    weighed: _Weighed, precision: PartitionedPrecision, cov: EmpiricalCovariance
+) -> float:
+    """An upper bound on `observed_loglik` at a weighed K, without the kernel.
+
+    `observed_loglik`'s expression with two substitutions: `_hadamard_log_z`
+    for log Z, and, since the kernel keeps every alpha in [0, 1], alpha_ih = 1
+    where K_ih (W_HO)_hi > 0 and 0 elsewhere, which bounds the
+    observed-hidden sum by its positive terms.
+    """
+    log_z = _hadamard_log_z(weighed.weights) + (len(weighed.weights) - 1) * weighed.shift
+    alpha_oh = None
+    if precision.n_hidden:
+        alpha_oh = (precision.k_oh * weighed.w_ho.T > 0.0).astype(float)
+    return _loglik(weighed, log_z, alpha_oh, precision, cov)
 
 
 def _reciprocal_residual(
@@ -407,17 +473,23 @@ def _run_em(
     once the relative gain is below `opts.tol`, the run stops as converged.
     So the trace rises strictly and ends at the returned iterate.  No proposal
     is made once the trace holds `opts.max_iter` entries; `max_iter=0` returns
-    the initializer with an empty trace.  The start's E-step is one kernel
-    call for log Z and alpha at every r, as the first M-step, or the report
-    when `max_iter=0`, reads its alpha; so is every E-step with hidden
-    nodes, whose log-likelihood reads alpha.  An r = 0 proposal takes log Z
-    from `log_partition_function`, the kernel's elimination along one path,
-    and computes its edge posteriors only if it is kept, for the next
-    M-step, so a rejected proposal costs that one path.
+    the initializer with an empty trace.
+
+    Most proposals are rejected, and a rejected one leaves nothing in the
+    result, so each proposal is first weighed without the kernel and its
+    log-likelihood bounded by `_loglik_bound`.  A bound below the current
+    log-likelihood by more than `_BOUND_RTOL` relative settles the
+    rejection: the run stops there, as the E-step would have made it stop.
+    Otherwise the weighed proposal goes on to `e_step`'s kernel call.  The
+    bound is used only while every candidate pair of the prior has a
+    positive weight: the weight support is then connected, so the E-step it
+    spares could not have raised DegenerateWeightsError.
     """
     k = k_init
-    state = e_step(k, cov, prior, _alpha_read=True)
+    state = e_step(k, cov, prior)
     ll = observed_loglik(state, k, cov)
+    support = uniform_prior(k.n_observed, k.n_hidden) > 0.0
+    bounded = bool((prior.weights[support] > 0.0).all())
     trace: list[float] = []
     converged = False
     for _ in range(opts.max_iter):
@@ -432,7 +504,13 @@ def _run_em(
         if len(trace) == opts.max_iter:  # no room left to trace a proposal
             break
         proposal = m_step(state, k, cov)
-        trial_state = e_step(proposal, cov, prior)
+        weighed = _weigh(proposal, cov, prior)
+        if bounded:
+            bound = _loglik_bound(weighed, proposal, cov)
+            if np.isfinite(bound) and bound < ll - _BOUND_RTOL * max(1.0, abs(ll)):
+                converged = True
+                break
+        trial_state = e_step(weighed, cov, prior)
         trial_ll = observed_loglik(trial_state, proposal, cov)
         if not trial_ll > ll:
             converged = True
@@ -490,8 +568,8 @@ def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:
     t = p / (p + r - 1).  With at most one hidden node t = 1, the fit's own
     prior, and the fit's alpha is the answer.
     """
-    require_feasible_target(result.prior, p0)
     p, r = result.n_observed, result.n_hidden
+    require_feasible_target(p, r, p0)
     if r <= 1:
         return result.alpha
     prior = _FitPrior.uniform(p, r, p / (p + r - 1))

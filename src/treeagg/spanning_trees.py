@@ -25,7 +25,7 @@ one call of `tree_posterior` returns both, and `log_partition_function` runs
 the one path alone.  The tests keep a one-grounding-at-a-time elimination
 with forward substitution, and brute-force enumeration over Pruefer
 sequences, as oracles.  `require_feasible_target` checks a uniform target
-edge marginal for a prior.
+edge marginal over the candidate edges of `uniform_prior`.
 """
 
 from __future__ import annotations
@@ -261,16 +261,16 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     return tree_posterior(w)[0]
 
 
-def require_feasible_target(prior: np.ndarray, p0: float) -> None:
+def require_feasible_target(n_observed: int, n_hidden: int, p0: float) -> None:
     """Raise CalibrationError unless p0 can be every candidate edge's marginal.
 
-    The marginals of a spanning-tree distribution always sum to size - 1, so
-    a uniform target over the prior's candidate edges (its positive
-    off-diagonal entries) must equal (size - 1) / #candidate edges.
+    The candidate edges are those of `uniform_prior(n_observed, n_hidden)`:
+    every pair but the hidden-hidden ones.  The marginals of a spanning-tree
+    distribution always sum to size - 1, so a uniform target over them must
+    equal (size - 1) / #candidate edges.
     """
-    w = validate_weight_matrix(prior)
-    size = w.shape[0]
-    n_pairs = int(np.count_nonzero(w[np.triu_indices(size, k=1)] > 0.0))
+    p, r = n_observed, n_hidden
+    size, n_pairs = p + r, p * (p - 1) // 2 + p * r
     if not 0.0 < p0 < 1.0:
         raise CalibrationError(f"target probability {p0} outside (0, 1)")
     feasible = (size - 1) / n_pairs if n_pairs else np.inf

@@ -54,13 +54,14 @@ class TestEStep:
 
     @pytest.mark.parametrize("p", [*range(2, 41), 80])
     def test_r0_log_z_same_on_both_routes(self, p):
-        # the start's E-step takes log Z from `tree_posterior`, a proposal's
-        # from `log_partition_function`: one elimination, the same bits
+        # every E-step takes alpha and log Z from one `tree_posterior` call,
+        # whose log Z has the bits of `log_partition_function`'s elimination
         cov, prec, prior = random_instance(np.random.default_rng(p), p, 0)
-        read = em.e_step(prec, cov, prior, _alpha_read=True)
-        lazy = em.e_step(prec, cov, prior)
-        assert "alpha" in vars(read) and "alpha" not in vars(lazy)
-        assert read.log_z == lazy.log_z
+        state = em.e_step(prec, cov, prior)
+        assert "alpha" in vars(state)
+        shift = state.log_gamma[np.isfinite(state.log_gamma)].max()
+        path = spanning_trees.log_partition_function(state.weights)
+        assert state.log_z == path + (p - 1) * shift
 
     def test_alpha_matches_enumeration_r0(self, rng):
         cov, prec, prior = random_instance(rng, 3, 0)
@@ -339,6 +340,120 @@ class TestObservedLoglik:
         np.testing.assert_allclose(m1, m2, atol=1e-12)
 
 
+def acceptance_suite(size, r, epsilon, offset):
+    """The covariances of a 50-replicate acceptance suite of test_acceptance."""
+    for seed in range(offset, offset + 50):
+        truth = make_ground_truth("tree", size=size, r=r, epsilon=epsilon, seed=seed)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(seed))
+        yield EmpiricalCovariance.from_data(observed)
+
+
+def scored_proposals(cov, r):
+    """(bound, exact, current) log-likelihood of each M-step proposal that
+    `em.fit(cov, r)` makes: every proposal is scored by `_loglik_bound` and
+    by its E-step, and kept, as in `_run_em`, while the exact value rises by
+    more than the default tolerance."""
+    from treeagg.initialization import initial_precision_from_cov
+
+    prior = em._FitPrior.uniform(cov.size, r)
+    k = initial_precision_from_cov(cov, r).precision
+    state = em.e_step(k, cov, prior)
+    ll = em.observed_loglik(state, k, cov)
+    scored = []
+    while True:
+        proposal = em.m_step(state, k, cov)
+        weighed = em._weigh(proposal, cov, prior)
+        trial = em.e_step(weighed, cov, prior)
+        exact = em.observed_loglik(trial, proposal, cov)
+        scored.append((em._loglik_bound(weighed, proposal, cov), exact, ll))
+        if not exact > ll or exact - ll <= em.FitOptions().tol * (abs(ll) + 1e-12):
+            return np.array(scored)
+        k, state, ll = proposal, trial, exact
+
+
+@pytest.fixture(scope="module")
+def suite_proposals():
+    """`scored_proposals` at r = 0..3 on the signal and the null suite."""
+    return {
+        name: np.concatenate(
+            [scored_proposals(cov, r) for cov in acceptance_suite(*suite) for r in range(4)]
+        )
+        for name, suite in (("signal", (21, 1, 10.0, 0)), ("null", (20, 0, 1.0, 1000)))
+    }
+
+
+class TestLoglikBound:
+    """The kernel-free bound on a proposal's log-likelihood, and the
+    rejections it settles without an E-step."""
+
+    @pytest.mark.parametrize("suite", ["signal", "null"])
+    def test_bounds_every_proposal(self, suite_proposals, suite):
+        bound, exact, _ = suite_proposals[suite].T
+        assert len(bound) >= 200
+        assert (bound >= exact).all()
+
+    def test_certifies_most_signal_rejections(self, suite_proposals):
+        # a looser bound certifies fewer: 195 of the 200 at the time of writing
+        bound, exact, ll = suite_proposals["signal"].T
+        rejected = ~(exact > ll)
+        certified = np.isfinite(bound) & (bound < ll - em._BOUND_RTOL * np.maximum(1.0, np.abs(ll)))
+        assert rejected.sum() == 200
+        assert not (certified & ~rejected).any()
+        assert certified.sum() >= 190
+
+    @pytest.mark.parametrize("instance", ["floored-r0", "p78-r2"])
+    def test_hadamard_on_floored_weights(self, monkeypatch, instance):
+        # the two weight-floor instances: a random r = 0 one whose log gamma
+        # spans 2 511 nats, so that every spanning tree holds a floored edge,
+        # and every E-step of a fit at size 80 with r = 2
+        kernel, floored = em.tree_posterior, []
+
+        def checked_kernel(w):
+            alpha, log_z = kernel(w)
+            assert em._hadamard_log_z(w) >= log_z - 1e-14 * max(1.0, abs(log_z))
+            floored.append((w == 1e-300).any())
+            return alpha, log_z
+
+        monkeypatch.setattr(em, "tree_posterior", checked_kernel)
+        if instance == "floored-r0":
+            cov, prec, prior = random_instance(np.random.default_rng(1), 6, 0, n=20000)
+            em.e_step(prec, cov, prior)
+        else:
+            truth = make_ground_truth("tree", size=80, r=2, epsilon=10.0, seed=0)
+            _, observed = sample_and_marginalize(truth.precision, 200, sample_seed(0))
+            em.fit(EmpiricalCovariance.from_data(observed), 2)
+        assert any(floored)
+
+    def test_zero_weight_candidate_pair_not_certified(self, monkeypatch):
+        # the stalled replicate of `test_stalled_iteration_budget`, under a
+        # prior with one candidate pair at weight zero: the bound is never
+        # consulted, and the rejected proposal has its E-step
+        truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
+        _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
+        cov = EmpiricalCovariance.from_data(observed)
+        weights = em.uniform_prior(20, 1)
+        weights[0, 1] = weights[1, 0] = 0.0
+        prior = em._FitPrior(weights, spanning_trees.log_partition_function(weights))
+        calls = {"e_step": 0}
+        e_step = em.e_step
+
+        def counted(*args):
+            calls["e_step"] += 1
+            return e_step(*args)
+
+        def no_bound(*args):
+            raise AssertionError("bounded a proposal under a zero-weight pair")
+
+        monkeypatch.setattr(em, "e_step", counted)
+        monkeypatch.setattr(em, "_loglik_bound", no_bound)
+        from treeagg.initialization import initial_precision_from_cov
+
+        init = initial_precision_from_cov(cov, 1).precision
+        result = em._run_em(cov, prior, init, em.FitOptions())
+        assert result.converged
+        assert calls["e_step"] == result.iterations + 1
+
+
 class TestMStep:
     def test_zero_covariance_entry_gives_zero(self, rng):
         cov, prec, prior = random_instance(rng, 3, 0)
@@ -526,20 +641,17 @@ class TestFit:
     @pytest.mark.parametrize(
         "r, expected",
         [
-            (0, {"log_partition_function": 1, "tree_posterior": 1, "edge_marginals": 0}),
-            (1, {"log_partition_function": 0, "tree_posterior": 2, "edge_marginals": 0}),
+            (0, {"log_partition_function": 0, "tree_posterior": 1, "edge_marginals": 0}),
+            (1, {"log_partition_function": 0, "tree_posterior": 1, "edge_marginals": 0}),
         ],
         ids=["r0", "r1"],
     )
     def test_stalled_iteration_budget(self, monkeypatch, r, expected):
         # a signal-suite replicate whose first M-step proposal is rejected:
-        # one E-step at the initializer and one at the proposal, each one
-        # elimination, and none for the uniform prior, whose log partition
-        # has a closed form.  The initializer's E-step is one kernel call for
-        # alpha and log Z at every r, as the M-step reads its alpha.  With a
-        # hidden node so is the proposal's, as its log-likelihood reads
-        # alpha; at r = 0 the proposal's is one log partition, and its edge
-        # posteriors, never read once it is rejected, are not computed.
+        # one E-step at the initializer, one kernel call for alpha and log Z,
+        # and none for the uniform prior, whose log partition has a closed
+        # form.  The proposal's likelihood bound is already below the
+        # initializer's log-likelihood, so it has no E-step at all.
         truth = make_ground_truth("tree", size=21, r=1, epsilon=10.0, seed=0)
         _, observed = sample_and_marginalize(truth.precision, 30, sample_seed(0))
         cov = EmpiricalCovariance.from_data(observed)
@@ -558,7 +670,7 @@ class TestFit:
             counted(name)
         result = em.fit(cov, r)
         assert result.iterations == 1 and result.converged
-        assert calls == {"e_step": 2, **expected}
+        assert calls == {"e_step": 1, **expected}
 
     @pytest.mark.parametrize(
         "opts", [em.FitOptions(), em.FitOptions(max_iter=2)], ids=["default", "max_iter2"]
