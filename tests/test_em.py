@@ -401,6 +401,21 @@ class TestLoglikBound:
         assert not (certified & ~rejected).any()
         assert certified.sum() >= 190
 
+    def test_fits_keep_their_bits(self, monkeypatch):
+        # the bound only skips the E-steps of proposals that are rejected:
+        # every signal-suite fit equals, bit for bit, the fit that scores each
+        # proposal by its E-step
+        fits = []
+        for bounded in (True, False):
+            if not bounded:
+                monkeypatch.setattr(em, "_loglik_bound", lambda *args: np.inf)
+            fits.append([
+                (f.loglik_trace, f.converged, f.alpha.tobytes(), f.precision.matrix.tobytes())
+                for cov in acceptance_suite(21, 1, 10.0, 0)
+                for f in (em.fit(cov, r) for r in range(4))
+            ])
+        assert fits[0] == fits[1]
+
     @pytest.mark.parametrize("instance", ["floored-r0", "p78-r2"])
     def test_hadamard_on_floored_weights(self, monkeypatch, instance):
         # the two weight-floor instances: a random r = 0 one whose log gamma
