@@ -98,6 +98,24 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _read_json(path: Path, missing: str, parse):
+    """parse(the JSON object in `path`), with DataError for bad data.
+
+    A missing file raises DataError(`missing`); invalid JSON, and a key or a
+    value that `parse` cannot read, raise DataError naming the file.
+    """
+    if not path.exists():
+        raise DataError(missing)
+    try:
+        return parse(json.loads(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _map(func, jobs: list, workers: int) -> list:
     """[func(job) for job in jobs], over a process pool when workers > 1."""
     if workers <= 1:
@@ -350,14 +368,14 @@ def _fit_source(payload: dict) -> SimpleNamespace:
 
 def _eval_one(payload: tuple) -> dict:
     data_dir, fits_dir, out_dir, config, rep_id = payload
-    truth_path = Path(data_dir) / rep_id / "ground_truth.json"
-    fit_path = Path(fits_dir) / rep_id / "fit.json"
-    if not truth_path.exists():
-        raise DataError(f"missing ground truth for replicate {rep_id}")
-    if not fit_path.exists():
-        raise DataError(f"missing fit for replicate {rep_id}")
-    truth = simulate.GroundTruth.from_json_dict(json.loads(truth_path.read_text()))
-    fit = _fit_source(json.loads(fit_path.read_text()))
+    truth = _read_json(
+        Path(data_dir) / rep_id / "ground_truth.json",
+        f"missing ground truth for replicate {rep_id}",
+        simulate.GroundTruth.from_json_dict,
+    )
+    fit = _read_json(
+        Path(fits_dir) / rep_id / "fit.json", f"missing fit for replicate {rep_id}", _fit_source
+    )
     rep_out = Path(out_dir) / rep_id
     rep_out.mkdir(parents=True, exist_ok=True)
 
@@ -392,10 +410,13 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"unknown eval target {target!r}")
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    rep_ids = [entry["id"] for entry in manifest["replicates"]]
+    rep_ids, dataset_hash = _read_json(
+        manifest_path,
+        f"dataset manifest not found: {manifest_path}",
+        lambda manifest: (
+            [entry["id"] for entry in manifest["replicates"]], manifest.get("config_hash")
+        ),
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,7 +429,7 @@ def cmd_eval(args) -> int:
         "command": "eval",
         "config": config,
         "config_hash": _config_hash(config),
-        "dataset_hash": manifest.get("config_hash"),
+        "dataset_hash": dataset_hash,
         "auc": {},
         "notes": sorted(note for item in results for note in item["notes"]),
     }

@@ -6,22 +6,22 @@ the all-edge appearance probabilities alpha and the log partition.  The
 observed log-likelihood is one closed-form expression in log Z, the node
 terms and, with hidden nodes, alpha on the observed-hidden pairs.  Most
 M-step proposals are rejected, and their kernel call would be wasted: EM
-first bounds a proposal's log-likelihood by the same expression, with log Z
-bounded by Hadamard's inequality on the grounded Laplacian and alpha by
-[0, 1], and a bound already below the current log-likelihood rejects the
-proposal without the kernel.  The uniform prior's log partition has a
-closed form, and so does the prior calibrated to a target edge marginal,
-which `edge_posteriors` uses.  The M-step applies the closed-form
-off-diagonal updates and solves the diagonal stationarity equations by
-safeguarded Newton steps, then floors the spectrum to keep the precision
-positive definite.  Everything tree related is tracked in log space.
+first bounds a proposal's log-likelihood by the same expression, with
+Hadamard's inequality on the grounded Laplacian for log Z and [0, 1] for
+alpha, and a bound already below the current log-likelihood rejects the
+proposal without the kernel.  Every E-step runs under a `_FitPrior`, the
+uniform prior or the one `edge_posteriors` calibrates to a target edge
+marginal, whose log partition has a closed form.  The M-step applies the
+closed-form off-diagonal updates and solves the diagonal stationarity
+equations by safeguarded Newton steps, then floors the spectrum to keep the
+precision positive definite.  Everything tree related is tracked in log
+space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +40,7 @@ from .matrices import (
     floor_spectrum,
     symmetrize,
 )
-from .spanning_trees import (
-    edge_marginals,
-    log_partition_function,
-    require_feasible_target,
-    tree_posterior,
-)
+from .spanning_trees import require_feasible_target, tree_posterior
 from .tree_gaussian import (
     log_marginal_tree_weight,
     require_imperfect_correlation,
@@ -95,28 +90,6 @@ def completed_moments(
     completed[p:, :p] = -w_ho
     completed[p:, p:] = b_h
     return completed
-
-
-@dataclass(frozen=True)
-class EStepState:
-    """Conditional moments and tree-posterior quantities at one EM iterate.
-
-    `weights` are the materialized tree-posterior weights, exp(log gamma)
-    up to a common factor.  The edge posteriors `alpha` are computed from
-    them on first read and kept, unless `e_step` already stored them.
-    """
-
-    w_ho: np.ndarray
-    v_h: np.ndarray
-    b_h: np.ndarray
-    log_gamma: np.ndarray
-    weights: np.ndarray
-    log_z: float
-    log_z_prior: float
-
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        return edge_marginals(self.weights)
 
 
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -188,49 +161,40 @@ class _Weighed:
     log_z_prior: float
 
 
+@dataclass(frozen=True)
+class EStepState(_Weighed):
+    """Conditional moments and tree-posterior quantities at one EM iterate:
+    a weighed K with the edge posteriors `alpha` and log Z(gamma) `log_z`."""
+
+    alpha: np.ndarray
+    log_z: float
+
+
 def _weigh(
     precision: PartitionedPrecision, cov: EmpiricalCovariance, prior: _FitPrior
 ) -> _Weighed:
-    """Everything of `e_step` but the kernel call."""
+    """Everything of `e_step` but the kernel call: moments, log gamma, weights."""
     w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
     return _Weighed(w_ho, v_h, b_h, log_gamma, weights, shift, prior.log_z)
 
 
-def e_step(
-    precision: PartitionedPrecision | _Weighed,
-    cov: EmpiricalCovariance,
-    prior: np.ndarray | _FitPrior,
-) -> EStepState:
-    """Moments, log gamma, tree-posterior weights and log partition at the current K.
+def e_step(weighed: _Weighed) -> EStepState:
+    """The E-step of a weighed K: edge posteriors and log Z from one kernel call.
 
-    `prior` is an edge prior matrix, or a `_FitPrior` with its log partition
-    in closed form.  A matrix is masked to `uniform_prior`'s support,
-    hidden-hidden pairs and diagonal zeroed, and its log partition is
-    eliminated, so log gamma and log Z(prior) see the same prior.  One
-    kernel call, `tree_posterior`, gives the edge posteriors and log Z, and
-    the edge posteriors fill the `EStepState.alpha` cache.  A disconnected
-    weight support raises DegenerateWeightsError there.  `_run_em` passes a
-    proposal it has already weighed, with `cov` and `prior` unread, so that
-    the moments and log gamma are computed once.
+    `tree_posterior` on the weights gives both; the weights' shift restores
+    log Z(gamma).  A disconnected weight support raises
+    DegenerateWeightsError there.  Callers weigh K with `_weigh` first, so
+    that `_run_em` computes a proposal's moments and log gamma once, for its
+    likelihood bound and for its E-step.
     """
-    if isinstance(precision, _Weighed):
-        weighed = precision
-    else:
-        if not isinstance(prior, _FitPrior):
-            allowed = uniform_prior(precision.n_observed, precision.n_hidden) > 0
-            weights = np.where(allowed, np.asarray(prior, dtype=float), 0.0)
-            prior = _FitPrior(weights, log_partition_function(weights))
-        weighed = _weigh(precision, cov, prior)
     alpha, log_z = tree_posterior(weighed.weights)
     log_z += (len(weighed.weights) - 1) * weighed.shift
-    state = EStepState(
+    return EStepState(
         weighed.w_ho, weighed.v_h, weighed.b_h, weighed.log_gamma, weighed.weights,
-        log_z, weighed.log_z_prior,
+        weighed.shift, weighed.log_z_prior, alpha, log_z,
     )
-    vars(state)["alpha"] = alpha  # the cache that `EStepState.alpha` fills
-    return state
 
 
 def tree_entropy(state: EStepState) -> float:
@@ -271,7 +235,7 @@ def observed_loglik(
 
     At r = 0 the value is log sum_T P(T) p(X_O | T) exactly and reads no
     alpha.  With hidden nodes it is the free energy of the E-step posterior,
-    which stays bounded where the raw edge-factorized evidence need not be;
+    which has a finite supremum where the raw edge-factorized evidence need not;
     its last sum reads alpha.  `_loglik_bound` evaluates the same expression
     with log Z and alpha replaced by bounds.
     """
@@ -281,7 +245,7 @@ def observed_loglik(
 
 
 def _loglik(
-    moments: EStepState | _Weighed,
+    moments: _Weighed,
     log_z: float,
     alpha_oh: np.ndarray | None,
     precision: PartitionedPrecision,
@@ -476,20 +440,19 @@ def _run_em(
     the initializer with an empty trace.
 
     Most proposals are rejected, and a rejected one leaves nothing in the
-    result, so each proposal is first weighed without the kernel and its
-    log-likelihood bounded by `_loglik_bound`.  A bound below the current
-    log-likelihood by more than `_BOUND_RTOL` relative settles the
-    rejection: the run stops there, as the E-step would have made it stop.
-    Otherwise the weighed proposal goes on to `e_step`'s kernel call.  The
-    bound is used only while every candidate pair of the prior has a
-    positive weight: the weight support is then connected, so the E-step it
-    spares could not have raised DegenerateWeightsError.
+    result, so each proposal is first weighed without the kernel, and
+    `_loglik_bound` gives an upper bound on its log-likelihood.  A bound
+    below the current log-likelihood by more than `_BOUND_RTOL` relative
+    settles the rejection: the run stops there, as the E-step would have
+    made it stop.
+    Otherwise the weighed proposal goes on to `e_step`'s kernel call.  Every
+    candidate pair of a `_FitPrior` has positive weight, so the weight
+    support is connected and the E-step a bound spares could not have raised
+    DegenerateWeightsError.
     """
     k = k_init
-    state = e_step(k, cov, prior)
+    state = e_step(_weigh(k, cov, prior))
     ll = observed_loglik(state, k, cov)
-    support = uniform_prior(k.n_observed, k.n_hidden) > 0.0
-    bounded = bool((prior.weights[support] > 0.0).all())
     trace: list[float] = []
     converged = False
     for _ in range(opts.max_iter):
@@ -505,12 +468,11 @@ def _run_em(
             break
         proposal = m_step(state, k, cov)
         weighed = _weigh(proposal, cov, prior)
-        if bounded:
-            bound = _loglik_bound(weighed, proposal, cov)
-            if np.isfinite(bound) and bound < ll - _BOUND_RTOL * max(1.0, abs(ll)):
-                converged = True
-                break
-        trial_state = e_step(weighed, cov, prior)
+        bound = _loglik_bound(weighed, proposal, cov)
+        if np.isfinite(bound) and bound < ll - _BOUND_RTOL * max(1.0, abs(ll)):
+            converged = True
+            break
+        trial_state = e_step(weighed)
         trial_ll = observed_loglik(trial_state, proposal, cov)
         if not trial_ll > ll:
             converged = True
@@ -573,4 +535,4 @@ def edge_posteriors(result: FitResult, p0: float) -> np.ndarray:
     if r <= 1:
         return result.alpha
     prior = _FitPrior.uniform(p, r, p / (p + r - 1))
-    return e_step(result.precision, result.cov, prior).alpha
+    return e_step(_weigh(result.precision, result.cov, prior)).alpha

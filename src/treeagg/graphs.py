@@ -31,8 +31,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n_nodes: int, edges: Iterable[Iterable[int]]) -> "Graph":
         norm = normalize_edges(edges)
-        if norm and norm[-1][1] >= n_nodes:
-            raise ValueError("edge endpoint out of range")
+        bad = [e for e in norm if not (0 <= e[0] and e[1] < n_nodes)]
+        if bad:
+            raise ValueError(f"edge {bad[0]} has an endpoint outside [0, {n_nodes})")
         return cls(n_nodes, norm)
 
     def adjacency(self) -> np.ndarray:

@@ -21,10 +21,10 @@ call takes about n Python steps.  The last level, which leaves each pair's
 two nodes, eliminates at most two nodes of a four-node block and is done in
 closed form, on six conductances per pair.  Any root-to-leaf path of the
 recursion eliminates every node but two, so its pivots give log Z as well:
-one call of `tree_posterior` returns both, and `log_partition_function` runs
-the one path alone.  The tests keep a one-grounding-at-a-time elimination
-with forward substitution, and brute-force enumeration over Pruefer
-sequences, as oracles.  `require_feasible_target` checks a uniform target
+one call of `tree_posterior` returns both, and `log_partition_function` and
+`edge_marginals` each return one of them.  The tests keep a
+one-grounding-at-a-time elimination with forward substitution, and
+brute-force enumeration over Pruefer sequences, as oracles.  `require_feasible_target` checks a uniform target
 edge marginal over the candidate edges of `uniform_prior`.
 """
 
@@ -149,14 +149,13 @@ def _reduction_plan(n: int):
 def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
     """Run a reduction plan on ws: each leaf's conductance, and log Z from leaf 0.
 
-    `levels` and `last` are `_reduction_plan`'s, or a subset of its rows
-    that keeps every kept row's parent.  Each level gathers its subproblems
-    from the level above in one step and eliminates them in lockstep on one
-    (b, m, m) array, node by node inside the eliminated part of each, then
-    onto the kept part in one batched product.  The last level takes each
-    leaf's two slots x, y from a block {u, v, x, y} of the level above (u, v
-    dummies where it eliminates fewer) by the same steps in closed form, on
-    six gathered conductances per leaf:
+    `levels` and `last` are `_reduction_plan`'s.  Each level gathers its
+    subproblems from the level above in one step and eliminates them in
+    lockstep on one (b, m, m) array, node by node inside the eliminated part
+    of each, then onto the kept part in one batched product.  The last level
+    takes each leaf's two slots x, y from a block {u, v, x, y} of the level
+    above (u, v dummies where it eliminates fewer) by the same steps in
+    closed form, on six gathered conductances per leaf:
 
         d_u = c_uv + c_ux + c_uy,  c'_vz = c_vz + (c_uv / d_u) c_uz,
         d_v = c'_vx + c'_vy,  C_xy = c_xy + ((c_ux / d_u) c_uy + (c'_vx / d_v) c'_vy).
@@ -164,8 +163,8 @@ def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
     Leaf 0's path eliminates every node but the leaf's two, so log Z of ws
     is the sum of that path's log pivots plus log C of the leaf, the last
     pivot; the dummy pivots of 1 add nothing.  A zero pivot of a real node
-    turns its subproblem into NaN, which reaches every leaf below it; the
-    callers check the conductances.
+    turns its subproblem into NaN, which reaches every leaf below it;
+    `tree_posterior` checks the conductances.
     """
     par, u, v, x, y = last
     n = ws.shape[0]
@@ -232,23 +231,14 @@ def tree_posterior(w: np.ndarray) -> tuple[np.ndarray, float]:
 def log_partition_function(w: np.ndarray) -> float:
     """log of Z(W) = sum over spanning trees of the edge-weight products.
 
-    The elimination of `tree_posterior` along one root-to-leaf path of its
-    recursion, row 0 of every level (whose parent is row 0 of the level
-    above): that path eliminates every node but its leaf's two, so Z(W) is
-    the product of its pivots and the leaf's conductance, and log Z equals
-    `tree_posterior(w)[1]` bit for bit.  Returns -inf when the
-    positive-weight support is disconnected (no spanning tree has positive
-    weight): the leaf's conductance is then zero or NaN.
+    The log Z of `tree_posterior`, whose docstring has the method.  Returns
+    -inf when the positive-weight support is disconnected (no spanning tree
+    has positive weight).
     """
-    w = validate_weight_matrix(w)
-    ws, log_scale = _max_rescale(w)
-    n = ws.shape[0]
-    levels, last, _, _ = _reduction_plan(n)
-    path = [(parents[:1], gather[:1], pad[:1], e) for parents, gather, pad, e in levels]
-    conductance, log_z = _kron_reduce(ws, path, tuple(index[:1] for index in last))
-    if not conductance[0] > 0.0:  # also false for NaN
+    try:
+        return tree_posterior(w)[1]
+    except DegenerateWeightsError:
         return -np.inf
-    return log_z + (n - 1) * log_scale
 
 
 def edge_marginals(w: np.ndarray) -> np.ndarray:

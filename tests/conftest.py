@@ -14,13 +14,18 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from treeagg import em
 from treeagg.em import LOG_2PI, completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
-from treeagg.spanning_trees import _max_rescale, validate_weight_matrix
-from treeagg.tree_gaussian import gaussian_mutual_information, maximum_spanning_tree
+from treeagg.spanning_trees import _max_rescale, edge_marginals, validate_weight_matrix
+from treeagg.tree_gaussian import (
+    gaussian_mutual_information,
+    log_marginal_tree_weight,
+    maximum_spanning_tree,
+)
 
 
 def random_weight_matrix(rng, size, low=0.1, high=3.0):
@@ -119,6 +124,35 @@ def brute_posterior_marginals(log_gamma):
         np.repeat(products, n - 1),
     )
     return (out + out.T) / z
+
+
+# ----------------------------------------------------------------------
+# E-steps: the one `em.fit` makes, an oracle under any prior matrix, and an
+# r = 0 state built from given log gamma.
+# ----------------------------------------------------------------------
+
+def fit_e_step(precision, cov):
+    """`em.e_step` under the uniform prior `em.fit` builds for K's shape."""
+    prior = em._FitPrior.uniform(precision.n_observed, precision.n_hidden)
+    return em.e_step(em._weigh(precision, cov, prior))
+
+
+def raw_prior_alpha(precision, cov, prior):
+    """Edge posteriors at K under an arbitrary edge prior matrix: log gamma,
+    its materialized weights, and their edge marginals."""
+    weights, _ = em._materialize_weights(log_marginal_tree_weight(precision, prior, cov))
+    return edge_marginals(weights)
+
+
+def tree_state(log_gamma, weights, log_z):
+    """An r = 0 `em.EStepState` with the given log gamma, weights and
+    log Z(gamma), and the edge posteriors of the weights."""
+    size = log_gamma.shape[0]
+    empty = np.zeros((0, 0))
+    return em.EStepState(
+        np.zeros((0, size)), empty, empty, log_gamma, weights, 0.0, 0.0,
+        edge_marginals(weights), log_z,
+    )
 
 
 # ----------------------------------------------------------------------

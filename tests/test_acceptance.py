@@ -19,9 +19,11 @@ from treeagg.spanning_trees import edge_marginals, log_partition_function
 from conftest import (
     brute_posterior_marginals,
     figure_ground_truth,
+    fit_e_step,
     random_spd,
     random_weight_matrix,
     tree_products,
+    tree_state,
 )
 
 N_REPLICATES = 50
@@ -102,12 +104,11 @@ def test_criterion_2_posterior_exactness():
         p = (4 if instance % 3 else 5) + (1 - r)
         data = rng.normal(size=(15, p)) @ random_spd(rng, p)
         cov = EmpiricalCovariance.from_data(data)
-        prior = em.uniform_prior(p, r)
         from treeagg.initialization import initial_precision_from_cov
 
         k = initial_precision_from_cov(cov, r).precision
         for _ in range(20):
-            state = em.e_step(k, cov, prior)
+            state = fit_e_step(k, cov)
             brute = brute_posterior_marginals(state.log_gamma)
             worst = max(worst, float(np.abs(state.alpha - brute).max()))
             k = em.m_step(state, k, cov)
@@ -132,10 +133,7 @@ def test_criterion_3_entropy_closed_form():
         w = np.exp(lg)
         w[~np.isfinite(lg)] = 0.0
         np.fill_diagonal(w, 0.0)
-        state = em.EStepState(
-            np.zeros((0, 5)), np.zeros((0, 0)), np.zeros((0, 0)),
-            lg, w, log_partition_function(w), 0.0,
-        )
+        state = tree_state(lg, w, log_partition_function(w))
         closed = em.tree_entropy(state)
         products = tree_products(w)
         p_tree = products / products.sum()

@@ -18,6 +18,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def edit_json(path: Path, edit) -> None:
+    """Apply `edit` to the JSON object in `path` and write it back."""
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
 def read_tree(path: Path) -> dict:
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 
@@ -335,6 +342,27 @@ class TestEval:
         shutil.rmtree(partial / "rep_001")
         assert run_cli("eval", "--data", suite_dir, "--fits", partial, "--out", tmp_path / "x") == 3
         assert "rep_001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged", ["manifest", "ground_truth", "fit"])
+    def test_malformed_input_is_data_error(self, suite_dir, fits_dir, tmp_path, capsys, damaged):
+        # invalid JSON in the manifest, a ground-truth edge past the last
+        # node, and a fit without its hidden count
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+        if damaged == "manifest":
+            (data / "manifest.json").write_text("{")
+        elif damaged == "ground_truth":
+            edit_json(
+                data / "rep_001" / "ground_truth.json",
+                lambda obj: obj["full_graph"]["edges"].append([0, 40]),
+            )
+        else:
+            edit_json(fits / "rep_001" / "fit.json", lambda obj: obj.pop("r"))
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "x") == 3
+        assert f"{damaged}.json" in capsys.readouterr().err
 
     def test_no_spurious_noted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
