@@ -23,6 +23,7 @@ from .errors import (
     CalibrationError, ConfigError, DataError, DegenerateCurveError, TreeAggError
 )
 from .fixed_tree import fit_fixed_tree
+from .graphs import Graph
 from .matrices import (
     EmpiricalCovariance,
     PartitionedPrecision,
@@ -350,8 +351,11 @@ def _fit_source(payload: dict) -> SimpleNamespace:
     """Duck-typed score source reconstructed from a fit.json payload."""
     p, r = int(payload["p"]), int(payload["r"])
     if "alpha" in payload:
+        alpha = matrix_from_json(payload["alpha"])
+        if alpha.shape != (p + r, p + r):
+            raise ValueError(f"alpha has shape {alpha.shape}, not p + r = {p + r} square")
         return SimpleNamespace(
-            alpha=matrix_from_json(payload["alpha"]),
+            alpha=alpha,
             tree=None,
             n_observed=p,
             n_hidden=r,
@@ -359,7 +363,7 @@ def _fit_source(payload: dict) -> SimpleNamespace:
     precision = PartitionedPrecision(matrix_from_json(payload["precision"]), p, r)
     return SimpleNamespace(
         alpha=None,
-        tree=tuple(tuple(e) for e in payload["tree"]),
+        tree=Graph.from_edges(p + r, payload["tree"]).edges,
         precision=precision,
         n_observed=p,
         n_hidden=r,
@@ -373,9 +377,18 @@ def _eval_one(payload: tuple) -> dict:
         f"missing ground truth for replicate {rep_id}",
         simulate.GroundTruth.from_json_dict,
     )
-    fit = _read_json(
-        Path(fits_dir) / rep_id / "fit.json", f"missing fit for replicate {rep_id}", _fit_source
-    )
+    fit_path = Path(fits_dir) / rep_id / "fit.json"
+    fit = _read_json(fit_path, f"missing fit for replicate {rep_id}", _fit_source)
+    if fit.n_observed != truth.n_observed:
+        raise DataError(
+            f"{fit_path}: p = {fit.n_observed}, ground truth has p = {truth.n_observed}"
+        )
+    # the full target matches fitted hidden nodes to true ones one to one
+    if "full" in config["targets"] and fit.n_hidden != truth.n_hidden:
+        raise DataError(
+            f"{fit_path}: r = {fit.n_hidden}, ground truth has r = {truth.n_hidden}, "
+            "which the full target needs"
+        )
     rep_out = Path(out_dir) / rep_id
     rep_out.mkdir(parents=True, exist_ok=True)
 

@@ -208,9 +208,14 @@ def tree_entropy(state: EStepState) -> float:
 
 def joint_entropy(state: EStepState, precision: PartitionedPrecision) -> float:
     """H(T, X_H | X_O): tree entropy plus the constant hidden-signal entropy."""
+    return _joint_entropy(tree_entropy(state), precision)
+
+
+def _joint_entropy(h_tree: float, precision: PartitionedPrecision) -> float:
+    """`joint_entropy` from the tree entropy h_tree, computed once by the caller."""
     precision.require_positive_hidden_diagonal()
     h_signal = 0.5 * precision.n_hidden * (LOG_2PI + 1.0)
-    return float(tree_entropy(state) + h_signal - 0.5 * np.log(precision.hidden_diagonal()).sum())
+    return float(h_tree + h_signal - 0.5 * np.log(precision.hidden_diagonal()).sum())
 
 
 def observed_loglik(
@@ -479,13 +484,14 @@ def _run_em(
             break
         k, state, ll = proposal, trial_state, trial_ll
 
+    h_tree = tree_entropy(state)
     return FitResult(
         precision=k,
         alpha=state.alpha,
         loglik_trace=tuple(trace),
         loglik=ll,
-        h_tree=tree_entropy(state),
-        h_joint=joint_entropy(state, k),
+        h_tree=h_tree,
+        h_joint=_joint_entropy(h_tree, k),
         iterations=len(trace),
         converged=converged,
         cov=cov,

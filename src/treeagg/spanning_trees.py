@@ -17,15 +17,20 @@ with C_kl the conductance left between k and l once every other node is
 eliminated.  A recursion over halves of the node set reaches every pair at
 O(n^3) cost: each subproblem eliminates the other half of its parent's
 nodes, and all subproblems of one level run in lockstep on one array, so a
-call takes about n Python steps.  The last level, which leaves each pair's
-two nodes, eliminates at most two nodes of a four-node block and is done in
-closed form, on six conductances per pair.  Any root-to-leaf path of the
-recursion eliminates every node but two, so its pivots give log Z as well:
-one call of `tree_posterior` returns both, and `log_partition_function` and
+call takes about n Python steps.  A level's subproblems are copied out of
+the level above by `np.take`, two calls per run of subproblems that gather
+the same positions, from index arrays cached per n.  The last level, which
+leaves each pair's two nodes, eliminates at most two nodes of a four-node
+block and is done in closed form, on six conductances per pair.  Any
+root-to-leaf path of the recursion eliminates every node but two, so the
+pivots along the path to leaf 0 give log Z as well: one call of
+`tree_posterior` returns both, and `log_partition_function` and
 `edge_marginals` each return one of them.  The tests keep a
-one-grounding-at-a-time elimination with forward substitution, and
-brute-force enumeration over Pruefer sequences, as oracles.  `require_feasible_target` checks a uniform target
-edge marginal over the candidate edges of `uniform_prior`.
+one-grounding-at-a-time elimination with forward substitution, brute-force
+enumeration over Pruefer sequences, and the reduction gathered by fancy
+indexing with log Z from every path, as oracles.  `require_feasible_target`
+checks a uniform target edge marginal over the candidate edges of
+`uniform_prior`.
 """
 
 from __future__ import annotations
@@ -72,8 +77,7 @@ def _max_rescale(w: np.ndarray) -> tuple[np.ndarray, float]:
 _CHILD_QUARTERS = ((0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3))
 
 
-@functools.lru_cache(maxsize=16)
-def _reduction_plan(n: int):
+def _subproblem_plan(n: int):
     """Index plan of the all-pairs Kron reduction on n nodes.
 
     A subproblem holds a Schur complement in 2q slots: half A in the first q,
@@ -88,15 +92,17 @@ def _reduction_plan(n: int):
 
     A level's arrays carry a zero row and column at position 0, then the
     eliminated positions, then the kept slots; a dummy gathers position 0.
-    The last level, whose children are the two-slot leaves, eliminates one
-    or two slots of a four-slot block (one at sizes 2^k + 1); `_kron_reduce`
-    does it in closed form, so it is returned apart, and padded to two
-    eliminated slots with dummies.  At n = 2 there is no level, and the
-    closed form's two dummies leave the one pair's weight as it is.
-    Returns (levels, last, k, l): per level but the last, each child's
-    parent and gather positions in the parent's array, a mask of the
-    eliminated dummies (whose zero pivots are raised to 1) and the
-    eliminated count e; for the last level, each leaf's parent and the
+    The children of a level are sorted by their gather positions, so that
+    children gathered alike are adjacent; the first child, whose line of
+    descent holds leaf 0, stays first.  The last level, whose children are
+    the two-slot leaves, eliminates one or two slots of a four-slot block
+    (one at sizes 2^k + 1); `_kron_reduce` does it in closed form, so it is
+    returned apart, and padded to two eliminated slots with dummies.  At
+    n = 2 there is no level, and the closed form's two dummies leave the one
+    pair's weight as it is.  Returns (levels, last, k, l): per level but the
+    last, each child's parent and gather positions in the parent's array, a
+    mask of the eliminated dummies (whose zero pivots are raised to 1) and
+    the eliminated count e; for the last level, each leaf's parent and the
     positions there of its eliminated slots u and v (0 for a dummy) and of
     its kept slots; and the two labels of each leaf.
     """
@@ -135,7 +141,10 @@ def _reduction_plan(n: int):
         elim_pos = np.where(np.take_along_axis(elim, first, axis=1), at + first, 0)
         kept_pos = np.where(valid, at + kept, 0)
         gather = np.concatenate([np.zeros_like(parent)[:, None], elim_pos, kept_pos], axis=1)
-        levels.append((parent, gather, elim_pos == 0, e))
+        # rows like the first child's first, then the others in row order
+        order = np.lexsort([*gather.T[::-1], ~(gather == gather[0]).all(axis=1)])
+        parent, gather, kept, valid, owes = (a[order] for a in (parent, gather, kept, valid, owes))
+        levels.append((parent, gather, gather[:, 1 : e + 1] == 0, e))
         labels = np.where(valid, labels[parent[:, None], np.minimum(kept, 2 * q - 1)], -1)
         owing, at, q = owes, 1 + e, half
     k, l = labels.T
@@ -146,34 +155,83 @@ def _reduction_plan(n: int):
     return levels, (parent, u, v, gather[:, -2], gather[:, -1]), k, l
 
 
+@functools.lru_cache(maxsize=16)
+def _reduction_plan(n: int):
+    """`_subproblem_plan` as the `np.take` calls that `_kron_reduce` makes.
+
+    The children of a level that share one gather g form a run [lo, hi): the
+    parent arrays of the level above, seen as one matrix of rows, give each
+    child its rows g, then every row of the run gives its columns g, in two
+    `np.take` calls per run (at most 20 runs a level at n <= 300).  The last
+    level takes each leaf's six conductances c_uv, c_ux, c_uy, c_vx, c_vy,
+    c_xy in one `np.take` on flat offsets into the level above.  Returns
+    (levels, last, k, l): per level but the last, the runs (lo, hi, row
+    indices, g), the shape (b, m, m) of the level's array, the dummy mask,
+    the eliminated count e and the index a of leaf 0's ancestor; for the
+    last level, the (6, leaves) offsets and the masks of the dummy u and v;
+    and the two labels of each leaf.  The row indices hold one entry per
+    gather position of the index plan, so the cache stays about the index
+    plan's size, where a flat offset per entry of every level's array would
+    hold 386 000 entries at n = 80 (3.1 MB).
+    """
+    levels, (leaf_parent, u, v, x, y), k, l = _subproblem_plan(n)
+    size, steps = n + 1, []
+    for parent, gather, pad, e in levels:
+        b, m = gather.shape
+        ends = np.flatnonzero(np.any(gather[1:] != gather[:-1], axis=1)) + 1
+        bounds = [0, *ends, b]
+        rows = (parent[:, None] * size + gather).ravel()
+        runs = [
+            (lo, hi, rows[lo * m : hi * m], gather[lo].copy())
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        size = m
+        steps.append((runs, (b, m, m), pad, e))
+    pairs = [u * size + v, u * size + x, u * size + y, v * size + x, v * size + y, x * size + y]
+    # leaf 0's ancestor on each level, from the last level up
+    path = [leaf_parent[0]]
+    for parent, *_ in levels[:0:-1]:
+        path.append(parent[path[-1]])
+    levels = [(*step, a) for step, a in zip(steps, path[::-1])]
+    return levels, (leaf_parent * size**2 + np.stack(pairs), u == 0, v == 0), k, l
+
+
 def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
     """Run a reduction plan on ws: each leaf's conductance, and log Z from leaf 0.
 
     `levels` and `last` are `_reduction_plan`'s.  Each level gathers its
-    subproblems from the level above in one step and eliminates them in
-    lockstep on one (b, m, m) array, node by node inside the eliminated part
-    of each, then onto the kept part in one batched product.  The last level
-    takes each leaf's two slots x, y from a block {u, v, x, y} of the level
-    above (u, v dummies where it eliminates fewer) by the same steps in
-    closed form, on six gathered conductances per leaf:
+    subproblems from the level above, two `np.take` calls per run of
+    children gathered alike, and eliminates them in lockstep on one
+    (b, m, m) array, node by node inside the eliminated part of each, then
+    onto the kept part in one batched product.  The last level takes each
+    leaf's two slots x, y from a block {u, v, x, y} of the level above (u, v
+    dummies where it eliminates fewer) by the same steps in closed form, on
+    six conductances per leaf gathered in one more `np.take`:
 
         d_u = c_uv + c_ux + c_uy,  c'_vz = c_vz + (c_uv / d_u) c_uz,
         d_v = c'_vx + c'_vy,  C_xy = c_xy + ((c_ux / d_u) c_uy + (c'_vx / d_v) c'_vy).
 
     Leaf 0's path eliminates every node but the leaf's two, so log Z of ws
-    is the sum of that path's log pivots plus log C of the leaf, the last
-    pivot; the dummy pivots of 1 add nothing.  A zero pivot of a real node
-    turns its subproblem into NaN, which reaches every leaf below it;
-    `tree_posterior` checks the conductances.
+    is the sum, level by level, of the log pivots of leaf 0's ancestor, plus
+    log d_u, log d_v and log C of the leaf; the dummy pivots of 1 add
+    nothing, and no other subproblem's pivots are logged.  A zero pivot of a
+    real node turns its subproblem into NaN, which reaches every leaf below
+    it; `tree_posterior` checks the conductances.
     """
-    par, u, v, x, y = last
+    offsets, u_dummy, v_dummy = last
     n = ws.shape[0]
     cur = np.zeros((1, n + 1, n + 1))
     cur[0, 1:, 1:] = ws
-    log_pivots = np.zeros(1)
+    log_z = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for parents, gather, pad, e in levels:
-            cur = cur[parents[:, None, None], gather[:, :, None], gather[:, None, :]]
+        for runs, shape, pad, e, a in levels:
+            rows = cur.reshape(-1, cur.shape[2])
+            cur = np.empty(shape)
+            for lo, hi, row_index, g in runs:
+                # the indices are in range by construction; mode="clip" lets
+                # take write into `cur` without an intermediate copy
+                dest = cur[lo:hi].reshape(-1, shape[2])
+                rows.take(row_index, axis=0).take(g, axis=1, out=dest, mode="clip")
             pivots = np.empty((len(cur), e))
             for s in range(1, e + 1):
                 row = cur[:, s, s + 1 :]
@@ -186,18 +244,17 @@ def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
             cur[:, e + 1 :, e + 1 :] += np.matmul(
                 (out / pivots[:, :, None]).transpose(0, 2, 1), out
             )
-            log_pivots = log_pivots[parents] + np.log(pivots).sum(axis=1)
+            log_z = log_z + np.log(pivots[a]).sum()
         # the last level: eliminate u, then v, from the block {u, v, x, y}
-        c_uv, c_ux, c_uy = cur[par, u, v], cur[par, u, x], cur[par, u, y]
-        c_vx, c_vy, c_xy = cur[par, v, x], cur[par, v, y], cur[par, x, y]
-        d_u = c_uv + c_ux + c_uy + (u == 0)
+        c_uv, c_ux, c_uy, c_vx, c_vy, c_xy = cur.take(offsets)
+        d_u = c_uv + c_ux + c_uy + u_dummy
         ratio = c_uv / d_u
         c_vx = c_vx + ratio * c_ux
         c_vy = c_vy + ratio * c_uy
-        d_v = c_vx + c_vy + (v == 0)
+        d_v = c_vx + c_vy + v_dummy
         conductance = c_xy + (c_ux / d_u * c_uy + c_vx / d_v * c_vy)
-        log_pivots = log_pivots[par] + (np.log(d_u) + np.log(d_v))
-        log_z = float(log_pivots[0] + np.log(conductance[0]))
+        log_z = log_z + (np.log(d_u[0]) + np.log(d_v[0]))
+        log_z = float(log_z + np.log(conductance[0]))
     return conductance, log_z
 
 

@@ -20,7 +20,12 @@ from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
-from treeagg.spanning_trees import _max_rescale, edge_marginals, validate_weight_matrix
+from treeagg.spanning_trees import (
+    _max_rescale,
+    _subproblem_plan,
+    edge_marginals,
+    validate_weight_matrix,
+)
 from treeagg.tree_gaussian import (
     gaussian_mutual_information,
     log_marginal_tree_weight,
@@ -261,6 +266,62 @@ def per_ground_edge_marginals(w):
     marg[ws == 0.0] = 0.0
     np.fill_diagonal(marg, 0.0)
     return np.clip(0.5 * (marg + marg.T), 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the Kron reduction as it ran before its gathers went through
+# np.take, each level gathered by one three-array fancy index and log Z taken
+# from the log pivots of every subproblem.  It does the same arithmetic in
+# the same order as treeagg.spanning_trees._kron_reduce, so the two must
+# agree bit for bit.
+# ----------------------------------------------------------------------
+
+def fancy_index_kron_reduce(ws, levels, last):
+    """Each leaf's conductance and log Z, on `_subproblem_plan`'s index plan."""
+    par, u, v, x, y = last
+    n = ws.shape[0]
+    cur = np.zeros((1, n + 1, n + 1))
+    cur[0, 1:, 1:] = ws
+    log_pivots = np.zeros(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for parents, gather, pad, e in levels:
+            cur = cur[parents[:, None, None], gather[:, :, None], gather[:, None, :]]
+            pivots = np.empty((len(cur), e))
+            for s in range(1, e + 1):
+                row = cur[:, s, s + 1 :]
+                d = row.sum(axis=1) + pad[:, s - 1]
+                pivots[:, s - 1] = d
+                if s < e:
+                    ratio = row[:, : e - s] / d[:, None]
+                    cur[:, s + 1 : e + 1, s + 1 :] += ratio[:, :, None] * row[:, None, :]
+            out = cur[:, 1 : e + 1, e + 1 :]
+            cur[:, e + 1 :, e + 1 :] += np.matmul(
+                (out / pivots[:, :, None]).transpose(0, 2, 1), out
+            )
+            log_pivots = log_pivots[parents] + np.log(pivots).sum(axis=1)
+        c_uv, c_ux, c_uy = cur[par, u, v], cur[par, u, x], cur[par, u, y]
+        c_vx, c_vy, c_xy = cur[par, v, x], cur[par, v, y], cur[par, x, y]
+        d_u = c_uv + c_ux + c_uy + (u == 0)
+        ratio = c_uv / d_u
+        c_vx = c_vx + ratio * c_ux
+        c_vy = c_vy + ratio * c_uy
+        d_v = c_vx + c_vy + (v == 0)
+        conductance = c_xy + (c_ux / d_u * c_uy + c_vx / d_v * c_vy)
+        log_pivots = log_pivots[par] + (np.log(d_u) + np.log(d_v))
+        log_z = float(log_pivots[0] + np.log(conductance[0]))
+    return conductance, log_z
+
+
+def fancy_index_posterior(w):
+    """`tree_posterior`'s edge posteriors and log Z through the oracle above."""
+    w = validate_weight_matrix(w)
+    ws, log_scale = _max_rescale(w)
+    n = ws.shape[0]
+    levels, last, k, l = _subproblem_plan(n)
+    conductance, log_z = fancy_index_kron_reduce(ws, levels, last)
+    marg = np.zeros((n, n))
+    marg[k, l] = ws[k, l] / conductance
+    return marg + marg.T, log_z + (n - 1) * log_scale
 
 
 # ----------------------------------------------------------------------

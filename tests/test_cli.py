@@ -364,6 +364,42 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "x") == 3
         assert f"{damaged}.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mismatch", ["p", "alpha", "tree", "r"])
+    def test_fit_not_matching_truth_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, mismatch
+    ):
+        # a fit whose p is not the ground truth's, an alpha that is not
+        # (p + r) square, a fixed-tree edge past the last node, and a
+        # well-formed r = 0 fit under the full target, which matches fitted
+        # hidden nodes to the truth's one to one
+        import shutil
+
+        fits = tmp_path / "fits"
+        shutil.copytree(fits_dir, fits)
+        fit_json = fits / "rep_001" / "fit.json"
+        observed = suite_dir / "rep_001" / "observed.csv"
+        if mismatch == "p":
+            edit_json(fit_json, lambda obj: obj.update(p=4))
+        elif mismatch == "alpha":
+            edit_json(fit_json, lambda obj: obj.update(alpha={"data": [0.0], "shape": [1, 1]}))
+        elif mismatch == "tree":
+            args = ("--out", fits / "rep_001", "--r", 1, "--method", "fixed-tree")
+            assert run_cli("fit", observed, *args) == 0
+            edit_json(fit_json, lambda obj: obj["tree"].append([0, 9]))
+        else:
+            assert run_cli("fit", observed, "--out", fits / "rep_001", "--r", 0) == 0
+        assert run_cli("eval", "--data", suite_dir, "--fits", fits, "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert "rep_001" in err and "fit.json" in err
+        if mismatch != "r":
+            return
+        marginal_only = tmp_path / "marginal.json"
+        marginal_only.write_text(json.dumps({"targets": ["marginal"]}))
+        assert run_cli(
+            "eval", "--data", suite_dir, "--fits", fits, "--out", tmp_path / "m",
+            "--config", marginal_only,
+        ) == 0
+
     def test_no_spurious_noted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "tree", "p": 6, "r": 0, "n": 30, "replicates": 1, "seed": 4}))

@@ -648,6 +648,18 @@ class TestFit:
         state = fit_e_step(result.precision, cov)
         assert result.loglik == em.observed_loglik(state, result.precision, cov)
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_entropies_from_one_tree_entropy(self, monkeypatch, rng, r):
+        # h_joint is built from the fit's one tree entropy, with the bits
+        # joint_entropy gives on the returned iterate's E-step
+        cov = small_cov(rng, 6, n=30)
+        calls = count_calls(monkeypatch, ["tree_entropy"])
+        result = em.fit(cov, r)
+        assert calls == {"tree_entropy": 1}
+        state = fit_e_step(result.precision, cov)
+        assert result.h_tree == em.tree_entropy(state)
+        assert result.h_joint == em.joint_entropy(state, result.precision)
+
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6
         cov = small_cov(rng, 4, n=20)

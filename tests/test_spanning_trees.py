@@ -9,6 +9,7 @@ from treeagg import em
 from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
 from treeagg.graphs import prufer_to_edges
 from treeagg.spanning_trees import (
+    _reduction_plan,
     edge_marginals,
     log_partition_function,
     require_feasible_target,
@@ -19,6 +20,7 @@ from treeagg.spanning_trees import (
 from conftest import (
     brute_log_partition,
     brute_posterior_marginals,
+    fancy_index_posterior,
     fixed_point_calibrate,
     is_spanning_tree,
     per_ground_edge_marginals,
@@ -272,6 +274,37 @@ class TestBlockKernel:
         assert log_partition_function(w) == pytest.approx(
             brute_log_partition(log_brute(w)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("span", [10.0, 700.0, 3000.0])
+    @pytest.mark.parametrize("size", [*range(2, 41), 65, 80, 100])
+    def test_bit_identical_to_fancy_index_reduction(self, size, span):
+        # the same arithmetic in the same order: only the gathers and the
+        # log pivots left out of log Z differ
+        w = estep_weights(np.random.default_rng(4000 + size), size, span)
+        alpha, log_z = tree_posterior(w)
+        want_alpha, want_log_z = fancy_index_posterior(w)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert log_z == want_log_z
+
+    @pytest.mark.parametrize("size", [*range(2, 41), 65, 80, 100])
+    def test_leaf_zero_pairs_node_zero_with_second_half(self, size):
+        # sorting a level's children keeps the first one first, so log Z
+        # follows the same root-to-leaf path as with the children unsorted
+        _, _, k, l = _reduction_plan(size)
+        assert (k[0], l[0]) == (0, (size + 1) // 2)
+
+    def test_cached_plan_bytes_bounded(self):
+        # the plan holds 475 000 bytes at n = 80, under 1 % of fit-p80's
+        # peak resident memory (56 MB); flat offsets for every entry of
+        # every level would add 3.1 MB
+        tracemalloc.start()
+        try:
+            plan = _reduction_plan.__wrapped__(80)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan[2].shape == (3160,)
+        assert held < 550_000
 
     def test_peak_memory_bounded(self, rng):
         w = random_weight_matrix(rng, 80)
