@@ -30,7 +30,6 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
-from .spanning_trees import require_feasible_target
 
 METHODS = ("aggregation", "fixed-tree")
 SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
@@ -128,8 +127,30 @@ def _map(func, jobs: list, workers: int) -> list:
         return list(pool.map(func, jobs))
 
 
+def _require_type(key: str, value, cast) -> None:
+    """Raise ConfigError unless a config-file value has its key's JSON type.
+
+    A bool key takes a boolean, an int key an integral number, a float key a
+    number and a list key a list; a boolean is not a number.  A str key takes
+    any value.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    expected, fits = {
+        bool: ("a boolean", isinstance(value, bool)),
+        int: ("an integral number", number and (isinstance(value, int) or value.is_integer())),
+        float: ("a number", number),
+        list: ("a list", isinstance(value, list)),
+    }.get(cast, (None, True))
+    if not fits:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+
+
 def _resolve(config: dict, args, keys: dict) -> dict:
-    """Merge config-file values, CLI overrides and defaults; reject unknown keys."""
+    """Merge config-file values, CLI overrides and defaults; reject unknown keys.
+
+    A flag's value is taken as argparse typed it; a config-file value must
+    pass `_require_type`.
+    """
     unknown = set(config) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -138,12 +159,11 @@ def _resolve(config: dict, args, keys: dict) -> dict:
         value = getattr(args, flag, None) if flag else None
         if value is None:
             value = config.get(key, default)
-        if value is None:
-            raise ConfigError(f"missing required config key: {key}")
-        try:
-            out[key] = cast(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: cannot read {value!r} as {cast.__name__}") from None
+            if value is None:
+                raise ConfigError(f"missing required config key: {key}")
+            _require_type(key, value, cast)
+            value = cast(value)
+        out[key] = value
     return out
 
 
@@ -197,6 +217,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError("r must be >= 0")
     if config["replicates"] < 1:
         raise ConfigError("replicates must be >= 1")
+    if config["n"] < 2:
+        raise ConfigError(f"n must be >= 2, got {config['n']}")
+    if config["kind"] == "erdos" and not 0.0 < config["p_edge"] < 1.0:
+        raise ConfigError(
+            f"p_edge must be inside (0, 1) for kind erdos, got {config['p_edge']}"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seq = np.random.SeedSequence(config["seed"])
@@ -231,7 +257,7 @@ FIT_KEYS = {
 }
 
 
-def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
+def _fit_payload(config: dict, cov: EmpiricalCovariance, p0: float | None) -> dict:
     method = config["method"]
     opts = em.FitOptions(max_iter=config["max_iter"], tol=config["tol"])
     r = config["r"]
@@ -257,8 +283,7 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance) -> dict:
             alpha=matrix_to_json(result.alpha),
             precision=matrix_to_json(result.precision.matrix),
         )
-        if config["p0"]:
-            p0 = float(config["p0"])
+        if p0 is not None:
             payload["p0"] = p0
             payload["alpha_recalibrated"] = matrix_to_json(
                 em.edge_posteriors(result, p0)
@@ -282,21 +307,22 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"unknown method {config['method']!r}; expected one of {METHODS}")
     if config["r"] < 0:
         raise ConfigError("r must be >= 0")
+    p0 = None
     if config["p0"]:
         if config["method"] != "aggregation":
             raise ConfigError(f"p0 applies to method aggregation only, not {config['method']}")
         try:
-            float(config["p0"])
+            p0 = float(config["p0"])
         except ValueError:
             raise ConfigError(f"p0: cannot read {config['p0']!r} as float") from None
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
-    if config["p0"]:
+    if p0 is not None:
         try:
-            require_feasible_target(cov.size, config["r"], float(config["p0"]))
+            em.require_feasible_target(cov.size, config["r"], p0)
         except CalibrationError as exc:
             raise ConfigError(f"p0: {exc}") from None
-    payload = _fit_payload(config, cov)
+    payload = _fit_payload(config, cov, p0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "fit.json", payload)
@@ -421,6 +447,8 @@ def cmd_eval(args) -> int:
     for target in config["targets"]:
         if target not in ("full", "marginal"):
             raise ConfigError(f"unknown eval target {target!r}")
+    if config["grid_size"] < 2:
+        raise ConfigError(f"grid_size must be >= 2, got {config['grid_size']}")
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
     rep_ids, dataset_hash = _read_json(

@@ -11,8 +11,9 @@ Hadamard's inequality on the grounded Laplacian for log Z and [0, 1] for
 alpha, and a bound already below the current log-likelihood rejects the
 proposal without the kernel.  Every E-step runs under a `_FitPrior`, the
 uniform prior or the one `edge_posteriors` calibrates to a target edge
-marginal, whose log partition has a closed form.  The M-step applies the
-closed-form off-diagonal updates and solves the diagonal stationarity
+marginal, whose log partition has a closed form; `require_feasible_target`
+checks that target against the prior's candidate pairs.  The M-step applies
+the closed-form off-diagonal updates and solves the diagonal stationarity
 equations by safeguarded Newton steps, then floors the spectrum to keep the
 precision positive definite.  Everything tree related is tracked in log
 space.
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import initialization
 from .errors import (
+    CalibrationError,
     DegeneratePosteriorError,
     DivergenceError,
     InvalidMomentError,
@@ -40,7 +42,7 @@ from .matrices import (
     floor_spectrum,
     symmetrize,
 )
-from .spanning_trees import require_feasible_target, tree_posterior
+from .spanning_trees import tree_posterior
 from .tree_gaussian import (
     log_marginal_tree_weight,
     require_imperfect_correlation,
@@ -53,6 +55,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # the current log-likelihood to reject a proposal without its E-step.  The
 # bound holds up to roundoff, about 1e-15 relative, which this margin covers.
 _BOUND_RTOL = 1e-6
+
+# How far a target edge marginal may be from the feasible one.
+CALIBRATION_TOL = 1e-6
 
 
 def conditional_moments(
@@ -144,6 +149,26 @@ class _FitPrior:
         return cls(weights, log_z)
 
 
+def require_feasible_target(n_observed: int, n_hidden: int, p0: float) -> None:
+    """Raise CalibrationError unless p0 can be every candidate edge's marginal.
+
+    The candidate edges are the support of `_FitPrior.uniform(n_observed,
+    n_hidden)`: every pair but the hidden-hidden ones.  The marginals of a
+    spanning-tree distribution always sum to size - 1, so a uniform target
+    over them must equal (size - 1) / #candidate edges.
+    """
+    p, r = n_observed, n_hidden
+    size, n_pairs = p + r, p * (p - 1) // 2 + p * r
+    if not 0.0 < p0 < 1.0:
+        raise CalibrationError(f"target probability {p0} outside (0, 1)")
+    feasible = (size - 1) / n_pairs if n_pairs else np.inf
+    if abs(p0 - feasible) > CALIBRATION_TOL:
+        raise CalibrationError(
+            f"marginals over {n_pairs} candidate edges always sum to {size - 1}; "
+            f"uniform target must be {feasible:.6g}, got {p0:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class _Weighed:
     """An E-step up to its kernel call: the moments, log gamma and its weights.
@@ -153,7 +178,6 @@ class _Weighed:
     """
 
     w_ho: np.ndarray
-    v_h: np.ndarray
     b_h: np.ndarray
     log_gamma: np.ndarray
     weights: np.ndarray
@@ -174,10 +198,10 @@ def _weigh(
     precision: PartitionedPrecision, cov: EmpiricalCovariance, prior: _FitPrior
 ) -> _Weighed:
     """Everything of `e_step` but the kernel call: moments, log gamma, weights."""
-    w_ho, v_h, b_h = conditional_moments(precision, cov.matrix)
+    w_ho, _, b_h = conditional_moments(precision, cov.matrix)
     log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
     weights, shift = _materialize_weights(log_gamma)
-    return _Weighed(w_ho, v_h, b_h, log_gamma, weights, shift, prior.log_z)
+    return _Weighed(w_ho, b_h, log_gamma, weights, shift, prior.log_z)
 
 
 def e_step(weighed: _Weighed) -> EStepState:
@@ -192,8 +216,8 @@ def e_step(weighed: _Weighed) -> EStepState:
     alpha, log_z = tree_posterior(weighed.weights)
     log_z += (len(weighed.weights) - 1) * weighed.shift
     return EStepState(
-        weighed.w_ho, weighed.v_h, weighed.b_h, weighed.log_gamma, weighed.weights,
-        weighed.shift, weighed.log_z_prior, alpha, log_z,
+        weighed.w_ho, weighed.b_h, weighed.log_gamma, weighed.weights, weighed.shift,
+        weighed.log_z_prior, alpha, log_z,
     )
 
 
@@ -206,13 +230,9 @@ def tree_entropy(state: EStepState) -> float:
     return float(state.log_z - contrib.sum())
 
 
-def joint_entropy(state: EStepState, precision: PartitionedPrecision) -> float:
-    """H(T, X_H | X_O): tree entropy plus the constant hidden-signal entropy."""
-    return _joint_entropy(tree_entropy(state), precision)
-
-
-def _joint_entropy(h_tree: float, precision: PartitionedPrecision) -> float:
-    """`joint_entropy` from the tree entropy h_tree, computed once by the caller."""
+def joint_entropy(h_tree: float, precision: PartitionedPrecision) -> float:
+    """H(T, X_H | X_O): the tree entropy h_tree, `tree_entropy` of the E-step,
+    plus the constant hidden-signal entropy."""
     precision.require_positive_hidden_diagonal()
     h_signal = 0.5 * precision.n_hidden * (LOG_2PI + 1.0)
     return float(h_tree + h_signal - 0.5 * np.log(precision.hidden_diagonal()).sum())
@@ -418,7 +438,6 @@ class FitResult:
     iterations: int
     converged: bool
     cov: EmpiricalCovariance
-    prior: np.ndarray
 
     @property
     def n_observed(self) -> int:
@@ -491,11 +510,10 @@ def _run_em(
         loglik_trace=tuple(trace),
         loglik=ll,
         h_tree=h_tree,
-        h_joint=_joint_entropy(h_tree, k),
+        h_joint=joint_entropy(h_tree, k),
         iterations=len(trace),
         converged=converged,
         cov=cov,
-        prior=prior.weights,
     )
 
 

@@ -60,23 +60,19 @@ def fit_fixed_tree(
     Hidden-hidden edges are excluded from the tree search (identifiability).
     Classification EM can cycle with period > 1, so a likelihood tolerance
     backs up the tree fixed-point test.  Without hidden nodes there is nothing
-    to complete: the fit is the tree MLE, on the Chow-Liu tree, of the
-    regularized covariance.
+    to complete: the fit is its start, the tree MLE, on the Chow-Liu tree, of
+    the regularized covariance.
     Two perfectly correlated observed variables raise PerfectCorrelationError
     before the covariance is regularized.
     """
     opts = opts or FitOptions()
     require_imperfect_correlation(cov)
     p = cov.size
+    init = initial_precision_from_cov(cov, n_hidden)
+    k, tree = init.precision, init.tree
     if n_hidden == 0:
-        tree, kmat = tree_mle(cov.matrix, p)
-        k = PartitionedPrecision(kmat, p, 0)
         trace = (gaussian_observed_loglik(k, cov),) if opts.max_iter else ()
         return FixedTreeFit(tree, k, trace, len(trace), bool(trace))
-
-    init = initial_precision_from_cov(cov, n_hidden)
-    k = init.precision
-    tree = init.tree
     if opts.max_iter == 0:
         return FixedTreeFit(tree, k, (), 0, False)
 

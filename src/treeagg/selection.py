@@ -81,7 +81,7 @@ class SelectionReport:
 
 
 def select(
-    cov_or_data,
+    cov: EmpiricalCovariance,
     r_max: int = 3,
     opts: em.FitOptions | None = None,
     master_seed: int | None = 0,
@@ -95,10 +95,6 @@ def select(
     row's error set and is left out of the ranking.  No fit draws a random
     number, so `master_seed` is only a label that the report carries.
     """
-    if isinstance(cov_or_data, EmpiricalCovariance):
-        cov = cov_or_data
-    else:
-        cov = EmpiricalCovariance.from_data(np.asarray(cov_or_data, dtype=float))
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
 

@@ -28,9 +28,7 @@ pivots along the path to leaf 0 give log Z as well: one call of
 `edge_marginals` each return one of them.  The tests keep a
 one-grounding-at-a-time elimination with forward substitution, brute-force
 enumeration over Pruefer sequences, and the reduction gathered by fancy
-indexing with log Z from every path, as oracles.  `require_feasible_target`
-checks a uniform target edge marginal over the candidate edges of
-`uniform_prior`.
+indexing with log Z from every path, as oracles.
 """
 
 from __future__ import annotations
@@ -39,10 +37,7 @@ import functools
 
 import numpy as np
 
-from .errors import CalibrationError, DegenerateWeightsError, InvalidWeightError
-
-# How far a target marginal may be from the feasible one.
-CALIBRATION_TOL = 1e-6
+from .errors import DegenerateWeightsError, InvalidWeightError
 
 
 def validate_weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -306,23 +301,3 @@ def edge_marginals(w: np.ndarray) -> np.ndarray:
     disconnected.
     """
     return tree_posterior(w)[0]
-
-
-def require_feasible_target(n_observed: int, n_hidden: int, p0: float) -> None:
-    """Raise CalibrationError unless p0 can be every candidate edge's marginal.
-
-    The candidate edges are those of `uniform_prior(n_observed, n_hidden)`:
-    every pair but the hidden-hidden ones.  The marginals of a spanning-tree
-    distribution always sum to size - 1, so a uniform target over them must
-    equal (size - 1) / #candidate edges.
-    """
-    p, r = n_observed, n_hidden
-    size, n_pairs = p + r, p * (p - 1) // 2 + p * r
-    if not 0.0 < p0 < 1.0:
-        raise CalibrationError(f"target probability {p0} outside (0, 1)")
-    feasible = (size - 1) / n_pairs if n_pairs else np.inf
-    if abs(p0 - feasible) > CALIBRATION_TOL:
-        raise CalibrationError(
-            f"marginals over {n_pairs} candidate edges always sum to {size - 1}; "
-            f"uniform target must be {feasible:.6g}, got {p0:.6g}"
-        )

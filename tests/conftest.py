@@ -153,9 +153,8 @@ def tree_state(log_gamma, weights, log_z):
     """An r = 0 `em.EStepState` with the given log gamma, weights and
     log Z(gamma), and the edge posteriors of the weights."""
     size = log_gamma.shape[0]
-    empty = np.zeros((0, 0))
     return em.EStepState(
-        np.zeros((0, size)), empty, empty, log_gamma, weights, 0.0, 0.0,
+        np.zeros((0, size)), np.zeros((0, 0)), log_gamma, weights, 0.0, 0.0,
         edge_marginals(weights), log_z,
     )
 

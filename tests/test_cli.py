@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,27 +97,40 @@ class TestConfig:
         assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "x") == 2
 
     @pytest.mark.parametrize(
-        "command, flags, config",
+        "command, flags, config, key",
         [
-            ("fit", ["--p0", "abc"], {}),
-            ("fit", ["--r", -1], {}),
-            ("select", ["--r", -1], {}),
-            ("simulate", ["--r", -1], {}),
-            ("simulate", [], {"p": 1, "r": 0}),
-            ("fit", [], {"max_iter": "abc"}),
-            ("eval", [], {"grid_size": "x"}),
-            ("fit", ["--r", 0, "--p0", "0.5"], {}),
-            ("fit", ["--r", 0, "--p0", "nan"], {}),
-            ("fit", ["--r", 2, "--p0", repr(2.0 / 8.0)], {}),
-            ("fit", ["--method", "fixed-tree", "--r", 1, "--p0", "0.5"], {}),
-            ("fit", [], {"method": "chow-liu"}),
+            ("fit", ["--p0", "abc"], {}, "p0"),
+            ("fit", ["--r", -1], {}, "r"),
+            ("select", ["--r", -1], {}, "r_max"),
+            ("simulate", ["--r", -1], {}, "r"),
+            ("simulate", [], {"p": 1, "r": 0}, "p"),
+            ("fit", [], {"max_iter": "abc"}, "max_iter"),
+            ("eval", [], {"grid_size": "x"}, "grid_size"),
+            ("fit", ["--r", 0, "--p0", "0.5"], {}, "p0"),
+            ("fit", ["--r", 0, "--p0", "nan"], {}, "p0"),
+            ("fit", ["--r", 2, "--p0", repr(2.0 / 8.0)], {}, "p0"),
+            ("fit", ["--method", "fixed-tree", "--r", 1, "--p0", "0.5"], {}, "p0"),
+            ("fit", [], {"method": "chow-liu"}, "method"),
+            ("eval", [], {"two_hop": "false"}, "two_hop"),
+            ("simulate", [], {"p": 6, "r": 0, "n": 1.9, "replicates": 1}, "n"),
+            ("fit", [], {"max_iter": True}, "max_iter"),
+            ("eval", [], {"targets": "marginal"}, "targets"),
+            ("simulate", [], {"kind": "erdos", "p": 6, "r": 0, "p_edge": 1.5, "replicates": 1},
+             "p_edge"),
+            ("simulate", [], {"p": 6, "r": 0, "n": 1, "replicates": 1}, "n"),
+            ("eval", [], {"grid_size": -3}, "grid_size"),
+            ("eval", [], {"grid_size": 1}, "grid_size"),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
              "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-unreachable-r2",
              "fit-p0-fixed-tree",
-             "fit-method"],
+             "fit-method", "eval-two_hop-string", "simulate-n-fraction", "fit-max_iter-bool",
+             "eval-targets-string", "simulate-p_edge-erdos", "simulate-n-one",
+             "eval-grid_size-negative", "eval-grid_size-one"],
     )
-    def test_bad_value_is_config_error(self, suite_dir, tmp_path, capsys, command, flags, config):
+    def test_bad_value_is_config_error(
+        self, suite_dir, tmp_path, capsys, command, flags, config, key
+    ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         if command == "simulate":
@@ -127,7 +141,9 @@ class TestConfig:
             data = [suite_dir / "rep_000" / "observed.csv"]
         code = run_cli(command, *data, *flags, "--config", cfg, "--out", tmp_path / "x")
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert re.search(rf"\b{key}\b", err), err
         assert not (tmp_path / "x").exists()
 
 

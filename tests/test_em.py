@@ -53,7 +53,7 @@ class TestEStep:
         prec = PartitionedPrecision(k, 3, 1)
         state = fit_e_step(prec, cov)
         np.testing.assert_allclose(state.w_ho, 0.0)
-        np.testing.assert_allclose(state.v_h, 0.0)
+        np.testing.assert_allclose(em.conditional_moments(prec, cov.matrix)[1], 0.0)
         np.testing.assert_allclose(state.b_h, [[0.25]])
 
     @pytest.mark.parametrize("p", [*range(2, 41), 80])
@@ -116,7 +116,8 @@ class TestEStep:
         cov, prec, prior = random_instance(rng, 4, 2)
         state = fit_e_step(prec, cov)
         k_hh_inv = np.linalg.inv(prec.k_hh)
-        np.testing.assert_allclose(state.b_h, k_hh_inv + state.v_h, atol=1e-12)
+        v_h = em.conditional_moments(prec, cov.matrix)[1]
+        np.testing.assert_allclose(state.b_h, k_hh_inv + v_h, atol=1e-12)
 
     def test_log_a_consistent_with_partition(self, rng):
         cov, prec, prior = random_instance(rng, 4, 0)
@@ -221,7 +222,8 @@ class TestEntropies:
     def test_joint_entropy_reduces_to_tree_entropy(self, rng):
         cov, prec, prior = random_instance(rng, 4, 0)
         state = fit_e_step(prec, cov)
-        assert em.joint_entropy(state, prec) == em.tree_entropy(state)
+        h_tree = em.tree_entropy(state)
+        assert em.joint_entropy(h_tree, prec) == h_tree
 
     def test_joint_entropy_unit_hidden(self, rng):
         cov, prec, prior = random_instance(rng, 4, 1)
@@ -229,8 +231,9 @@ class TestEntropies:
         k[4, 4] = 1.0
         prec = PartitionedPrecision(k, 4, 1)
         state = fit_e_step(prec, cov)
-        expected = em.tree_entropy(state) + 0.5 * np.log(2 * np.pi * np.e)
-        assert em.joint_entropy(state, prec) == pytest.approx(expected, rel=1e-12)
+        h_tree = em.tree_entropy(state)
+        expected = h_tree + 0.5 * np.log(2 * np.pi * np.e)
+        assert em.joint_entropy(h_tree, prec) == pytest.approx(expected, rel=1e-12)
 
     def test_joint_entropy_two_hidden(self, rng):
         cov, prec, prior = random_instance(rng, 4, 2)
@@ -240,9 +243,8 @@ class TestEntropies:
         prec = PartitionedPrecision(k, 4, 2)
         state = fit_e_step(prec, cov)
         extra = np.log(2 * np.pi * np.e) - 0.5 * (np.log(2.0) + np.log(8.0))
-        assert em.joint_entropy(state, prec) == pytest.approx(
-            em.tree_entropy(state) + extra, rel=1e-12
-        )
+        h_tree = em.tree_entropy(state)
+        assert em.joint_entropy(h_tree, prec) == pytest.approx(h_tree + extra, rel=1e-12)
 
 
 class TestObservedLoglik:
@@ -658,7 +660,7 @@ class TestFit:
         assert calls == {"tree_entropy": 1}
         state = fit_e_step(result.precision, cov)
         assert result.h_tree == em.tree_entropy(state)
-        assert result.h_joint == em.joint_entropy(state, result.precision)
+        assert result.h_joint == em.joint_entropy(result.h_tree, result.precision)
 
     def test_alpha_enumeration_along_iterations(self, rng):
         # posterior exactness at every accepted iterate, p + r <= 6
@@ -734,7 +736,7 @@ class TestEdgePosteriors:
         cov = small_cov(rng, 5)
         result = em.fit(cov, 2)
         p0 = 6.0 / 20.0  # (size - 1) / #candidate pairs
-        calibrated = fixed_point_calibrate(result.prior, p0)
+        calibrated = fixed_point_calibrate(em.uniform_prior(5, 2), p0)
         expected = raw_prior_alpha(result.precision, cov, calibrated)
         calls = self.count_kernel_calls(monkeypatch)
         alpha2 = em.edge_posteriors(result, p0)

@@ -5,7 +5,7 @@ from treeagg import fixed_tree
 from treeagg.em import FitOptions, completed_moments, conditional_moments
 from treeagg.errors import PerfectCorrelationError
 from treeagg.fixed_tree import fit_fixed_tree, gaussian_observed_loglik
-from treeagg.initialization import _regularize_cov
+from treeagg.initialization import _regularize_cov, tree_mle
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import sample_and_marginalize, sample_seed
 from treeagg.tree_gaussian import tree_precision_from_cov
@@ -36,7 +36,9 @@ class TestFixedTree:
         assert fit.iterations == 1
         assert fit.converged
 
-    def test_r0_skips_initializer(self, rng, monkeypatch):
+    def test_r0_fit_is_initializer_start(self, rng, monkeypatch):
+        # at r = 0 the fit is its start, one initializer call, and that start
+        # is the tree MLE of the covariance itself, bit for bit
         cov = sample_cov(rng, 5)
         calls = []
         initializer = fixed_tree.initial_precision_from_cov
@@ -45,11 +47,14 @@ class TestFixedTree:
             "initial_precision_from_cov",
             lambda *args: calls.append(args) or initializer(*args),
         )
-        fit_fixed_tree(cov, 0)
-        fit_fixed_tree(cov, 0, opts=FitOptions(max_iter=0))
-        assert calls == []
-        fit_fixed_tree(cov, 1)
+        fit = fit_fixed_tree(cov, 0)
         assert len(calls) == 1
+        tree, kmat = tree_mle(cov.matrix, 5)
+        assert fit.tree == tree
+        assert fit.precision.matrix.tobytes() == kmat.tobytes()
+        assert fit_fixed_tree(cov, 0, opts=FitOptions(max_iter=0)).loglik_trace == ()
+        fit_fixed_tree(cov, 1)
+        assert len(calls) == 3
 
     def test_max_iter_zero_returns_initializer_tree(self, rng):
         cov = sample_cov(rng, 5)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from treeagg import selection
 from treeagg.errors import DataError
 from treeagg.matrices import EIG_FLOOR, EmpiricalCovariance, floor_spectrum
 
@@ -15,8 +14,6 @@ class TestFromData:
         data[3, 2] = cell
         with pytest.raises(DataError, match="non-finite"):
             EmpiricalCovariance.from_data(data)
-        with pytest.raises(DataError):
-            selection.select(data, r_max=1)
 
     def test_constant_column(self, rng):
         data = rng.normal(size=(10, 4))

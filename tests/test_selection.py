@@ -8,7 +8,7 @@ from treeagg.errors import PerfectCorrelationError, TreeAggError
 from treeagg.matrices import EmpiricalCovariance
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 
-from conftest import duplicated_column_data, random_spd, strict_json_loads
+from conftest import duplicated_column_data, strict_json_loads
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +105,11 @@ class TestSelect:
         assert {failed[key] for key in ("loglik", "pen", "bic", "h_tree")} == {None}
 
     def test_perfect_correlation_fails_every_row(self, rng):
-        data = duplicated_column_data(rng)
+        cov = EmpiricalCovariance.from_data(duplicated_column_data(rng))
         with pytest.warns(UserWarning, match="failed"):
-            report = selection.select(data, r_max=2)
+            report = selection.select(cov, r_max=2)
         with pytest.raises(PerfectCorrelationError) as exc:
-            em.fit(EmpiricalCovariance.from_data(data), 0)
+            em.fit(cov, 0)
         assert [row.error for row in report.rows] == [str(exc.value)] * 3
         assert set(report.selected.values()) == {None}
 
@@ -129,11 +129,6 @@ class TestSelect:
             assert fit.loglik_trace == alone.loglik_trace
             assert fit.alpha.tobytes() == alone.alpha.tobytes()
             assert fit.precision.matrix.tobytes() == alone.precision.matrix.tobytes()
-
-    def test_accepts_raw_data(self, rng):
-        data = rng.normal(size=(30, 5)) @ random_spd(rng, 5)
-        report = selection.select(data, r_max=0, master_seed=0)
-        assert report.rows[0].ok
 
     def test_json_roundtrip_fields(self, report_and_cov):
         report, _ = report_and_cov

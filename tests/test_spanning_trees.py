@@ -12,7 +12,6 @@ from treeagg.spanning_trees import (
     _reduction_plan,
     edge_marginals,
     log_partition_function,
-    require_feasible_target,
     tree_posterior,
     validate_weight_matrix,
 )
@@ -435,6 +434,6 @@ class TestCalibratePrior:
         # marginals on 5 + r nodes must average (4 + r) / #pairs; 0.9 is impossible
         for r in (0, 2):
             with pytest.raises(CalibrationError):
-                require_feasible_target(5, r, 0.9)
+                em.require_feasible_target(5, r, 0.9)
             with pytest.raises(CalibrationError):
-                require_feasible_target(5, r, 1.5)
+                em.require_feasible_target(5, r, 1.5)
