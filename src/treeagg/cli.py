@@ -145,17 +145,32 @@ def _require_type(key: str, value, cast) -> None:
         raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
+def _require_domain(key: str, value, domain) -> None:
+    """Raise ConfigError unless a value lies in its key's domain.
+
+    A number is a lower bound (NaN is below every bound), a tuple lists the
+    choices (for each element of a list value), and None takes any value.
+    """
+    if isinstance(domain, tuple):
+        bad = [v for v in (value if isinstance(value, list) else [value]) if v not in domain]
+        if bad:
+            raise ConfigError(f"{key}: expected one of {list(domain)}, got {bad[0]!r}")
+    elif domain is not None and not value >= domain:
+        raise ConfigError(f"{key}: expected a value >= {domain}, got {value!r}")
+
+
 def _resolve(config: dict, args, keys: dict) -> dict:
     """Merge config-file values, CLI overrides and defaults; reject unknown keys.
 
-    A flag's value is taken as argparse typed it; a config-file value must
-    pass `_require_type`.
+    Each key maps to (flag, default, type, domain).  A flag's value is taken
+    as argparse typed it; a config-file value must pass `_require_type`.
+    Either must then pass `_require_domain`.
     """
     unknown = set(config) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     out = {}
-    for key, (flag, default, cast) in keys.items():
+    for key, (flag, default, cast, domain) in keys.items():
         value = getattr(args, flag, None) if flag else None
         if value is None:
             value = config.get(key, default)
@@ -163,6 +178,7 @@ def _resolve(config: dict, args, keys: dict) -> dict:
                 raise ConfigError(f"missing required config key: {key}")
             _require_type(key, value, cast)
             value = cast(value)
+        _require_domain(key, value, domain)
         out[key] = value
     return out
 
@@ -172,14 +188,14 @@ def _resolve(config: dict, args, keys: dict) -> dict:
 # ----------------------------------------------------------------------
 
 SIMULATE_KEYS = {
-    "kind": (None, "tree", str),
-    "p": (None, 20, int),
-    "r": ("r", 1, int),
-    "p_edge": (None, 0.1, float),
-    "epsilon": (None, 1.0, float),
-    "n": (None, 30, int),
-    "replicates": (None, 50, int),
-    "seed": ("seed", 0, int),
+    "kind": (None, "tree", str, ("tree", "erdos")),
+    "p": (None, 20, int, 2),
+    "r": ("r", 1, int, 0),
+    "p_edge": (None, 0.1, float, None),  # inside (0, 1) for kind erdos
+    "epsilon": (None, 1.0, float, 0.0),
+    "n": (None, 30, int, 2),
+    "replicates": (None, 50, int, 1),
+    "seed": ("seed", 0, int, 0),
 }
 
 
@@ -209,16 +225,6 @@ def _simulate_one(payload: tuple) -> tuple[str, int]:
 
 def cmd_simulate(args) -> int:
     config = _resolve(_load_config(args.config), args, SIMULATE_KEYS)
-    if config["kind"] not in ("tree", "erdos"):
-        raise ConfigError(f"unknown graph kind {config['kind']!r}")
-    if config["p"] < 2:
-        raise ConfigError("p must be >= 2")
-    if config["r"] < 0:
-        raise ConfigError("r must be >= 0")
-    if config["replicates"] < 1:
-        raise ConfigError("replicates must be >= 1")
-    if config["n"] < 2:
-        raise ConfigError(f"n must be >= 2, got {config['n']}")
     if config["kind"] == "erdos" and not 0.0 < config["p_edge"] < 1.0:
         raise ConfigError(
             f"p_edge must be inside (0, 1) for kind erdos, got {config['p_edge']}"
@@ -248,12 +254,12 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 FIT_KEYS = {
-    "method": ("method", "aggregation", str),
-    "r": ("r", 0, int),
-    "p0": ("p0", "", str),
-    "max_iter": (None, 500, int),
-    "tol": (None, 1e-6, float),
-    "seed": ("seed", 0, int),
+    "method": ("method", "aggregation", str, METHODS),
+    "r": ("r", 0, int, 0),
+    "p0": ("p0", "", str, None),  # checked in cmd_fit against method, p and r
+    "max_iter": (None, 500, int, 0),
+    "tol": (None, 1e-6, float, 0.0),
+    "seed": ("seed", 0, int, None),
 }
 
 
@@ -303,10 +309,6 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance, p0: float | None) -> di
 
 def cmd_fit(args) -> int:
     config = _resolve(_load_config(args.config), args, FIT_KEYS)
-    if config["method"] not in METHODS:
-        raise ConfigError(f"unknown method {config['method']!r}; expected one of {METHODS}")
-    if config["r"] < 0:
-        raise ConfigError("r must be >= 0")
     p0 = None
     if config["p0"]:
         if config["method"] != "aggregation":
@@ -334,17 +336,15 @@ def cmd_fit(args) -> int:
 # ----------------------------------------------------------------------
 
 SELECT_KEYS = {
-    "r_max": ("r", 3, int),
-    "max_iter": (None, 500, int),
-    "tol": (None, 1e-6, float),
-    "seed": ("seed", 0, int),
+    "r_max": ("r", 3, int, 0),
+    "max_iter": (None, 500, int, 0),
+    "tol": (None, 1e-6, float, 0.0),
+    "seed": ("seed", 0, int, None),
 }
 
 
 def cmd_select(args) -> int:
     config = _resolve(_load_config(args.config), args, SELECT_KEYS)
-    if config["r_max"] < 0:
-        raise ConfigError("r_max must be >= 0")
     data = _read_data_csv(Path(args.data))
     cov = EmpiricalCovariance.from_data(data)
     opts = em.FitOptions(max_iter=config["max_iter"], tol=config["tol"])
@@ -367,9 +367,9 @@ def cmd_select(args) -> int:
 # ----------------------------------------------------------------------
 
 EVAL_KEYS = {
-    "targets": (None, ["full", "marginal"], list),
-    "grid_size": (None, 101, int),
-    "two_hop": (None, False, bool),
+    "targets": (None, ["full", "marginal"], list, ("full", "marginal")),
+    "grid_size": (None, 101, int, 2),
+    "two_hop": (None, False, bool, None),
 }
 
 
@@ -444,11 +444,6 @@ def _eval_one(payload: tuple) -> dict:
 
 def cmd_eval(args) -> int:
     config = _resolve(_load_config(args.config), args, EVAL_KEYS)
-    for target in config["targets"]:
-        if target not in ("full", "marginal"):
-            raise ConfigError(f"unknown eval target {target!r}")
-    if config["grid_size"] < 2:
-        raise ConfigError(f"grid_size must be >= 2, got {config['grid_size']}")
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
     rep_ids, dataset_hash = _read_json(
@@ -555,6 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: expected a value >= 1, got {args.workers}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -419,6 +419,12 @@ class FitOptions:
     max_iter: int = 500
     tol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+
 
 @dataclass(frozen=True)
 class FitResult:

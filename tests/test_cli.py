@@ -19,6 +19,15 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def command_inputs(command: str, suite_dir: Path, fits: Path) -> list:
+    """The input arguments `command` takes: none, a replicate's CSV, or --data and --fits."""
+    if command == "simulate":
+        return []
+    if command == "eval":
+        return ["--data", suite_dir, "--fits", fits]
+    return [suite_dir / "rep_000" / "observed.csv"]
+
+
 def edit_json(path: Path, edit) -> None:
     """Apply `edit` to the JSON object in `path` and write it back."""
     obj = json.loads(path.read_text())
@@ -120,30 +129,65 @@ class TestConfig:
             ("simulate", [], {"p": 6, "r": 0, "n": 1, "replicates": 1}, "n"),
             ("eval", [], {"grid_size": -3}, "grid_size"),
             ("eval", [], {"grid_size": 1}, "grid_size"),
+            ("simulate", [], {"p": 6, "r": 0, "epsilon": -1.0, "replicates": 1}, "epsilon"),
+            ("simulate", ["--seed", -1], {"p": 6, "r": 0, "replicates": 1}, "seed"),
+            ("simulate", [], {"p": 6, "r": 0, "replicates": 1, "seed": -1}, "seed"),
+            ("fit", [], {"max_iter": -1}, "max_iter"),
+            ("fit", ["--r", 1], {"tol": -1.0}, "tol"),
+            ("select", [], {"r_max": 1, "max_iter": -1}, "max_iter"),
+            ("select", [], {"r_max": 1, "tol": -1.0}, "tol"),
+            ("simulate", [], {"p": 6, "r": 0, "replicates": 0}, "replicates"),
+            ("simulate", [], {"kind": "grid", "p": 6, "r": 0, "replicates": 1}, "kind"),
+            ("eval", [], {"targets": ["full", "roc"]}, "targets"),
+            ("fit", [], {"tol": float("nan")}, "tol"),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
              "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-unreachable-r2",
              "fit-p0-fixed-tree",
              "fit-method", "eval-two_hop-string", "simulate-n-fraction", "fit-max_iter-bool",
              "eval-targets-string", "simulate-p_edge-erdos", "simulate-n-one",
-             "eval-grid_size-negative", "eval-grid_size-one"],
+             "eval-grid_size-negative", "eval-grid_size-one", "simulate-epsilon-negative",
+             "simulate-seed-flag", "simulate-seed-file", "fit-max_iter-negative",
+             "fit-tol-negative", "select-max_iter-negative", "select-tol-negative",
+             "simulate-replicates-zero", "simulate-kind", "eval-targets-element", "fit-tol-nan"],
     )
     def test_bad_value_is_config_error(
         self, suite_dir, tmp_path, capsys, command, flags, config, key
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        if command == "simulate":
-            data = []
-        elif command == "eval":
-            data = ["--data", suite_dir, "--fits", tmp_path]
-        else:
-            data = [suite_dir / "rep_000" / "observed.csv"]
+        data = command_inputs(command, suite_dir, tmp_path)
         code = run_cli(command, *data, *flags, "--config", cfg, "--out", tmp_path / "x")
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert re.search(rf"\b{key}\b", err), err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", {"p": 8, "r": 1, "epsilon": 0.0, "n": 2, "replicates": 1, "seed": 0}),
+            ("fit", {"r": 1, "max_iter": 0, "tol": 0.0}),
+            ("select", {"r_max": 1, "max_iter": 0, "tol": 0.0}),
+            ("eval", {"grid_size": 2}),
+        ],
+        ids=["simulate", "fit", "select", "eval"],
+    )
+    def test_boundary_value_is_accepted(self, suite_dir, fits_dir, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = command_inputs(command, suite_dir, fits_dir)
+        assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "x") == 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("command", ["simulate", "fit", "eval"])
+    def test_workers_below_one_is_rejected(self, suite_dir, tmp_path, capsys, command, workers):
+        data = command_inputs(command, suite_dir, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *data, "--out", tmp_path / "x", "--workers", workers)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 

@@ -602,6 +602,21 @@ class TestFit:
         assert not result.converged
         assert result.alpha.shape == (5, 5)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"max_iter": -1}, "max_iter"), ({"tol": -1e-9}, "tol"), ({"tol": float("nan")}, "tol")],
+        ids=["max_iter-negative", "tol-negative", "tol-nan"],
+    )
+    def test_bad_options_raise(self, kwargs, name):
+        # a negative budget would run no step and return the start as if fitted
+        with pytest.raises(ValueError, match=name):
+            em.FitOptions(**kwargs)
+
+    def test_zero_options_are_valid(self):
+        # both bounds are inclusive: max_iter 0 returns the start, tol 0 stops on max_iter only
+        opts = em.FitOptions(max_iter=0, tol=0.0)
+        assert (opts.max_iter, opts.tol) == (0, 0.0)
+
     def test_trace_monotone_and_best_returned(self, rng):
         cov = small_cov(rng, 6, n=30)
         result = em.fit(cov, 1)

@@ -95,6 +95,16 @@ class TestScaleAndSnr:
         scaled, snr, _ = scale_and_snr(k, 0.0)
         assert snr == 0.0
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, float("nan")])
+    def test_negative_epsilon_raises(self, epsilon):
+        # -1 would flip the hidden blocks' sign, leave an indefinite matrix to
+        # the repair and report epsilon 1's snr
+        k = PartitionedPrecision(gen_precision(figure_tree_graph(), seed=0), 9, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            scale_and_snr(k, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            make_ground_truth("tree", size=10, r=1, epsilon=epsilon, seed=0)
+
     def test_quadratic_scaling(self):
         g = figure_tree_graph()
         k = PartitionedPrecision(gen_precision(g, seed=0), 9, 1)
