@@ -31,19 +31,14 @@ from .matrices import (
     matrix_to_json,
 )
 
-METHODS = ("aggregation", "fixed-tree")
-SEED_LABEL_HELP = "recorded as master_seed; fits draw no random numbers"
-
 
 # ----------------------------------------------------------------------
 # serialization helpers
 # ----------------------------------------------------------------------
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
 def _config_hash(config: dict) -> str:
-    return hashlib.sha256(_canonical(config).encode()).hexdigest()
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
@@ -54,10 +49,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
-
-def _write_data_csv(path: Path, data: np.ndarray) -> None:
-    header = [f"x{j + 1}" for j in range(data.shape[1])]
-    _write_csv(path, header, data)
 
 def _read_data_csv(path: Path) -> np.ndarray:
     if not path.exists():
@@ -83,37 +74,32 @@ def _read_data_csv(path: Path) -> np.ndarray:
         raise DataError(f"{path}: need at least 2 samples, got {len(rows)}")
     return np.array(rows, dtype=float)
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
-    return obj
+def _read_json(path: Path, missing: str, parse, error=DataError):
+    """parse(the JSON value in `path`), raising `error` for a bad file.
 
-
-def _read_json(path: Path, missing: str, parse):
-    """parse(the JSON object in `path`), with DataError for bad data.
-
-    A missing file raises DataError(`missing`); invalid JSON, and a key or a
-    value that `parse` cannot read, raise DataError naming the file.
+    A missing file raises error(`missing`); invalid JSON, and a key or a
+    value that `parse` cannot read, raise `error` naming the file.
     """
     if not path.exists():
-        raise DataError(missing)
+        raise error(missing)
     try:
         return parse(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+        raise error(f"{path}: invalid JSON ({exc})") from None
     except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc}") from None
+        raise error(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise error(f"{path}: {exc}") from None
+
+
+def _load_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    path = Path(path)
+    config = _read_json(path, f"config file not found: {path}", lambda obj: obj, ConfigError)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return config
 
 
 def _map(func, jobs: list, workers: int) -> list:
@@ -131,14 +117,15 @@ def _require_type(key: str, value, cast) -> None:
     """Raise ConfigError unless a config-file value has its key's JSON type.
 
     A bool key takes a boolean, an int key an integral number, a float key a
-    number and a list key a list; a boolean is not a number.  A str key takes
-    any value.
+    finite number and a list key a list; a boolean is not a number.  A str
+    key takes any value.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     expected, fits = {
         bool: ("a boolean", isinstance(value, bool)),
         int: ("an integral number", number and (isinstance(value, int) or value.is_integer())),
-        float: ("a number", number),
+        # false for inf, NaN and an integer too large for a float
+        float: ("a finite number", number and abs(value) <= sys.float_info.max),
         list: ("a list", isinstance(value, list)),
     }.get(cast, (None, True))
     if not fits:
@@ -149,12 +136,16 @@ def _require_domain(key: str, value, domain) -> None:
     """Raise ConfigError unless a value lies in its key's domain.
 
     A number is a lower bound (NaN is below every bound), a tuple lists the
-    choices (for each element of a list value), and None takes any value.
+    choices (a list value takes one or more of them, each once), and None
+    takes any value.
     """
     if isinstance(domain, tuple):
-        bad = [v for v in (value if isinstance(value, list) else [value]) if v not in domain]
+        values = value if isinstance(value, list) else [value]
+        bad = [v for v in values if v not in domain]
         if bad:
             raise ConfigError(f"{key}: expected one of {list(domain)}, got {bad[0]!r}")
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"{key}: expected distinct choices, at least one, got {value!r}")
     elif domain is not None and not value >= domain:
         raise ConfigError(f"{key}: expected a value >= {domain}, got {value!r}")
 
@@ -199,10 +190,6 @@ SIMULATE_KEYS = {
 }
 
 
-def _replicate_id(index: int) -> str:
-    return f"rep_{index:03d}"
-
-
 def _simulate_one(payload: tuple) -> tuple[str, int]:
     out_dir, config, rep_id, rep_seed = payload
     truth = simulate.make_ground_truth(
@@ -219,7 +206,7 @@ def _simulate_one(payload: tuple) -> tuple[str, int]:
     rep_dir = Path(out_dir) / rep_id
     rep_dir.mkdir(parents=True, exist_ok=True)
     _write_json(rep_dir / "ground_truth.json", truth.to_json_dict())
-    _write_data_csv(rep_dir / "observed.csv", observed)
+    _write_csv(rep_dir / "observed.csv", [f"x{j + 1}" for j in range(observed.shape[1])], observed)
     return rep_id, rep_seed
 
 
@@ -233,10 +220,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seq = np.random.SeedSequence(config["seed"])
     seeds = [int(c.generate_state(1)[0]) for c in seq.spawn(config["replicates"])]
-    jobs = [
-        (str(out_dir), config, _replicate_id(i), seeds[i])
-        for i in range(config["replicates"])
-    ]
+    jobs = [(str(out_dir), config, f"rep_{i:03d}", seed) for i, seed in enumerate(seeds)]
     results = sorted(_map(_simulate_one, jobs, args.workers))
     manifest = {
         "command": "simulate",
@@ -254,7 +238,7 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 FIT_KEYS = {
-    "method": ("method", "aggregation", str, METHODS),
+    "method": ("method", "aggregation", str, ("aggregation", "fixed-tree")),
     "r": ("r", 0, int, 0),
     "p0": ("p0", "", str, None),  # checked in cmd_fit against method, p and r
     "max_iter": (None, 500, int, 0),
@@ -280,14 +264,10 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance, p0: float | None) -> di
     if method == "aggregation":
         result = em.fit(cov, r, opts=opts)
         payload.update(
-            converged=result.converged,
-            iterations=result.iterations,
             loglik=result.loglik,
-            loglik_trace=list(result.loglik_trace),
             h_tree=result.h_tree,
             h_joint=result.h_joint,
             alpha=matrix_to_json(result.alpha),
-            precision=matrix_to_json(result.precision.matrix),
         )
         if p0 is not None:
             payload["p0"] = p0
@@ -297,13 +277,15 @@ def _fit_payload(config: dict, cov: EmpiricalCovariance, p0: float | None) -> di
     else:
         result = fit_fixed_tree(cov, r, opts=opts)
         payload.update(
-            converged=result.converged,
-            iterations=result.iterations,
             loglik=result.loglik_trace[-1] if result.loglik_trace else None,
-            loglik_trace=list(result.loglik_trace),
             tree=[list(e) for e in result.tree],
-            precision=matrix_to_json(result.precision.matrix),
         )
+    payload.update(
+        converged=result.converged,
+        iterations=result.iterations,
+        loglik_trace=list(result.loglik_trace),
+        precision=matrix_to_json(result.precision.matrix),
+    )
     return payload
 
 
@@ -380,17 +362,10 @@ def _fit_source(payload: dict) -> SimpleNamespace:
         alpha = matrix_from_json(payload["alpha"])
         if alpha.shape != (p + r, p + r):
             raise ValueError(f"alpha has shape {alpha.shape}, not p + r = {p + r} square")
-        return SimpleNamespace(
-            alpha=alpha,
-            tree=None,
-            n_observed=p,
-            n_hidden=r,
-        )
-    precision = PartitionedPrecision(matrix_from_json(payload["precision"]), p, r)
+        return SimpleNamespace(alpha=alpha, n_observed=p, n_hidden=r)
     return SimpleNamespace(
-        alpha=None,
         tree=Graph.from_edges(p + r, payload["tree"]).edges,
-        precision=precision,
+        precision=PartitionedPrecision(matrix_from_json(payload["precision"]), p, r),
         n_observed=p,
         n_hidden=r,
     )
@@ -504,46 +479,34 @@ def cmd_eval(args) -> int:
 # ----------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each key table's flags are its command's config overrides."""
     parser = argparse.ArgumentParser(
         prog="treeagg",
         description="Latent-tree aggregation for Gaussian graphical models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="generate a replicate suite")
-    sim.add_argument("--config", help="JSON config file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sim.add_argument("--r", type=int, help="number of hidden nodes")
-    sim.add_argument("--workers", type=int, default=1)
-    sim.set_defaults(func=cmd_simulate)
-
-    fit = sub.add_parser("fit", help="fit a model to a data CSV")
-    fit.add_argument("data", help="CSV with a header row, n rows x p columns")
-    fit.add_argument("--config", help="JSON config file")
-    fit.add_argument("--out", required=True)
-    fit.add_argument("--method", choices=METHODS)
-    fit.add_argument("--r", type=int, help="number of hidden nodes")
-    fit.add_argument("--p0", help="recalibrate edge posteriors to this prior marginal")
-    fit.add_argument("--seed", type=int, help=SEED_LABEL_HELP)
-    fit.add_argument("--workers", type=int, default=1)
-    fit.set_defaults(func=cmd_fit)
-
-    sel = sub.add_parser("select", help="estimate the number of hidden nodes")
-    sel.add_argument("data")
-    sel.add_argument("--config", help="JSON config file")
-    sel.add_argument("--out", required=True)
-    sel.add_argument("--r", type=int, help="largest hidden count to try (r_max)")
-    sel.add_argument("--seed", type=int, help=SEED_LABEL_HELP)
-    sel.set_defaults(func=cmd_select)
-
-    ev = sub.add_parser("eval", help="score fits against a simulated dataset")
-    ev.add_argument("--data", required=True, help="dataset directory from simulate")
-    ev.add_argument("--fits", required=True, help="directory with <rep>/fit.json")
-    ev.add_argument("--out", required=True)
-    ev.add_argument("--config", help="JSON config file")
-    ev.add_argument("--workers", type=int, default=1)
-    ev.set_defaults(func=cmd_eval)
+    commands = (
+        ("simulate", cmd_simulate, SIMULATE_KEYS, "generate a replicate suite"),
+        ("fit", cmd_fit, FIT_KEYS, "fit a model to a data CSV"),
+        ("select", cmd_select, SELECT_KEYS, "estimate the number of hidden nodes"),
+        ("eval", cmd_eval, EVAL_KEYS, "score fits against a simulated dataset"),
+    )
+    for name, func, keys, summary in commands:
+        cmd = sub.add_parser(name, help=summary)
+        cmd.set_defaults(func=func)
+        if name == "eval":
+            cmd.add_argument("--data", required=True, help="dataset directory from simulate")
+            cmd.add_argument("--fits", required=True, help="directory with <rep>/fit.json")
+        elif name != "simulate":
+            cmd.add_argument("data", help="CSV with a header row, n rows x p columns")
+        cmd.add_argument("--config", help="JSON config file")
+        cmd.add_argument("--out", required=True, help="output directory")
+        for key, (flag, _, cast, domain) in keys.items():
+            if flag:
+                choices = domain if isinstance(domain, tuple) else None
+                cmd.add_argument(f"--{flag}", type=cast, choices=choices, help=f"config key {key}")
+        if name != "select":
+            cmd.add_argument("--workers", type=int, default=1)
     return parser
 
 

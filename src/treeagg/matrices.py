@@ -41,6 +41,8 @@ class EmpiricalCovariance:
 
     def __post_init__(self):
         m = check_symmetric(self.matrix, "covariance")
+        if m.shape[0] < 2:
+            raise ValueError("covariance must cover at least 2 variables")
         if int(self.n) < 1:
             raise ValueError("sample count must be >= 1")
         d = np.diag(m)
@@ -62,15 +64,18 @@ class EmpiricalCovariance:
     def from_data(cls, data: np.ndarray) -> "EmpiricalCovariance":
         """MLE covariance (1/n normalization) of an n x p sample matrix.
 
-        Raises DataError on a non-finite entry or a constant column, and when
-        the data's units push the covariance past the float range: a column
-        whose covariance overflows or whose variance underflows to zero.  A
-        column counts as constant when its standard deviation is within 4 ulps
-        of its largest magnitude: its centred values would be roundoff.
+        Raises DataError on fewer than 2 columns, a non-finite entry or a
+        constant column, and when the data's units push the covariance past
+        the float range: a column whose covariance overflows or whose variance
+        underflows to zero.  A column counts as constant when its standard
+        deviation is within 4 ulps of its largest magnitude: its centred
+        values would be roundoff.
         """
         x = np.asarray(data, dtype=float)
         if x.ndim != 2:
             raise ValueError("data must be a 2-d array")
+        if x.shape[1] < 2:
+            raise DataError(f"need at least 2 columns, got {x.shape[1]}")
         if not np.isfinite(x).all():
             raise DataError("data holds a non-finite entry")
         magnitude = np.abs(x).max(axis=0)

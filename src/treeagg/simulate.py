@@ -98,10 +98,11 @@ def scale_and_snr(
     ridge, the rest on the nodes carrying the deficient eigendirections, so
     the repair does not drown the correlation structure away from the hidden
     nodes.  The largest per-entry addition is returned as diag_adjust.
-    A negative epsilon raises ValueError; 0 removes the hidden nodes' signal.
+    A negative or non-finite epsilon raises ValueError; 0 removes the hidden
+    nodes' signal.
     """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     p, r = precision.n_observed, precision.n_hidden
     k = precision.matrix.copy()
     k[:p, p:] *= epsilon

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import treeagg
+from treeagg import cli
 from treeagg.cli import main
 from treeagg.matrices import matrix_from_json
 
@@ -140,6 +142,14 @@ class TestConfig:
             ("simulate", [], {"kind": "grid", "p": 6, "r": 0, "replicates": 1}, "kind"),
             ("eval", [], {"targets": ["full", "roc"]}, "targets"),
             ("fit", [], {"tol": float("nan")}, "tol"),
+            ("simulate", [], {"p": 6, "r": 1, "epsilon": float("inf"), "replicates": 1},
+             "epsilon"),
+            ("fit", ["--r", 1], {"tol": float("inf")}, "tol"),
+            ("select", [], {"r_max": 1, "tol": float("inf")}, "tol"),
+            ("simulate", [], {"p": 6, "r": 0, "p_edge": float("-inf"), "replicates": 1},
+             "p_edge"),
+            ("eval", [], {"targets": []}, "targets"),
+            ("eval", [], {"targets": ["full", "full"]}, "targets"),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
              "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-unreachable-r2",
@@ -149,7 +159,9 @@ class TestConfig:
              "eval-grid_size-negative", "eval-grid_size-one", "simulate-epsilon-negative",
              "simulate-seed-flag", "simulate-seed-file", "fit-max_iter-negative",
              "fit-tol-negative", "select-max_iter-negative", "select-tol-negative",
-             "simulate-replicates-zero", "simulate-kind", "eval-targets-element", "fit-tol-nan"],
+             "simulate-replicates-zero", "simulate-kind", "eval-targets-element", "fit-tol-nan",
+             "simulate-epsilon-inf", "fit-tol-inf", "select-tol-inf", "simulate-p_edge-inf",
+             "eval-targets-empty", "eval-targets-repeated"],
     )
     def test_bad_value_is_config_error(
         self, suite_dir, tmp_path, capsys, command, flags, config, key
@@ -241,6 +253,16 @@ class TestFit:
         csv = tmp_path / "tiny.csv"
         csv.write_text("a,b\n1.0,2.0\n")
         assert run_cli("fit", csv, "--out", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize(
+        "args", [["fit", "--r", 0], ["fit", "--method", "fixed-tree"], ["select"]]
+    )
+    def test_one_column_is_data_error(self, tmp_path, capsys, args):
+        csv = tmp_path / "one.csv"
+        csv.write_text("a\n1.0\n2.5\n-0.5\n")
+        assert run_cli(args[0], csv, "--out", tmp_path / "x", *args[1:]) == 3
+        assert "at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("cell", ["constant", "one-ulp", "nan", "inf"])
@@ -526,3 +548,30 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "command, keys, options",
+        [
+            ("simulate", cli.SIMULATE_KEYS, {"--r", "--seed", "--workers"}),
+            ("fit", cli.FIT_KEYS, {"--method", "--r", "--p0", "--seed", "--workers"}),
+            ("select", cli.SELECT_KEYS, {"--r", "--seed"}),
+            ("eval", cli.EVAL_KEYS, {"--data", "--fits", "--workers"}),
+        ],
+        ids=["simulate", "fit", "select", "eval"],
+    )
+    def test_flags_are_the_key_tables(self, capsys, command, keys, options):
+        # a flag overrides its config key, so it is declared in the key table
+        # and nowhere else; the rest are each command's inputs and outputs
+        subparsers = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parsed = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+        flags = {f"--{flag}" for flag, *_ in keys.values() if flag}
+        workers = {"--workers"} if command != "select" else set()
+        inputs = {"--data", "--fits"} if command == "eval" else set()
+        assert parsed - {"-h", "--help"} == {"--config", "--out"} | flags | workers | inputs
+        assert parsed - {"-h", "--help", "--config", "--out"} == options
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "usage: treeagg " + command in capsys.readouterr().out

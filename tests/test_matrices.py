@@ -32,6 +32,13 @@ class TestFromData:
         data[3, 2] = 1.0 + 2.0**-40
         assert EmpiricalCovariance.from_data(data).matrix[2, 2] > 0.0
 
+    def test_one_column(self, rng):
+        # one variable has no edge to score
+        with pytest.raises(DataError, match="at least 2"):
+            EmpiricalCovariance.from_data(rng.normal(size=(3, 1)))
+        with pytest.raises(ValueError, match="at least 2"):
+            EmpiricalCovariance(np.eye(1), 3)
+
 
 class TestFloorSpectrum:
     def test_positive_definite_unchanged(self, rng):

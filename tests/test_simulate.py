@@ -105,6 +105,13 @@ class TestScaleAndSnr:
         with pytest.raises(ValueError, match="epsilon"):
             make_ground_truth("tree", size=10, r=1, epsilon=epsilon, seed=0)
 
+    def test_infinite_epsilon_raises(self):
+        # inf would scale the hidden blocks to inf and NaN, and the repair's
+        # eigendecomposition would fail on them
+        k = PartitionedPrecision(gen_precision(figure_tree_graph(), seed=0), 9, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            scale_and_snr(k, float("inf"))
+
     def test_quadratic_scaling(self):
         g = figure_tree_graph()
         k = PartitionedPrecision(gen_precision(g, seed=0), 9, 1)
