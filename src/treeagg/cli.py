@@ -50,26 +50,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
 
+def _out_dir(path: str | Path) -> Path:
+    """The output directory `path`, made if need be; ConfigError if it cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot make a directory ({exc.strerror})") from None
+    return Path(path)
+
 def _read_data_csv(path: Path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
             try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            width = len(header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 samples, got {len(rows)}")
     return np.array(rows, dtype=float)
@@ -77,13 +88,15 @@ def _read_data_csv(path: Path) -> np.ndarray:
 def _read_json(path: Path, missing: str, parse, error=DataError):
     """parse(the JSON value in `path`), raising `error` for a bad file.
 
-    A missing file raises error(`missing`); invalid JSON, and a key or a
-    value that `parse` cannot read, raise `error` naming the file.
+    A missing file raises error(`missing`); an unreadable path, invalid JSON,
+    and a key or a value that `parse` cannot read, raise `error` naming the file.
     """
     if not path.exists():
         raise error(missing)
     try:
         return parse(json.loads(path.read_text()))
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None
     except KeyError as exc:
@@ -203,8 +216,7 @@ def _simulate_one(payload: tuple) -> tuple[str, int]:
     _, observed = simulate.sample_and_marginalize(
         truth.precision, config["n"], simulate.sample_seed(rep_seed)
     )
-    rep_dir = Path(out_dir) / rep_id
-    rep_dir.mkdir(parents=True, exist_ok=True)
+    rep_dir = _out_dir(Path(out_dir) / rep_id)
     _write_json(rep_dir / "ground_truth.json", truth.to_json_dict())
     _write_csv(rep_dir / "observed.csv", [f"x{j + 1}" for j in range(observed.shape[1])], observed)
     return rep_id, rep_seed
@@ -216,8 +228,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(
             f"p_edge must be inside (0, 1) for kind erdos, got {config['p_edge']}"
         )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     seq = np.random.SeedSequence(config["seed"])
     seeds = [int(c.generate_state(1)[0]) for c in seq.spawn(config["replicates"])]
     jobs = [(str(out_dir), config, f"rep_{i:03d}", seed) for i, seed in enumerate(seeds)]
@@ -307,8 +318,7 @@ def cmd_fit(args) -> int:
         except CalibrationError as exc:
             raise ConfigError(f"p0: {exc}") from None
     payload = _fit_payload(config, cov, p0)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     _write_json(out_dir / "fit.json", payload)
     return 0
 
@@ -333,8 +343,7 @@ def cmd_select(args) -> int:
     report = selection.select(
         cov, r_max=config["r_max"], opts=opts, master_seed=config["seed"]
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     payload = report.to_json_dict()
     payload.update(
         command="select", config=config, config_hash=_config_hash(config)
@@ -380,6 +389,8 @@ def _eval_one(payload: tuple) -> dict:
     )
     fit_path = Path(fits_dir) / rep_id / "fit.json"
     fit = _read_json(fit_path, f"missing fit for replicate {rep_id}", _fit_source)
+    if not np.isfinite(evaluate.score_edges(fit)).all():
+        raise DataError(f"{fit_path}: edge scores are not finite")
     if fit.n_observed != truth.n_observed:
         raise DataError(
             f"{fit_path}: p = {fit.n_observed}, ground truth has p = {truth.n_observed}"
@@ -390,8 +401,7 @@ def _eval_one(payload: tuple) -> dict:
             f"{fit_path}: r = {fit.n_hidden}, ground truth has r = {truth.n_hidden}, "
             "which the full target needs"
         )
-    rep_out = Path(out_dir) / rep_id
-    rep_out.mkdir(parents=True, exist_ok=True)
+    rep_out = _out_dir(Path(out_dir) / rep_id)
 
     result = {"id": rep_id, "auc": {}, "notes": [], "curves": {}}
     for target in config["targets"]:
@@ -429,13 +439,11 @@ def cmd_eval(args) -> int:
         ),
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     jobs = [(str(data_dir), str(args.fits), str(out_dir), config, rep) for rep in rep_ids]
     results = sorted(_map(_eval_one, jobs, args.workers), key=lambda item: item["id"])
 
-    agg_dir = out_dir / "aggregate"
-    agg_dir.mkdir(exist_ok=True)
+    agg_dir = _out_dir(out_dir / "aggregate")
     summary = {
         "command": "eval",
         "config": config,

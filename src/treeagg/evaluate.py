@@ -1,4 +1,8 @@
-"""Scoring inferred structures against ground truth: ROC and spurious-edge curves."""
+"""Scoring inferred structures against ground truth: ROC and spurious-edge curves.
+
+One threshold sweep, `_sweep`, serves both curves: the ROC labels node pairs
+by the truth's edges, the spurious-edge curve by `_spurious_mask`.
+"""
 
 from __future__ import annotations
 
@@ -28,12 +32,13 @@ class SpuriousCurve:
     spurious_fraction: np.ndarray
 
 
-def _tie_groups(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending stable order of s and the last sorted index of each tie group."""
+def _sweep(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each distinct score of the masked pairs, in descending order, with how
+    many masked pairs score at least that and how many of those are labelled."""
+    s = scores[mask]
     order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    last = np.nonzero(np.diff(s_sorted, append=-np.inf) != 0.0)[0]
-    return order, last
+    last = np.nonzero(np.diff(s[order], append=-np.inf) != 0.0)[0]
+    return s[order[last]], last + 1, np.cumsum(labels[mask][order])[last]
 
 
 def roc(
@@ -49,20 +54,16 @@ def roc(
     size = truth.n_nodes
     n_observed = size if exclude_hidden_from is None else exclude_hidden_from
     mask = np.triu(uniform_prior(n_observed, size - n_observed) > 0)
-    y = truth.adjacency()[mask]
-    s = scores[mask]
-    n_pos = int(y.sum())
-    n_neg = int((~y).sum())
+    adj = truth.adjacency()
+    n_pos = int(adj[mask].sum())
+    n_neg = int(mask.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateRocError("truth has no positives or no negatives")
 
-    order, last = _tie_groups(s)
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted)
-    fp = np.cumsum(~y_sorted)
-    thresholds = np.concatenate([[np.inf], s[order[last]]])
-    power = np.concatenate([[0.0], tp[last] / n_pos])
-    fpr = np.concatenate([[0.0], fp[last] / n_neg])
+    thresholds, count, tp = _sweep(scores, adj, mask)
+    power = np.concatenate([[0.0], tp / n_pos])
+    fpr = np.concatenate([[0.0], (count - tp) / n_neg])
+    thresholds = np.concatenate([[np.inf], thresholds])
     return RocCurve(thresholds, fpr, power, float(np.trapezoid(power, fpr)))
 
 
@@ -94,8 +95,7 @@ def score_edges(fit, target: str = "full", two_hop: bool = False) -> np.ndarray:
     marginal = full[:p, :p].copy()
     if two_hop and full.shape[0] > p:
         cross = full[:p, p:]
-        for h in range(cross.shape[1]):
-            marginal = np.maximum(marginal, np.outer(cross[:, h], cross[:, h]))
+        marginal = np.maximum(marginal, (cross[:, None, :] * cross[None, :, :]).max(axis=2))
         np.fill_diagonal(marginal, 0.0)
     return marginal
 
@@ -127,47 +127,34 @@ def align_hidden_nodes(scores: np.ndarray, truth: GroundTruth) -> np.ndarray:
 
 def roc_target(fit, truth: GroundTruth, target: str) -> RocCurve:
     """ROC against the full graph (hidden nodes aligned) or the marginal graph."""
-    if target == "full":
-        scores = align_hidden_nodes(score_edges(fit, "full"), truth)
-        return roc(scores, truth.graph, exclude_hidden_from=truth.n_observed)
+    scores = score_edges(fit, target)
     if target == "marginal":
-        return roc(score_edges(fit, "marginal"), truth.marginal)
-    raise ValueError("target must be 'full' or 'marginal'")
+        return roc(scores, truth.marginal)
+    return roc(align_hidden_nodes(scores, truth), truth.graph, exclude_hidden_from=truth.n_observed)
+
+
+def _spurious_mask(truth: GroundTruth) -> np.ndarray:
+    """Observed pairs joined in the marginal graph that share a hidden neighbor in G."""
+    adj = truth.graph.adjacency()
+    p = truth.n_observed
+    return truth.marginal.adjacency() & (adj[:p, p:] @ adj[p:, :p] > 0)
 
 
 def spurious_edges(truth: GroundTruth) -> tuple[tuple[int, int], ...]:
     """Marginal-graph edges whose two endpoints share a hidden neighbor in G."""
-    adj = truth.graph.adjacency()
-    p = truth.n_observed
-    out = []
-    for i, j in truth.marginal.edges:
-        if any(adj[i, h] and adj[j, h] for h in truth.hidden):
-            out.append((i, j))
-    return tuple(out)
+    return tuple(map(tuple, np.argwhere(np.triu(_spurious_mask(truth))).tolist()))
 
 
 def spurious_curve(scores: np.ndarray, truth: GroundTruth) -> SpuriousCurve:
     """Included-spurious fraction versus inferred-graph density over a threshold sweep."""
-    spurious = set(spurious_edges(truth))
-    total = len(spurious)
+    spurious = np.triu(_spurious_mask(truth))
+    total = int(spurious.sum())
     if total == 0:
         raise DegenerateCurveError("no spurious edges: curve undefined")
     p = truth.n_observed
-    scores = np.asarray(scores, dtype=float)
     mask = np.triu(uniform_prior(p) > 0)
-    pairs = np.argwhere(mask)
-    s = scores[mask]
-    is_spurious = np.array([(i, j) in spurious for i, j in map(tuple, pairs)])
-
-    order, last = _tie_groups(s)
-    included = np.cumsum(is_spurious[order])
-    count = np.arange(1, len(s) + 1)
-    n_pairs = p * (p - 1) / 2
-    return SpuriousCurve(
-        thresholds=s[order[last]],
-        density=count[last] / n_pairs,
-        spurious_fraction=included[last] / total,
-    )
+    thresholds, count, included = _sweep(np.asarray(scores, dtype=float), spurious, mask)
+    return SpuriousCurve(thresholds, count / (p * (p - 1) / 2), included / total)
 
 
 def mean_roc(curves, grid_size: int = 101) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

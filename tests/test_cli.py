@@ -192,6 +192,50 @@ class TestConfig:
         data = command_inputs(command, suite_dir, fits_dir)
         assert run_cli(command, *data, "--config", cfg, "--out", tmp_path / "x") == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "select", "eval"])
+    def test_config_that_is_a_directory_is_config_error(
+        self, suite_dir, tmp_path, capsys, command
+    ):
+        data = command_inputs(command, suite_dir, tmp_path)
+        assert run_cli(command, *data, "--config", tmp_path, "--out", tmp_path / "x") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["simulate", "fit", "select", "eval"])
+    def test_out_that_cannot_be_a_directory_is_config_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, command, out
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = tmp_path / "cfg.json"
+        small_suite = {"p": 6, "r": 0, "replicates": 1}
+        cfg.write_text(json.dumps(small_suite if command == "simulate" else {}))
+        data = command_inputs(command, suite_dir, fits_dir)
+        flags = ["--r", 0] if command == "select" else []
+        assert run_cli(command, *data, *flags, "--config", cfg, "--out", tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--out" in err
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command, taken", [("simulate", "rep_000"), ("eval", "rep_001"), ("eval", "aggregate")]
+    )
+    def test_out_subdirectory_taken_by_a_file_is_config_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, command, taken
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / taken).write_text("kept\n")
+        cfg = tmp_path / "cfg.json"
+        small_suite = {"p": 6, "r": 0, "replicates": 1}
+        cfg.write_text(json.dumps(small_suite if command == "simulate" else {}))
+        data = command_inputs(command, suite_dir, fits_dir)
+        assert run_cli(command, *data, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and taken in err
+        assert (out / taken).read_text() == "kept\n"
+
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize("command", ["simulate", "fit", "eval"])
     def test_workers_below_one_is_rejected(self, suite_dir, tmp_path, capsys, command, workers):
@@ -242,6 +286,13 @@ class TestFit:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("fit", tmp_path / "nope.csv", "--out", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_data_that_is_a_directory_is_data_error(self, tmp_path, capsys, command):
+        (tmp_path / "dir.csv").mkdir()
+        assert run_cli(command, tmp_path / "dir.csv", "--out", tmp_path / "x") == 3
+        assert "dir.csv" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -445,6 +496,49 @@ class TestEval:
             edit_json(fits / "rep_001" / "fit.json", lambda obj: obj.pop("r"))
         assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "x") == 3
         assert f"{damaged}.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged", ["manifest", "ground_truth", "fit"])
+    def test_input_that_is_a_directory_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, damaged
+    ):
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+        path = {
+            "manifest": data / "manifest.json",
+            "ground_truth": data / "rep_001" / "ground_truth.json",
+            "fit": fits / "rep_001" / "fit.json",
+        }[damaged]
+        path.unlink()
+        path.mkdir()
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "x") == 3
+        assert f"{damaged}.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["aggregation", "fixed-tree"])
+    def test_nonfinite_scores_are_data_error(self, suite_dir, fits_dir, tmp_path, capsys, method):
+        # a NaN edge posterior, and a NaN precision entry on a fixed-tree edge
+        import shutil
+
+        fits = tmp_path / "fits"
+        shutil.copytree(fits_dir, fits)
+        fit_json = fits / "rep_001" / "fit.json"
+        if method == "fixed-tree":
+            observed = suite_dir / "rep_001" / "observed.csv"
+            args = ("--out", fits / "rep_001", "--r", 1, "--method", method)
+            assert run_cli("fit", observed, *args) == 0
+
+        def poison(obj):
+            key = "alpha" if method == "aggregation" else "precision"
+            i, j = obj["tree"][0] if method == "fixed-tree" else (0, 1)
+            size = obj[key]["shape"][0]
+            obj[key]["data"][i * size + j] = obj[key]["data"][j * size + i] = float("nan")
+
+        edit_json(fit_json, poison)
+        assert run_cli("eval", "--data", suite_dir, "--fits", fits, "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "rep_001" in err and "fit.json" in err
 
     @pytest.mark.parametrize("mismatch", ["p", "alpha", "tree", "r"])
     def test_fit_not_matching_truth_is_data_error(

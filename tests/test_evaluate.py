@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeagg.errors import DegenerateCurveError, DegenerateRocError
+from treeagg.errors import DegenerateCurveError, DegenerateRocError, InfeasibleHiddenSetError
 from treeagg.evaluate import (
     align_hidden_nodes,
     mean_roc,
@@ -22,6 +22,39 @@ from conftest import figure_ground_truth
 
 def indicator_scores(graph):
     return graph.adjacency().astype(float)
+
+
+def spurious_edges_by_loop(truth):
+    """Marginal edges whose endpoints share a hidden neighbor, one hidden node at a time."""
+    adj = truth.graph.adjacency()
+    return tuple(
+        (i, j)
+        for i, j in truth.marginal.edges
+        if any(adj[i, h] and adj[j, h] for h in truth.hidden)
+    )
+
+
+def two_hop_by_loop(fit):
+    """Marginal scores with max_h alpha_ih alpha_jh folded in, one hidden node at a time."""
+    full = score_edges(fit, "full")
+    p = fit.n_observed
+    marginal = full[:p, :p].copy()
+    cross = full[:p, p:]
+    for h in range(cross.shape[1]):
+        marginal = np.maximum(marginal, np.outer(cross[:, h], cross[:, h]))
+    np.fill_diagonal(marginal, 0.0)
+    return marginal
+
+
+def simulated_truths(kind, r):
+    """(seed, truth) for each seed below 8 whose `kind` graph on p = 16 observed
+    nodes has an identifiable set of r hidden nodes."""
+    for seed in range(8):
+        try:
+            truth = make_ground_truth(kind, size=16 + r, r=r, epsilon=4.0, seed=seed, p_edge=0.25)
+        except InfeasibleHiddenSetError:
+            continue
+        yield seed, truth
 
 
 class TestRoc:
@@ -63,6 +96,26 @@ class TestRoc:
         assert (np.diff(curve.power) >= 0).all()
         assert curve.fpr[0] == 0.0 and curve.power[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.power[-1] == 1.0
+
+    @pytest.mark.parametrize("exclude_hidden_from", [None, 7])
+    def test_auc_counts_ties_as_half(self, rng, exclude_hidden_from):
+        # integer scores in 0..6, so most positive-negative pairs tie
+        size = 9
+        n_observed = size if exclude_hidden_from is None else exclude_hidden_from
+        pairs = [
+            (i, j) for i in range(size) for j in range(i + 1, size) if i < n_observed
+        ]
+        for _ in range(20):
+            edges = [pair for pair in pairs if rng.random() < 0.3]
+            g = Graph.from_edges(size, edges or pairs[:1])
+            half = rng.integers(0, 4, (size, size))
+            scores = (half + half.T).astype(float)
+            adj = g.adjacency()
+            pos = np.array([scores[i, j] for i, j in pairs if adj[i, j]])
+            neg = np.array([scores[i, j] for i, j in pairs if not adj[i, j]])
+            wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+            auc = roc(scores, g, exclude_hidden_from=exclude_hidden_from).auc
+            assert abs(auc - wins / (len(pos) * len(neg))) <= 1e-12
 
     def test_degenerate_truth(self):
         empty = Graph(4, ())
@@ -140,6 +193,14 @@ class TestSpurious:
             included = sum(1 for e in selected if e in spurious)
             assert frac == pytest.approx(included / 3.0)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("kind", ["tree", "erdos"])
+    def test_matches_per_hidden_node_loop(self, kind, r):
+        truths = [truth for _, truth in simulated_truths(kind, r)]
+        assert len(truths) >= 2
+        for truth in truths:
+            assert spurious_edges(truth) == spurious_edges_by_loop(truth)
+
     def test_no_spurious_raises(self):
         truth = make_ground_truth("tree", size=8, r=0, epsilon=1.0, seed=4)
         with pytest.raises(DegenerateCurveError):
@@ -186,6 +247,19 @@ class TestScoreEdges:
         plain = score_edges(result, "marginal")
         hop = score_edges(result, "marginal", two_hop=True)
         assert (hop >= plain - 1e-12).all()
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("kind", ["tree", "erdos"])
+    def test_two_hop_matches_per_hidden_node_loop(self, kind, r):
+        checked = 0
+        for seed, truth in simulated_truths(kind, r):
+            _, observed = sample_and_marginalize(truth.precision, 40, sample_seed(seed))
+            cov = EmpiricalCovariance.from_data(observed)
+            for result in (fit(cov, r), fit_fixed_tree(cov, r)):
+                hop = score_edges(result, "marginal", two_hop=True)
+                assert hop.tobytes() == two_hop_by_loop(result).tobytes()
+                checked += 1
+        assert checked >= 4
 
 
 class TestAlignment:
