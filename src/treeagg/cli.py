@@ -20,7 +20,8 @@ import numpy as np
 
 from . import em, evaluate, selection, simulate
 from .errors import (
-    CalibrationError, ConfigError, DataError, DegenerateCurveError, TreeAggError
+    CalibrationError, ConfigError, DataError, DegenerateCurveError, InfeasibleHiddenSetError,
+    TreeAggError,
 )
 from .fixed_tree import fit_fixed_tree
 from .graphs import Graph
@@ -63,7 +64,7 @@ def _read_data_csv(path: Path) -> np.ndarray:
         raise DataError(f"data file not found: {path}")
     rows = []
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -81,6 +82,8 @@ def _read_data_csv(path: Path) -> np.ndarray:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 samples, got {len(rows)}")
     return np.array(rows, dtype=float)
@@ -203,23 +206,24 @@ SIMULATE_KEYS = {
 }
 
 
-def _simulate_one(payload: tuple) -> tuple[str, int]:
-    out_dir, config, rep_id, rep_seed = payload
-    truth = simulate.make_ground_truth(
-        kind=config["kind"],
-        size=config["p"] + config["r"],
-        r=config["r"],
-        epsilon=config["epsilon"],
-        seed=rep_seed,
-        p_edge=config["p_edge"],
-    )
+def _simulate_one(payload: tuple) -> tuple[simulate.GroundTruth, np.ndarray]:
+    """(ground truth, observed sample) of one replicate."""
+    config, rep_id, rep_seed = payload
+    try:
+        truth = simulate.make_ground_truth(
+            kind=config["kind"],
+            size=config["p"] + config["r"],
+            r=config["r"],
+            epsilon=config["epsilon"],
+            seed=rep_seed,
+            p_edge=config["p_edge"],
+        )
+    except InfeasibleHiddenSetError as exc:
+        raise ConfigError(f"r: replicate {rep_id} (seed {rep_seed}) has {exc}") from None
     _, observed = simulate.sample_and_marginalize(
         truth.precision, config["n"], simulate.sample_seed(rep_seed)
     )
-    rep_dir = _out_dir(Path(out_dir) / rep_id)
-    _write_json(rep_dir / "ground_truth.json", truth.to_json_dict())
-    _write_csv(rep_dir / "observed.csv", [f"x{j + 1}" for j in range(observed.shape[1])], observed)
-    return rep_id, rep_seed
+    return truth, observed
 
 
 def cmd_simulate(args) -> int:
@@ -228,17 +232,22 @@ def cmd_simulate(args) -> int:
         raise ConfigError(
             f"p_edge must be inside (0, 1) for kind erdos, got {config['p_edge']}"
         )
-    out_dir = _out_dir(args.out)
     seq = np.random.SeedSequence(config["seed"])
     seeds = [int(c.generate_state(1)[0]) for c in seq.spawn(config["replicates"])]
-    jobs = [(str(out_dir), config, f"rep_{i:03d}", seed) for i, seed in enumerate(seeds)]
-    results = sorted(_map(_simulate_one, jobs, args.workers))
+    jobs = [(config, f"rep_{i:03d}", seed) for i, seed in enumerate(seeds)]
+    draws = _map(_simulate_one, jobs, args.workers)
+    # written only once every replicate is drawn, so a failed draw leaves no partial suite
+    out_dir = _out_dir(args.out)
+    for (_, rep_id, _), (truth, observed) in zip(jobs, draws):
+        rep_dir = _out_dir(out_dir / rep_id)
+        _write_json(rep_dir / "ground_truth.json", truth.to_json_dict())
+        _write_csv(rep_dir / "observed.csv", [f"x{j + 1}" for j in range(config["p"])], observed)
     manifest = {
         "command": "simulate",
         "config": config,
         "config_hash": _config_hash(config),
         "master_seed": config["seed"],
-        "replicates": [{"id": rep_id, "seed": seed} for rep_id, seed in results],
+        "replicates": [{"id": rep_id, "seed": seed} for _, rep_id, seed in jobs],
     }
     _write_json(out_dir / "manifest.json", manifest)
     return 0

@@ -10,17 +10,6 @@ import numpy as np
 Edge = tuple[int, int]
 
 
-def normalize_edges(edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
-    """Sort each edge as (min, max) and the edge list lexicographically."""
-    out = set()
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if i == j:
-            raise ValueError(f"self-loop on node {i}")
-        out.add((min(i, j), max(i, j)))
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on nodes 0..n_nodes-1."""
@@ -30,7 +19,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges: Iterable[Iterable[int]]) -> "Graph":
-        norm = normalize_edges(edges)
+        """Each edge sorted as (min, max), duplicates dropped, the list sorted."""
+        norm = tuple(sorted({tuple(sorted((int(e[0]), int(e[1])))) for e in edges}))
+        loops = [i for i, j in norm if i == j]
+        if loops:
+            raise ValueError(f"self-loop on node {loops[0]}")
         bad = [e for e in norm if not (0 <= e[0] and e[1] < n_nodes)]
         if bad:
             raise ValueError(f"edge {bad[0]} has an endpoint outside [0, {n_nodes})")
@@ -41,17 +34,6 @@ class Graph:
         for i, j in self.edges:
             adj[i, j] = adj[j, i] = True
         return adj
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        out = [j if i == node else i for i, j in self.edges if node in (i, j)]
-        return tuple(sorted(out))
 
     def to_json_dict(self) -> dict:
         return {"n_nodes": self.n_nodes, "edges": [list(e) for e in self.edges]}
@@ -107,8 +89,6 @@ def prufer_to_edges(seq: Iterable[int], n_nodes: int) -> tuple[Edge, ...]:
 
 def random_tree_edges(n_nodes: int, rng: np.random.Generator) -> tuple[Edge, ...]:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if n_nodes == 2:
-        return ((0, 1),)
     seq = rng.integers(0, n_nodes, size=n_nodes - 2)
     return prufer_to_edges(seq.tolist(), n_nodes)
 

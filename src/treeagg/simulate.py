@@ -13,12 +13,7 @@ import numpy as np
 
 from .errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
 from .graphs import Graph, random_tree_edges
-from .matrices import (
-    PartitionedPrecision,
-    matrix_from_json,
-    matrix_to_json,
-    symmetrize,
-)
+from .matrices import PartitionedPrecision, matrix_from_json, matrix_to_json, symmetrize
 
 ZERO_PATTERN_TOL = 1e-10
 DIAG_MARGIN = 0.1  # smallest eigenvalue of a ground-truth precision
@@ -66,8 +61,8 @@ def identifiable_hidden_sets(graph: Graph, r: int) -> list[tuple[int, ...]]:
     """All r-subsets of pairwise non-adjacent nodes with degree >= 3."""
     if r == 0:
         return [()]
-    deg = graph.degrees()
     adj = graph.adjacency()
+    deg = adj.sum(axis=1)
     candidates = [i for i in range(graph.n_nodes) if deg[i] >= 3]
     feasible = []
     for subset in itertools.combinations(candidates, r):
@@ -154,8 +149,6 @@ def sample_and_marginalize(
 
 def marginal_precision(precision: PartitionedPrecision) -> np.ndarray:
     """Schur complement K_O - K_OH K_H^-1 K_HO of the hidden block."""
-    if precision.n_hidden == 0:
-        return precision.k_oo.copy()
     return symmetrize(
         precision.k_oo
         - precision.k_oh @ np.linalg.solve(precision.k_hh, precision.k_ho)
@@ -171,18 +164,27 @@ def marginal_graph(k_m: np.ndarray) -> Graph:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A simulated instance; hidden nodes occupy the last r labels."""
+    """A simulated instance; hidden nodes occupy the last r labels.
+
+    Construction derives `hidden`, `marginal_precision_matrix` and `marginal` from `precision`.
+    """
 
     kind: str
     epsilon: float
     seed: int
     graph: Graph
-    hidden: tuple[int, ...]
     precision: PartitionedPrecision
-    marginal_precision_matrix: np.ndarray
-    marginal: Graph
     snr: float
     diag_adjust: float
+
+    def __post_init__(self):
+        size = self.precision.size
+        if self.graph.n_nodes != size:
+            raise ValueError(f"full_graph has {self.graph.n_nodes} nodes, not p + r = {size}")
+        k_m = marginal_precision(self.precision)
+        object.__setattr__(self, "hidden", tuple(range(self.n_observed, size)))
+        object.__setattr__(self, "marginal_precision_matrix", k_m)
+        object.__setattr__(self, "marginal", marginal_graph(k_m))
 
     @property
     def n_observed(self) -> int:
@@ -211,16 +213,12 @@ class GroundTruth:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroundTruth":
         p, r = int(obj["p"]), int(obj["r"])
-        precision = PartitionedPrecision(matrix_from_json(obj["precision"]), p, r)
         return cls(
             kind=obj["kind"],
             epsilon=float(obj["epsilon"]),
             seed=int(obj["seed"]),
             graph=Graph.from_json_dict(obj["full_graph"]),
-            hidden=tuple(obj["hidden"]),
-            precision=precision,
-            marginal_precision_matrix=matrix_from_json(obj["marginal_precision"]),
-            marginal=Graph.from_json_dict(obj["marginal_graph"]),
+            precision=PartitionedPrecision(matrix_from_json(obj["precision"]), p, r),
             snr=float(obj["snr"]),
             diag_adjust=float(obj["diag_adjust"]),
         )
@@ -249,20 +247,14 @@ def make_ground_truth(
     graph = gen_graph(kind, size, seed_graph, p_edge=p_edge)
     hidden = choose_hidden(graph, r, seed_hidden)
     graph = _relabel_hidden_last(graph, hidden)
-    p = size - r
-    k_mat = gen_precision(graph, seed_prec)
-    base = PartitionedPrecision(k_mat, p, r)
+    base = PartitionedPrecision(gen_precision(graph, seed_prec), size - r, r)
     precision, snr, diag_adjust = scale_and_snr(base, epsilon)
-    k_m = marginal_precision(precision)
     return GroundTruth(
         kind=kind,
         epsilon=epsilon,
         seed=seed,
         graph=graph,
-        hidden=tuple(range(p, size)),
         precision=precision,
-        marginal_precision_matrix=k_m,
-        marginal=marginal_graph(k_m),
         snr=snr,
         diag_adjust=diag_adjust,
     )

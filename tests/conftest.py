@@ -19,7 +19,7 @@ from treeagg.em import LOG_2PI, completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind
 from treeagg.matrices import PartitionedPrecision
-from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision, scale_and_snr
+from treeagg.simulate import GroundTruth, gen_precision, scale_and_snr
 from treeagg.spanning_trees import (
     _max_rescale,
     _subproblem_plan,
@@ -429,26 +429,14 @@ def figure_tree_graph():
 
 def figure_ground_truth(epsilon=1.0, seed=7):
     graph = figure_tree_graph()
-    rng = np.random.default_rng(seed)
-    n = graph.n_nodes
-    k = np.zeros((n, n))
-    for i, j in graph.edges:
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        k[i, j] = k[j, i] = sign
-    k[np.diag_indices(n)] = np.abs(k).sum(axis=1) + 0.1
-    base = PartitionedPrecision(k, 9, 1)
+    base = PartitionedPrecision(gen_precision(graph, seed), 9, 1)
     precision, snr, adjust = scale_and_snr(base, epsilon)
-    hidden = (9,)
-    k_m = marginal_precision(precision)
     return GroundTruth(
         kind="tree",
         epsilon=epsilon,
         seed=seed,
         graph=graph,
-        hidden=hidden,
         precision=precision,
-        marginal_precision_matrix=k_m,
-        marginal=marginal_graph(k_m),
         snr=snr,
         diag_adjust=adjust,
     )

@@ -89,6 +89,18 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--out", parallel, "--workers", 2) == 0
         assert read_tree(serial) == read_tree(parallel)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_r_a_replicate_cannot_hide_writes_nothing(self, tmp_path, capsys, workers):
+        # replicates 1, 3, 7 and 9 draw a 6-node tree with no node of degree 3;
+        # replicate 0 can hide one node and is not written either
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 5, "r": 1, "replicates": 20}))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg, "--out", out, "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rep_001" in err and "seed" in err
+        assert not out.exists()
+
 
 class TestConfig:
     @pytest.mark.parametrize(
@@ -294,6 +306,15 @@ class TestFit:
         assert "dir.csv" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys, command):
+        csv = tmp_path / "bin.csv"
+        csv.write_bytes(b"\xff\xfe" + "a,b\n1.0,2.0\n3.0,5.0\n".encode("utf-16-le"))
+        assert run_cli(command, csv, "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "bin.csv" in err and "UTF-8" in err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("a,b\n1.0,2.0\n1.0,oops\n")
@@ -496,6 +517,41 @@ class TestEval:
             edit_json(fits / "rep_001" / "fit.json", lambda obj: obj.pop("r"))
         assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "x") == 3
         assert f"{damaged}.json" in capsys.readouterr().err
+
+    def test_full_graph_not_of_p_plus_r_nodes_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys
+    ):
+        # one node more than the precision covers; one fewer leaves an edge
+        # past the last node, which the graph itself rejects
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        edit_json(
+            data / "rep_001" / "ground_truth.json",
+            lambda obj: obj["full_graph"].update(n_nodes=obj["p"] + obj["r"] + 1),
+        )
+        assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "rep_001" in err and "nodes, not p + r" in err
+
+    def test_stored_marginal_parts_are_not_read(self, suite_dir, fits_dir, tmp_path):
+        # eval recomputes the hidden labels and the marginal graph from the
+        # precision, so a stale copy of them in ground_truth.json moves nothing
+        import shutil
+
+        def stale(obj):
+            obj["hidden"] = [0]
+            obj["marginal_graph"] = {"n_nodes": obj["p"] - 1, "edges": [[0, 1]]}
+            obj["marginal_precision"] = {"shape": [1, 1], "data": [1.0]}
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        for rep in ("rep_000", "rep_001", "rep_002"):
+            edit_json(data / rep / "ground_truth.json", stale)
+        for source, out in ((suite_dir, tmp_path / "a"), (data, tmp_path / "b")):
+            assert run_cli("eval", "--data", source, "--fits", fits_dir, "--out", out) == 0
+        assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
     @pytest.mark.parametrize("damaged", ["manifest", "ground_truth", "fit"])
     def test_input_that_is_a_directory_is_data_error(

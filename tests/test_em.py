@@ -700,7 +700,7 @@ class TestFit:
             cov = EmpiricalCovariance.from_data(observed)
             result = em.fit(cov, 1)
             top3 = set(np.argsort(-result.alpha[:9, 9])[:3].tolist())
-            hits += top3 == set(truth.graph.neighbors(9))
+            hits += top3 == set(np.flatnonzero(truth.graph.adjacency()[9]).tolist())
         assert hits >= 16  # >= 80% of 20 replicates
 
 

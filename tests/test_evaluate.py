@@ -135,19 +135,15 @@ class TestSpurious:
     def test_already_connected_children_still_counted(self):
         # hand-built instance where two children of the hidden node share an edge
         from treeagg.matrices import PartitionedPrecision
-        from treeagg.simulate import GroundTruth, marginal_graph, marginal_precision
+        from treeagg.simulate import GroundTruth
 
         g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 4), (2, 4), (2, 3)])
         k = np.eye(5) * 3.0
         for i, j in g.edges:
             k[i, j] = k[j, i] = 1.0
-        prec = PartitionedPrecision(k, 4, 1)
-        k_m = marginal_precision(prec)
         truth = GroundTruth(
-            kind="tree", epsilon=1.0, seed=0, graph=g, hidden=(4,),
-            precision=prec,
-            marginal_precision_matrix=k_m,
-            marginal=marginal_graph(k_m),
+            kind="tree", epsilon=1.0, seed=0, graph=g,
+            precision=PartitionedPrecision(k, 4, 1),
             snr=0.0, diag_adjust=0.0,
         )
         spurious = set(spurious_edges(truth))

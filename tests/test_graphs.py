@@ -14,3 +14,11 @@ class TestFromEdges:
     def test_endpoint_out_of_range_raises(self, edges):
         with pytest.raises(ValueError, match="outside"):
             Graph.from_edges(5, edges)
+
+    def test_self_loop_raises(self):
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            Graph.from_edges(5, [(0, 1), (2, 2)])
+
+    def test_edges_sorted_and_deduplicated(self):
+        g = Graph.from_edges(4, [(3, 1), (0, 2), (1, 3), (2, 0)])
+        assert g.edges == ((0, 2), (1, 3))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from treeagg.errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
 from treeagg.graphs import Graph
 from treeagg.matrices import PartitionedPrecision
 from treeagg.simulate import (
+    GroundTruth,
     choose_hidden,
     gen_graph,
     gen_precision,
@@ -37,6 +40,11 @@ class TestGenGraph:
 
     def test_two_node_tree(self):
         assert gen_graph("tree", 2, seed=0).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_node_tree_any_seed(self, seed):
+        # the empty Pruefer sequence decodes to the one edge
+        assert gen_graph("tree", 2, seed).edges == ((0, 1),)
 
 
 class TestGenPrecision:
@@ -78,7 +86,7 @@ class TestChooseHidden:
         # eligible nodes have degree >= 3: nodes 2, 3, 9
         sets = identifiable_hidden_sets(g, 1)
         assert (9,) in sets
-        assert all(g.degrees()[s[0]] >= 3 for s in sets)
+        assert all(g.adjacency().sum(axis=1)[s[0]] >= 3 for s in sets)
 
     def test_pairwise_nonadjacent(self):
         g = gen_graph("erdos", 15, seed=5, p_edge=0.35)
@@ -182,6 +190,12 @@ class TestMarginalGraph:
         marginal = marginal_graph(marginal_precision(prec))
         assert marginal.edges == ((0, 1),)
 
+    def test_no_hidden_marginal_is_observed_block(self):
+        for seed in range(5):
+            truth = make_ground_truth("erdos", size=9, r=0, epsilon=1.0, seed=seed, p_edge=0.4)
+            k_m = marginal_precision(truth.precision)
+            assert k_m.tobytes() == truth.precision.matrix.tobytes()
+
     def test_exact_cancellation_drops_edge(self):
         # direct coupling exactly cancelled by the hidden path
         k = np.eye(5) * 2.0
@@ -206,8 +220,8 @@ class TestGroundTruth:
     def test_identifiability_invariants(self):
         for seed in range(5):
             truth = make_ground_truth("tree", size=15, r=1, epsilon=1.0, seed=seed)
-            deg = truth.graph.degrees()
             adj = truth.graph.adjacency()
+            deg = adj.sum(axis=1)
             hidden = truth.hidden
             assert all(deg[h] >= 3 for h in hidden)
             for a in hidden:
@@ -232,11 +246,38 @@ class TestGroundTruth:
         assert back.graph == truth.graph
         assert back.marginal == truth.marginal
 
+    @pytest.mark.parametrize("kind", ["tree", "erdos"])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 10.0])
+    def test_json_roundtrip_recomputes_marginal_parts(self, kind, r, epsilon):
+        # the first seed whose graph can hide r nodes
+        for seed in range(100):
+            try:
+                truth = make_ground_truth(kind, size=14, r=r, epsilon=epsilon, seed=seed, p_edge=0.3)
+                break
+            except InfeasibleHiddenSetError:
+                continue
+        else:
+            raise AssertionError(f"no seed below 100 hides {r} nodes")
+        text = json.dumps(truth.to_json_dict(), sort_keys=True)
+        back = GroundTruth.from_json_dict(json.loads(text))
+        assert json.dumps(back.to_json_dict(), sort_keys=True) == text
+        assert back.hidden == truth.hidden == tuple(range(14 - r, 14))
+        assert back.marginal == truth.marginal
+        assert back.marginal_precision_matrix.tobytes() == truth.marginal_precision_matrix.tobytes()
+
+    def test_graph_not_of_p_plus_r_nodes_raises(self):
+        truth = make_ground_truth("tree", size=12, r=1, epsilon=1.0, seed=9)
+        obj = truth.to_json_dict()
+        obj["full_graph"]["n_nodes"] = 13
+        with pytest.raises(ValueError, match="full_graph has 13 nodes, not p \\+ r = 12"):
+            GroundTruth.from_json_dict(obj)
+
     def test_tree_marginal_is_tree_minus_hub_plus_clique(self):
         for seed in (0, 3, 4):
             truth = make_ground_truth("tree", size=12, r=1, epsilon=1.0, seed=seed)
             h = truth.hidden[0]
-            children = truth.graph.neighbors(h)
+            children = np.flatnonzero(truth.graph.adjacency()[h]).tolist()
             surviving = {
                 (i, j) for i, j in truth.graph.edges if h not in (i, j)
             }
