@@ -220,6 +220,8 @@ def _simulate_one(payload: tuple) -> tuple[simulate.GroundTruth, np.ndarray]:
         )
     except InfeasibleHiddenSetError as exc:
         raise ConfigError(f"r: replicate {rep_id} (seed {rep_seed}) has {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"replicate {rep_id} (seed {rep_seed}): {exc}") from None
     _, observed = simulate.sample_and_marginalize(
         truth.precision, config["n"], simulate.sample_seed(rep_seed)
     )
@@ -390,7 +392,7 @@ def _fit_source(payload: dict) -> SimpleNamespace:
 
 
 def _eval_one(payload: tuple) -> dict:
-    data_dir, fits_dir, out_dir, config, rep_id = payload
+    data_dir, fits_dir, config, rep_id = payload
     truth = _read_json(
         Path(data_dir) / rep_id / "ground_truth.json",
         f"missing ground truth for replicate {rep_id}",
@@ -410,27 +412,14 @@ def _eval_one(payload: tuple) -> dict:
             f"{fit_path}: r = {fit.n_hidden}, ground truth has r = {truth.n_hidden}, "
             "which the full target needs"
         )
-    rep_out = _out_dir(Path(out_dir) / rep_id)
-
     result = {"id": rep_id, "auc": {}, "notes": [], "curves": {}}
     for target in config["targets"]:
         curve = evaluate.roc_target(fit, truth, target)
-        _write_csv(
-            rep_out / f"roc_{target}.csv",
-            ["threshold", "fpr", "power"],
-            zip(curve.thresholds, curve.fpr, curve.power),
-        )
         result["auc"][target] = curve.auc
         result["curves"][target] = curve
     scores_marginal = evaluate.score_edges(fit, "marginal", two_hop=config["two_hop"])
     try:
-        sp = evaluate.spurious_curve(scores_marginal, truth)
-        _write_csv(
-            rep_out / "spurious.csv",
-            ["threshold", "density", "spurious_fraction"],
-            zip(sp.thresholds, sp.density, sp.spurious_fraction),
-        )
-        result["curves"]["spurious"] = sp
+        result["curves"]["spurious"] = evaluate.spurious_curve(scores_marginal, truth)
     except DegenerateCurveError:
         result["notes"].append(f"{rep_id}: no spurious edges, curve omitted")
     return result
@@ -448,10 +437,20 @@ def cmd_eval(args) -> int:
         ),
     )
 
-    out_dir = _out_dir(args.out)
-    jobs = [(str(data_dir), str(args.fits), str(out_dir), config, rep) for rep in rep_ids]
+    jobs = [(str(data_dir), str(args.fits), config, rep) for rep in rep_ids]
     results = sorted(_map(_eval_one, jobs, args.workers), key=lambda item: item["id"])
 
+    # written only once every replicate is scored, so bad input leaves no --out
+    out_dir = _out_dir(args.out)
+    for item in results:
+        rep_out, curves = _out_dir(out_dir / item["id"]), item["curves"]
+        for target in config["targets"]:
+            rows = zip(curves[target].thresholds, curves[target].fpr, curves[target].power)
+            _write_csv(rep_out / f"roc_{target}.csv", ["threshold", "fpr", "power"], rows)
+        if "spurious" in curves:
+            sp = curves["spurious"]
+            rows = zip(sp.thresholds, sp.density, sp.spurious_fraction)
+            _write_csv(rep_out / "spurious.csv", ["threshold", "density", "spurious_fraction"], rows)
     agg_dir = _out_dir(out_dir / "aggregate")
     summary = {
         "command": "eval",

@@ -100,11 +100,12 @@ def completed_moments(
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(log gamma - max), keeping underflowed candidate edges in the support.
 
-    Edges whose relative weight exp cannot return as a normal float, zero or
-    subnormal, are set to 1e-300: they may still be forced into the tree.  A
-    subnormal weight would keep too few significant bits, and its reciprocal
-    would overflow in the grounded resistances.  Normal weights are kept as
-    they are, so the posterior stays exact wherever the kernel is exact: while
+    log gamma is `log_marginal_tree_weight`'s, -inf on the diagonal, where
+    exp gives 0.  Edges whose relative weight exp cannot return as a normal
+    float, zero or subnormal, are set to 1e-300: they may still be forced
+    into the tree; a subnormal weight would keep too few significant bits,
+    and its reciprocal overflow in the grounded resistances.  Normal weights
+    are kept, so the posterior stays exact wherever the kernel is: while
     log gamma spans less than about 708 nats.
     """
     finite = np.isfinite(log_gamma)
@@ -114,8 +115,6 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     with np.errstate(under="ignore"):
         weights = np.exp(np.where(finite, log_gamma - shift, -np.inf))
     weights[finite & (weights < np.finfo(float).tiny)] = 1e-300
-    weights[~finite] = 0.0
-    np.fill_diagonal(weights, 0.0)
     return weights, shift
 
 
@@ -542,7 +541,7 @@ def fit(
     opts = opts or FitOptions()
     if n_hidden < 0:
         raise ValueError("n_hidden must be nonnegative")
-    require_imperfect_correlation(cov)
+    require_imperfect_correlation(cov.matrix)
     p = cov.size
     fit_prior = _FitPrior.uniform(p, n_hidden)
     init = initialization.initial_precision_from_cov(cov, n_hidden)

@@ -58,15 +58,18 @@ def fit_fixed_tree(
     """Alternate moment completion and the tree MLE until the tree stabilizes.
 
     Hidden-hidden edges are excluded from the tree search (identifiability).
-    Classification EM can cycle with period > 1, so a likelihood tolerance
-    backs up the tree fixed-point test.  Without hidden nodes there is nothing
+    The fit stops when a tree repeats the one before it, or when the
+    log-likelihood moves by at most `opts.tol` relative.  Classification EM
+    can cycle with period > 1, and neither test ends such a cycle: its trees
+    differ from step to step and its log-likelihoods alternate, so it runs
+    to `opts.max_iter` unconverged.  Without hidden nodes there is nothing
     to complete: the fit is its start, the tree MLE, on the Chow-Liu tree, of
     the regularized covariance.
     Two perfectly correlated observed variables raise PerfectCorrelationError
     before the covariance is regularized.
     """
     opts = opts or FitOptions()
-    require_imperfect_correlation(cov)
+    require_imperfect_correlation(cov.matrix)
     p = cov.size
     init = initial_precision_from_cov(cov, n_hidden)
     k, tree = init.precision, init.tree

@@ -13,12 +13,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def check_symmetric(m: np.ndarray, name: str, rtol: float = 1e-8) -> np.ndarray:
+def check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > rtol * scale:
+    if np.abs(m - m.T).max(initial=0.0) > 1e-8 * scale:
         raise ValueError(f"{name} is not symmetric")
     return symmetrize(m)
 

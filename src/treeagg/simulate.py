@@ -93,24 +93,30 @@ def scale_and_snr(
     ridge, the rest on the nodes carrying the deficient eigendirections, so
     the repair does not drown the correlation structure away from the hidden
     nodes.  The largest per-entry addition is returned as diag_adjust.
-    A negative or non-finite epsilon raises ValueError; 0 removes the hidden
-    nodes' signal.
+    A negative or non-finite epsilon raises ValueError, and so does one that
+    takes the scaled precision, its Schur term or the SNR out of the float
+    range; 0 removes the hidden nodes' signal.
     """
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     p, r = precision.n_observed, precision.n_hidden
     k = precision.matrix.copy()
-    k[:p, p:] *= epsilon
-    k[p:, :p] *= epsilon
-    k[p:, p:] *= epsilon
-
-    if r and epsilon != 0.0:
-        schur_term = k[:p, p:] @ np.linalg.solve(k[p:, p:], k[p:, :p])
-        snr = float(
-            np.linalg.norm(schur_term, 2) ** 2 / np.linalg.norm(k[:p, :p], 2) ** 2
+    snr = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        k[p:] *= epsilon
+        k[:p, p:] *= epsilon
+        if r and epsilon != 0.0:
+            schur_term = k[:p, p:] @ np.linalg.solve(k[p:, p:], k[p:, :p])
+            snr = np.nan  # the spectral norms fail on a non-finite matrix
+            if np.isfinite(k).all() and np.isfinite(schur_term).all():
+                snr = float(
+                    np.linalg.norm(schur_term, 2) ** 2 / np.linalg.norm(k[:p, :p], 2) ** 2
+                )
+    if not np.isfinite(snr):
+        raise ValueError(
+            f"epsilon {epsilon!r} scales the hidden blocks out of the float range: the "
+            "scaled precision, its Schur term or the SNR is not finite"
         )
-    else:
-        snr = 0.0
 
     added = np.zeros(k.shape[0])
     evals = np.linalg.eigvalsh(k)
@@ -166,7 +172,9 @@ def marginal_graph(k_m: np.ndarray) -> Graph:
 class GroundTruth:
     """A simulated instance; hidden nodes occupy the last r labels.
 
-    Construction derives `hidden`, `marginal_precision_matrix` and `marginal` from `precision`.
+    Construction checks `graph` against the off-diagonal support of `precision`
+    (less the observed-hidden pairs at epsilon 0), then derives `hidden`,
+    `marginal_precision_matrix` and `marginal` from `precision`.
     """
 
     kind: str
@@ -178,9 +186,18 @@ class GroundTruth:
     diag_adjust: float
 
     def __post_init__(self):
-        size = self.precision.size
+        size, p = self.precision.size, self.n_observed
         if self.graph.n_nodes != size:
             raise ValueError(f"full_graph has {self.graph.n_nodes} nodes, not p + r = {size}")
+        expected = self.graph.adjacency()
+        if self.epsilon == 0.0:
+            expected[:p, p:] = expected[p:, :p] = False
+        support = self.precision.matrix != 0.0
+        np.fill_diagonal(support, False)
+        mismatch = np.argwhere(support != expected)
+        if mismatch.size:
+            i, j = mismatch[0]
+            raise ValueError(f"full_graph and the precision's support differ at pair ({i}, {j})")
         k_m = marginal_precision(self.precision)
         object.__setattr__(self, "hidden", tuple(range(self.n_observed, size)))
         object.__setattr__(self, "marginal_precision_matrix", k_m)

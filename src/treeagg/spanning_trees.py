@@ -161,13 +161,13 @@ def _reduction_plan(n: int):
     level takes each leaf's six conductances c_uv, c_ux, c_uy, c_vx, c_vy,
     c_xy in one `np.take` on flat offsets into the level above.  Returns
     (levels, last, k, l): per level but the last, the runs (lo, hi, row
-    indices, g), the shape (b, m, m) of the level's array, the dummy mask,
-    the eliminated count e and the index a of leaf 0's ancestor; for the
-    last level, the (6, leaves) offsets and the masks of the dummy u and v;
-    and the two labels of each leaf.  The row indices hold one entry per
-    gather position of the index plan, so the cache stays about the index
-    plan's size, where a flat offset per entry of every level's array would
-    hold 386 000 entries at n = 80 (3.1 MB).
+    indices, g), the shape (b, m, m) of the level's array, the dummy mask
+    and the eliminated count e; for the last level, the (6, leaves) offsets
+    and the masks of the dummy u and v; and the two labels of each leaf.
+    The row indices hold one entry per gather position of the index plan,
+    so the cache stays about the index plan's size, where a flat offset per
+    entry of every level's array would hold 386 000 entries at n = 80
+    (3.1 MB).
     """
     levels, (leaf_parent, u, v, x, y), k, l = _subproblem_plan(n)
     size, steps = n + 1, []
@@ -183,12 +183,7 @@ def _reduction_plan(n: int):
         size = m
         steps.append((runs, (b, m, m), pad, e))
     pairs = [u * size + v, u * size + x, u * size + y, v * size + x, v * size + y, x * size + y]
-    # leaf 0's ancestor on each level, from the last level up
-    path = [leaf_parent[0]]
-    for parent, *_ in levels[:0:-1]:
-        path.append(parent[path[-1]])
-    levels = [(*step, a) for step, a in zip(steps, path[::-1])]
-    return levels, (leaf_parent * size**2 + np.stack(pairs), u == 0, v == 0), k, l
+    return steps, (leaf_parent * size**2 + np.stack(pairs), u == 0, v == 0), k, l
 
 
 def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
@@ -207,11 +202,11 @@ def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
         d_v = c'_vx + c'_vy,  C_xy = c_xy + ((c_ux / d_u) c_uy + (c'_vx / d_v) c'_vy).
 
     Leaf 0's path eliminates every node but the leaf's two, so log Z of ws
-    is the sum, level by level, of the log pivots of leaf 0's ancestor, plus
-    log d_u, log d_v and log C of the leaf; the dummy pivots of 1 add
-    nothing, and no other subproblem's pivots are logged.  A zero pivot of a
-    real node turns its subproblem into NaN, which reaches every leaf below
-    it; `tree_posterior` checks the conductances.
+    is the sum, level by level, of the log pivots of leaf 0's ancestor,
+    subproblem 0, plus log d_u, log d_v and log C of the leaf; the dummy
+    pivots of 1 add nothing, and no other subproblem's pivots are logged.
+    A zero pivot of a real node turns its subproblem into NaN, which reaches
+    every leaf below it; `tree_posterior` checks the conductances.
     """
     offsets, u_dummy, v_dummy = last
     n = ws.shape[0]
@@ -219,7 +214,7 @@ def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
     cur[0, 1:, 1:] = ws
     log_z = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for runs, shape, pad, e, a in levels:
+        for runs, shape, pad, e in levels:
             rows = cur.reshape(-1, cur.shape[2])
             cur = np.empty(shape)
             for lo, hi, row_index, g in runs:
@@ -239,7 +234,7 @@ def _kron_reduce(ws: np.ndarray, levels, last) -> tuple[np.ndarray, float]:
             cur[:, e + 1 :, e + 1 :] += np.matmul(
                 (out / pivots[:, :, None]).transpose(0, 2, 1), out
             )
-            log_z = log_z + np.log(pivots[a]).sum()
+            log_z = log_z + np.log(pivots[0]).sum()
         # the last level: eliminate u, then v, from the block {u, v, x, y}
         c_uv, c_ux, c_uy, c_vx, c_vy, c_xy = cur.take(offsets)
         d_u = c_uv + c_ux + c_uy + u_dummy

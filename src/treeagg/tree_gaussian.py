@@ -20,26 +20,15 @@ from .matrices import EmpiricalCovariance, PartitionedPrecision, check_symmetric
 CORRELATION_LIMIT = 1.0 - 1e-12
 
 
-def _as_cov_matrix(cov) -> np.ndarray:
-    if isinstance(cov, EmpiricalCovariance):
-        return cov.matrix
-    return check_symmetric(np.asarray(cov, dtype=float), "covariance")
-
-
-def correlation_matrix(cov) -> np.ndarray:
-    s = _as_cov_matrix(cov)
+def require_imperfect_correlation(s: np.ndarray) -> np.ndarray:
+    """The correlation matrix of covariance matrix s; |rho| at or beyond 1
+    between two variables (perfectly dependent variables) raises
+    PerfectCorrelationError."""
     d = np.sqrt(np.diag(s))
     if np.any(d <= 0):
         raise ValueError("covariance diagonal must be strictly positive")
     rho = s / np.outer(d, d)
     np.fill_diagonal(rho, 1.0)
-    return rho
-
-
-def require_imperfect_correlation(cov) -> np.ndarray:
-    """The correlation matrix; |rho| at or beyond 1 between two variables
-    (perfectly dependent variables) raises PerfectCorrelationError."""
-    rho = correlation_matrix(cov)
     off = ~np.eye(rho.shape[0], dtype=bool)
     strength = np.where(off, np.abs(rho), 0.0)
     if strength.max(initial=0.0) >= CORRELATION_LIMIT:
@@ -63,29 +52,27 @@ def uniform_prior(n_observed: int, n_hidden: int = 0) -> np.ndarray:
     return prior
 
 
-def gaussian_mutual_information(cov) -> np.ndarray:
-    """Pairwise Gaussian mutual information -log(1 - rho^2)/2.
+def gaussian_mutual_information(s: np.ndarray) -> np.ndarray:
+    """Pairwise Gaussian mutual information -log(1 - rho^2)/2 of covariance s.
 
     Even in rho, so negatively correlated pairs rank by dependence strength.
     Rejects |rho| at or beyond 1 (perfectly dependent variables).
     """
-    rho = require_imperfect_correlation(cov)
+    rho = require_imperfect_correlation(s)
     off = ~np.eye(rho.shape[0], dtype=bool)
-    mi = -0.5 * np.log1p(-(rho**2), where=off, out=np.zeros_like(rho))
-    np.fill_diagonal(mi, 0.0)
-    return mi
+    return -0.5 * np.log1p(-(rho**2), where=off, out=np.zeros_like(rho))
 
 
 def maximum_spanning_tree(
-    weights: np.ndarray, forbidden: np.ndarray | None = None
+    weights: np.ndarray, forbidden: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
-    """Kruskal maximum spanning tree, ties broken by lexicographic edge order."""
+    """Kruskal maximum spanning tree over the pairs not `forbidden`, ties
+    broken by lexicographic edge order."""
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
     rows, cols = np.triu_indices(n, k=1)
-    if forbidden is not None:
-        allowed = ~np.asarray(forbidden, dtype=bool)[rows, cols]
-        rows, cols = rows[allowed], cols[allowed]
+    allowed = ~np.asarray(forbidden, dtype=bool)[rows, cols]
+    rows, cols = rows[allowed], cols[allowed]
     order = np.lexsort((cols, rows, -w[rows, cols]))
     uf = UnionFind(n)
     edges = []
@@ -99,15 +86,14 @@ def maximum_spanning_tree(
     return tuple(sorted(edges))
 
 
-def tree_precision_from_cov(tree_edges, cov) -> np.ndarray:
-    """Precision of the tree-structured MLE matching cov on nodes and tree edges.
+def tree_precision_from_cov(tree_edges, s: np.ndarray) -> np.ndarray:
+    """Precision of the tree-structured MLE matching covariance s on nodes and
+    tree edges.
 
     Assembled as sum_i [1/S_ii] plus, per edge, the embedded inverse of the 2x2
     covariance block minus the two univariate terms.  The inverse of the result
-    reproduces cov exactly on the diagonal and on every tree-edge block.
+    reproduces s exactly on the diagonal and on every tree-edge block.
     """
-    s = _as_cov_matrix(cov)
-    n = s.shape[0]
     k = np.diag(1.0 / np.diag(s))
     for i, j in tree_edges:
         det = s[i, i] * s[j, j] - s[i, j] ** 2

@@ -84,9 +84,10 @@ def tree_products(w):
     return w[edges[:, :, 0], edges[:, :, 1]].prod(axis=1)
 
 
-def chow_liu(cov):
-    """Maximum-likelihood spanning tree under Gaussian mutual-information weights."""
-    return maximum_spanning_tree(gaussian_mutual_information(cov))
+def chow_liu(s):
+    """Maximum-likelihood spanning tree of covariance matrix s under Gaussian
+    mutual-information weights, over every pair."""
+    return maximum_spanning_tree(gaussian_mutual_information(s), np.zeros(s.shape, dtype=bool))
 
 
 def is_spanning_tree(edges, n_nodes):

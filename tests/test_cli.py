@@ -101,6 +101,19 @@ class TestSimulate:
         assert "config error" in err and "rep_001" in err and "seed" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", [1.7e308, 1e160, 1e-310, 1e200])
+    def test_epsilon_out_of_float_range_writes_nothing(self, tmp_path, capsys, epsilon):
+        # before: NaN in every observed.csv cell, "snr": Infinity, and two
+        # numerical failures, "SVD did not converge" and a precision that
+        # is not positive definite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 6, "r": 1, "n": 20, "replicates": 2, "seed": 3, "epsilon": epsilon}))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "epsilon" in err and "rep_000" in err and "seed" in err
+        assert not out.exists()
+
 
 class TestConfig:
     @pytest.mark.parametrize(
@@ -534,6 +547,25 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", tmp_path / "x") == 3
         err = capsys.readouterr().err
         assert "data error" in err and "rep_001" in err and "nodes, not p + r" in err
+
+    def test_full_graph_not_the_precision_support_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys
+    ):
+        # the path 0-1-...-8 in place of rep_001's tree; eval scored it, and
+        # the full AUC of its fit fell from 1.0 to 0.391
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        edit_json(
+            data / "rep_001" / "ground_truth.json",
+            lambda obj: obj["full_graph"].update(edges=[[i, i + 1] for i in range(8)]),
+        )
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "rep_001" in err and "precision's support" in err
+        assert not out.exists()
 
     def test_stored_marginal_parts_are_not_read(self, suite_dir, fits_dir, tmp_path):
         # eval recomputes the hidden labels and the marginal graph from the

@@ -120,6 +120,15 @@ class TestScaleAndSnr:
         with pytest.raises(ValueError, match="epsilon"):
             scale_and_snr(k, float("inf"))
 
+    @pytest.mark.parametrize("epsilon", [1.7e308, 1e160, 1e200, 1e-310])
+    def test_epsilon_out_of_float_range_raises(self, epsilon):
+        # an infinite scaled precision, two SNRs whose squared norms
+        # overflow, and a subnormal hidden block whose solve gives a NaN
+        # Schur term, on which the spectral norms would fail
+        k = PartitionedPrecision(gen_precision(figure_tree_graph(), seed=0), 9, 1)
+        with pytest.raises(ValueError, match="epsilon .* out of the float range"):
+            scale_and_snr(k, epsilon)
+
     def test_quadratic_scaling(self):
         g = figure_tree_graph()
         k = PartitionedPrecision(gen_precision(g, seed=0), 9, 1)
@@ -271,6 +280,22 @@ class TestGroundTruth:
         obj = truth.to_json_dict()
         obj["full_graph"]["n_nodes"] = 13
         with pytest.raises(ValueError, match="full_graph has 13 nodes, not p \\+ r = 12"):
+            GroundTruth.from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "edit, pair",
+        [("removed", (0, 4)), ("added", (0, 1)), ("hidden-hidden", (10, 11))],
+        ids=["removed", "added", "hidden-hidden"],
+    )
+    def test_graph_not_the_precision_support_raises(self, edit, pair):
+        # seed 0 at size 12, r = 2: hidden nodes 10 and 11, edge (0, 4), no edge (0, 1)
+        truth = make_ground_truth("tree", size=12, r=2, epsilon=1.0, seed=0)
+        edges = set(truth.graph.edges)
+        assert (pair in edges) == (edit == "removed")
+        edges ^= {pair}
+        obj = truth.to_json_dict()
+        obj["full_graph"]["edges"] = sorted(edges)
+        with pytest.raises(ValueError, match=rf"differ at pair \({pair[0]}, {pair[1]}\)"):
             GroundTruth.from_json_dict(obj)
 
     def test_tree_marginal_is_tree_minus_hub_plus_clique(self):

@@ -10,6 +10,7 @@ from treeagg.errors import CalibrationError, DegenerateWeightsError, InvalidWeig
 from treeagg.graphs import prufer_to_edges
 from treeagg.spanning_trees import (
     _reduction_plan,
+    _subproblem_plan,
     edge_marginals,
     log_partition_function,
     tree_posterior,
@@ -285,12 +286,17 @@ class TestBlockKernel:
         assert alpha.tobytes() == want_alpha.tobytes()
         assert log_z == want_log_z
 
-    @pytest.mark.parametrize("size", [*range(2, 41), 65, 80, 100])
+    @pytest.mark.parametrize("size", [*range(2, 41), 65, 80, 100, 300])
     def test_leaf_zero_pairs_node_zero_with_second_half(self, size):
         # sorting a level's children keeps the first one first, so log Z
-        # follows the same root-to-leaf path as with the children unsorted
+        # follows the same root-to-leaf path as with the children unsorted,
+        # and leaf 0's ancestor on every level is subproblem 0, whose pivots
+        # `_kron_reduce` logs
         _, _, k, l = _reduction_plan(size)
         assert (k[0], l[0]) == (0, (size + 1) // 2)
+        levels, (leaf_parent, *_), _, _ = _subproblem_plan(size)
+        assert [parent[0] for parent, *_ in levels] == [0] * len(levels)
+        assert leaf_parent[0] == 0
 
     def test_cached_plan_bytes_bounded(self):
         # the plan holds 475 000 bytes at n = 80, under 1 % of fit-p80's

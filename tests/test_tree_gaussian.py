@@ -37,7 +37,7 @@ class TestChowLiu:
         truth = make_ground_truth("tree", size=10, r=0, epsilon=1.0, seed=11)
         data, _ = sample_and_marginalize(truth.precision, 5000, sample_seed(11))
         cov = EmpiricalCovariance.from_data(data)
-        assert chow_liu(cov) == truth.graph.edges
+        assert chow_liu(cov.matrix) == truth.graph.edges
 
     def test_optimal_among_all_trees(self, rng):
         for size in (4, 5, 6):

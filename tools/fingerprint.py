@@ -3,7 +3,7 @@
     python3 tools/fingerprint.py
 
 Run from a checkout of the repository; the package is imported from `src/`.
-Prints four SHA-256 digests, one a line:
+Prints six SHA-256 digests, one a line:
 
 - `select`: every `select(cov, r_max=3, keep_fits=True)` report of the 100
   acceptance-suite replicates (the signal and the null suite of
@@ -23,7 +23,14 @@ Prints four SHA-256 digests, one a line:
   `fit --method fixed-tree --r 1`, `fit --r 0` and `select --r 3`; then
   `eval` of the aggregation and of the fixed-tree fits.  Each file, the
   suite's config included, enters the digest with its path relative to the
-  output directory.
+  output directory;
+- `truths`: `to_json_dict`, as JSON with sorted keys, of every simulated
+  truth `make_ground_truth` can build with kind `tree` or `erdos` (p_edge
+  0.3), size 2-31, r = 0-3, epsilon 0, 1 or 10 and seeds 0-5: those whose
+  graph can hide r nodes (3384 truths);
+- `fixed-tree`: `fit_fixed_tree` at r = 1, 2 and 3 on the 100 acceptance
+  covariances: each fit's tree, trace, iteration count, `converged` and the
+  bytes of its K.
 
 Two checkouts whose digests agree produce the same bits on these inputs.
 """
@@ -37,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -131,12 +139,44 @@ def cli_digest() -> str:
     return f"{digest.hexdigest()}  ({len(files)} files)"
 
 
+def truths_digest() -> str:
+    from treeagg.errors import InfeasibleHiddenSetError
+    from treeagg.simulate import make_ground_truth
+
+    digest, count = hashlib.sha256(), 0
+    for kind in ("tree", "erdos"):
+        for size in range(2, 32):
+            for r, epsilon, seed in itertools.product(range(4), (0.0, 1.0, 10.0), range(6)):
+                try:
+                    truth = make_ground_truth(kind, size, r, epsilon, seed, p_edge=0.3)
+                except InfeasibleHiddenSetError:
+                    continue
+                digest.update(json.dumps(truth.to_json_dict(), sort_keys=True).encode())
+                count += 1
+    return f"{digest.hexdigest()}  ({count} truths)"
+
+
+def fixed_tree_digest() -> str:
+    from treeagg.fixed_tree import fit_fixed_tree
+
+    digest = hashlib.sha256()
+    for label, cov in suite_covariances():
+        for r in (1, 2, 3):
+            fit = fit_fixed_tree(cov, r)
+            digest.update(f"{label} r={r} tree={fit.tree!r} trace={fit.loglik_trace!r}".encode())
+            digest.update(f"iterations={fit.iterations} converged={fit.converged}".encode())
+            digest.update(fit.precision.matrix.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     select, structure, r0 = select_digests()
     print(f"select           {select}")
     print(f"select-structure {structure}")
     print(f"select-r0        {r0}")
     print(f"cli              {cli_digest()}")
+    print(f"truths           {truths_digest()}")
+    print(f"fixed-tree       {fixed_tree_digest()}")
     return 0
 
 
