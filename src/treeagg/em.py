@@ -225,8 +225,7 @@ def tree_entropy(state: EStepState) -> float:
     alpha, log_gamma = state.alpha, state.log_gamma
     iu = np.triu_indices(alpha.shape[0], k=1)
     a, g = alpha[iu], log_gamma[iu]
-    contrib = np.where(a > 0.0, a * np.where(a > 0.0, g, 0.0), 0.0)
-    return float(state.log_z - contrib.sum())
+    return float(state.log_z - (a * np.where(a > 0.0, g, 0.0)).sum())
 
 
 def joint_entropy(h_tree: float, precision: PartitionedPrecision) -> float:
@@ -257,27 +256,26 @@ def observed_loglik(
     then (K_HO S)_hi / K_hh is (W_HO)_hi, and log gamma's observed-hidden
     trace term is half the completed-moment one.
 
-    At r = 0 the value is log sum_T P(T) p(X_O | T) exactly and reads no
-    alpha.  With hidden nodes it is the free energy of the E-step posterior,
-    which has a finite supremum where the raw edge-factorized evidence need not;
-    its last sum reads alpha.  `_loglik_bound` evaluates the same expression
-    with log Z and alpha replaced by bounds.
+    At r = 0 the value is log sum_T P(T) p(X_O | T) exactly, and the last two
+    sums are empty.  With hidden nodes it is the free energy of the E-step
+    posterior, which has a finite supremum where the raw edge-factorized
+    evidence need not; its last sum reads alpha.  `_loglik_bound` evaluates
+    the same expression with log Z and alpha replaced by bounds.
     """
     p = precision.n_observed
-    alpha_oh = state.alpha[:p, p:] if precision.n_hidden else None
-    return _loglik(state, state.log_z, alpha_oh, precision, cov)
+    return _loglik(state, state.log_z, state.alpha[:p, p:], precision, cov)
 
 
 def _loglik(
     moments: _Weighed,
     log_z: float,
-    alpha_oh: np.ndarray | None,
+    alpha_oh: np.ndarray,
     precision: PartitionedPrecision,
     cov: EmpiricalCovariance,
 ) -> float:
     """`observed_loglik`'s expression at log Z(gamma) = `log_z` and the
-    observed-hidden edge posteriors `alpha_oh` (None without hidden nodes);
-    W_HO, B_H and log Z(prior) come from `moments`."""
+    observed-hidden edge posteriors `alpha_oh`; W_HO, B_H and log Z(prior)
+    come from `moments`.  Without hidden nodes the last two sums are 0."""
     n, p, r = cov.n, precision.n_observed, precision.n_hidden
     kd = np.diag(precision.matrix)
     if np.any(kd <= 0.0):
@@ -289,11 +287,9 @@ def _loglik(
         + 0.5 * n * float(np.log(kd[:p]).sum())
         - 0.5 * n * float(kd[:p] @ np.diag(cov.matrix))
     )
-    if r:
-        hidden = r - float(kd[p:] @ np.diag(moments.b_h))
-        cross = float((alpha_oh * precision.k_oh * moments.w_ho.T).sum())
-        value += 0.5 * n * (hidden + cross)
-    return value
+    hidden = r - float(kd[p:] @ np.diag(moments.b_h))
+    cross = float((alpha_oh * precision.k_oh * moments.w_ho.T).sum())
+    return value + 0.5 * n * (hidden + cross)
 
 
 def _hadamard_log_z(weights: np.ndarray) -> float:
@@ -321,9 +317,7 @@ def _loglik_bound(
     observed-hidden sum by its positive terms.
     """
     log_z = _hadamard_log_z(weighed.weights) + (len(weighed.weights) - 1) * weighed.shift
-    alpha_oh = None
-    if precision.n_hidden:
-        alpha_oh = (precision.k_oh * weighed.w_ho.T > 0.0).astype(float)
+    alpha_oh = (precision.k_oh * weighed.w_ho.T > 0.0).astype(float)
     return _loglik(weighed, log_z, alpha_oh, precision, cov)
 
 
@@ -405,7 +399,6 @@ def m_step(
     new_k = _closed_form_offdiagonal(completed, kd)
     new_k[p:, p:] = 0.0
     np.fill_diagonal(new_k, 0.0)
-    new_k = symmetrize(new_k)
 
     diag = _solve_diagonal(k_prev.matrix, state.alpha, np.diag(completed))
     new_k[np.diag_indices(p + r)] = diag

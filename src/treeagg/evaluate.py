@@ -108,8 +108,6 @@ def align_hidden_nodes(scores: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """
     r = truth.n_hidden
     p = truth.n_observed
-    if r <= 1:
-        return scores
     adj = truth.graph.adjacency()
     overlap = np.zeros((r, r))  # true slot x inferred slot
     for t in range(r):

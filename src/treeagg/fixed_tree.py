@@ -58,13 +58,12 @@ def fit_fixed_tree(
     """Alternate moment completion and the tree MLE until the tree stabilizes.
 
     Hidden-hidden edges are excluded from the tree search (identifiability).
-    The fit stops when a tree repeats the one before it, or when the
-    log-likelihood moves by at most `opts.tol` relative.  Classification EM
-    can cycle with period > 1, and neither test ends such a cycle: its trees
-    differ from step to step and its log-likelihoods alternate, so it runs
-    to `opts.max_iter` unconverged.  Without hidden nodes there is nothing
-    to complete: the fit is its start, the tree MLE, on the Chow-Liu tree, of
-    the regularized covariance.
+    The fit stops, converged, when a tree repeats the one before it, and
+    otherwise after `opts.max_iter` steps; it reads no `opts.tol`.
+    Classification EM can cycle with period > 1: its trees differ from step
+    to step, so it runs to `opts.max_iter` unconverged.  Without hidden nodes
+    there is nothing to complete: the fit is its start, the tree MLE, on the
+    Chow-Liu tree, of the regularized covariance.
     Two perfectly correlated observed variables raise PerfectCorrelationError
     before the covariance is regularized.
     """
@@ -76,8 +75,6 @@ def fit_fixed_tree(
     if n_hidden == 0:
         trace = (gaussian_observed_loglik(k, cov),) if opts.max_iter else ()
         return FixedTreeFit(tree, k, trace, len(trace), bool(trace))
-    if opts.max_iter == 0:
-        return FixedTreeFit(tree, k, (), 0, False)
 
     trace: list[float] = []
     converged = False
@@ -88,11 +85,6 @@ def fit_fixed_tree(
         k = PartitionedPrecision(kmat, p, n_hidden)
         trace.append(gaussian_observed_loglik(k, cov))
         if prev_tree is not None and tree == prev_tree:
-            converged = True
-            break
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= opts.tol * (
-            abs(trace[-2]) + 1e-12
-        ):
             converged = True
             break
         prev_tree = tree

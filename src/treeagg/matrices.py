@@ -141,7 +141,7 @@ class PartitionedPrecision:
         return np.diag(self.matrix)[self.n_observed :]
 
     def require_positive_hidden_diagonal(self):
-        if self.n_hidden and np.any(self.hidden_diagonal() <= 0):
+        if np.any(self.hidden_diagonal() <= 0):
             raise InvalidPrecisionError("hidden diagonal entries must be positive")
 
 

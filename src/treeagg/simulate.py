@@ -59,8 +59,6 @@ def gen_precision(graph: Graph, seed) -> np.ndarray:
 
 def identifiable_hidden_sets(graph: Graph, r: int) -> list[tuple[int, ...]]:
     """All r-subsets of pairwise non-adjacent nodes with degree >= 3."""
-    if r == 0:
-        return [()]
     adj = graph.adjacency()
     deg = adj.sum(axis=1)
     candidates = [i for i in range(graph.n_nodes) if deg[i] >= 3]
@@ -95,7 +93,9 @@ def scale_and_snr(
     nodes.  The largest per-entry addition is returned as diag_adjust.
     A negative or non-finite epsilon raises ValueError, and so does one that
     takes the scaled precision, its Schur term or the SNR out of the float
-    range; 0 removes the hidden nodes' signal.
+    range, or one so large that the repair's absolute DIAG_MARGIN is lost to
+    roundoff and the result fails its Cholesky check; 0 removes the hidden
+    nodes' signal.
     """
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
@@ -136,7 +136,12 @@ def scale_and_snr(
             rest = DIAG_MARGIN - np.linalg.eigvalsh(k)[0]
             k += rest * np.eye(k.shape[0])
             added += rest
-    return PartitionedPrecision(symmetrize(k), p, r), snr, float(added.max())
+    k = symmetrize(k)
+    try:
+        np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"epsilon {epsilon!r} is too large for the diagonal repair") from None
+    return PartitionedPrecision(k, p, r), snr, float(added.max())
 
 
 def sample_and_marginalize(

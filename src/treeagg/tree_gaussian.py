@@ -140,20 +140,14 @@ def log_marginal_tree_weight(
             "K_ii K_jj - K_ij^2 <= 0 on a candidate edge; determinant factor undefined"
         )
     half_n = 0.5 * n
-    log_d = np.where(active, half_n * np.log(np.where(active, ratio, 1.0)), 0.0)
+    log_d = half_n * np.log(np.where(active, ratio, 1.0))
 
     log_m = np.zeros((size, size))
     log_m[:p, :p] = -n * kmat[:p, :p] * sigma
-    if r:
-        cross = kmat[p:, :p] @ sigma  # (r, p): sum_k K_hk S_ki
-        k_hidden_diag = kd[p:]
-        log_f = half_n * kmat[:p, p:] * cross.T / k_hidden_diag[None, :]
-        log_m[:p, p:] = log_f
-        log_m[p:, :p] = log_f.T
+    cross = kmat[p:, :p] @ sigma  # (r, p): sum_k K_hk S_ki
+    log_m[:p, p:] = half_n * kmat[:p, p:] * cross.T / kd[None, p:]
+    log_m[p:, :p] = log_m[:p, p:].T
     # hidden-hidden block keeps log m = 0
 
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(active, np.log(np.where(active, prior, 1.0)), -np.inf)
-    log_gamma = np.where(active, log_prior + log_d + log_m, -np.inf)
-    np.fill_diagonal(log_gamma, -np.inf)
-    return log_gamma
+    log_prior = np.log(np.where(active, prior, 1.0))
+    return np.where(active, log_prior + log_d + log_m, -np.inf)

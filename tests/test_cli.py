@@ -52,6 +52,11 @@ def duplicated_csv(tmp_path, rng):
     return csv
 
 
+# Suites for the out-of-range epsilon cases.
+P6_SUITE = {"p": 6, "r": 1, "n": 20, "replicates": 2, "seed": 3}
+P20_SUITE = {"p": 20, "r": 1, "n": 20, "replicates": 4, "seed": 0}
+
+
 @pytest.fixture(scope="module")
 def suite_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("suite") / "data"
@@ -101,17 +106,34 @@ class TestSimulate:
         assert "config error" in err and "rep_001" in err and "seed" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("epsilon", [1.7e308, 1e160, 1e-310, 1e200])
-    def test_epsilon_out_of_float_range_writes_nothing(self, tmp_path, capsys, epsilon):
+    @pytest.mark.parametrize(
+        "epsilon, suite, rep",
+        [
+            (1.7e308, P6_SUITE, "rep_000"),
+            (1e160, P6_SUITE, "rep_000"),
+            (1e-310, P6_SUITE, "rep_000"),
+            (1e200, P6_SUITE, "rep_000"),
+            (1e16, P20_SUITE, "rep_002"),
+            (1e30, P20_SUITE, "rep_002"),
+            (1e100, P20_SUITE, "rep_003"),
+            (1e154, P20_SUITE, "rep_002"),
+        ],
+        ids=["1.7e+308", "1e+160", "1e-310", "1e+200", "1e+16-p20", "1e+30-p20", "1e+100-p20",
+             "1e+154-p20"],
+    )
+    def test_epsilon_out_of_float_range_writes_nothing(
+        self, tmp_path, capsys, epsilon, suite, rep
+    ):
         # before: NaN in every observed.csv cell, "snr": Infinity, and two
         # numerical failures, "SVD did not converge" and a precision that
-        # is not positive definite
+        # is not positive definite; at p = 20 the last cases, which the
+        # diagonal repair cannot serve, ended in that second failure, exit 4
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"p": 6, "r": 1, "n": 20, "replicates": 2, "seed": 3, "epsilon": epsilon}))
+        cfg.write_text(json.dumps({**suite, "epsilon": epsilon}))
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "epsilon" in err and "rep_000" in err and "seed" in err
+        assert "config error" in err and "epsilon" in err and rep in err and "seed" in err
         assert not out.exists()
 
 
@@ -175,6 +197,8 @@ class TestConfig:
              "p_edge"),
             ("eval", [], {"targets": []}, "targets"),
             ("eval", [], {"targets": ["full", "full"]}, "targets"),
+            ("fit", [], ["r", 1], "JSON object"),
+            ("simulate", [], {"p": None, "r": 0, "replicates": 1}, "p"),
         ],
         ids=["fit-p0", "fit-r", "select-r", "simulate-r", "simulate-p", "fit-max_iter",
              "eval-grid_size", "fit-p0-unreachable", "fit-p0-nan", "fit-p0-unreachable-r2",
@@ -186,7 +210,7 @@ class TestConfig:
              "fit-tol-negative", "select-max_iter-negative", "select-tol-negative",
              "simulate-replicates-zero", "simulate-kind", "eval-targets-element", "fit-tol-nan",
              "simulate-epsilon-inf", "fit-tol-inf", "select-tol-inf", "simulate-p_edge-inf",
-             "eval-targets-empty", "eval-targets-repeated"],
+             "eval-targets-empty", "eval-targets-repeated", "fit-config-list", "simulate-p-null"],
     )
     def test_bad_value_is_config_error(
         self, suite_dir, tmp_path, capsys, command, flags, config, key
@@ -208,8 +232,9 @@ class TestConfig:
             ("fit", {"r": 1, "max_iter": 0, "tol": 0.0}),
             ("select", {"r_max": 1, "max_iter": 0, "tol": 0.0}),
             ("eval", {"grid_size": 2}),
+            ("simulate", {**P20_SUITE, "epsilon": 1e12}),
         ],
-        ids=["simulate", "fit", "select", "eval"],
+        ids=["simulate", "fit", "select", "eval", "simulate-epsilon-repaired"],
     )
     def test_boundary_value_is_accepted(self, suite_dir, fits_dir, tmp_path, command, config):
         cfg = tmp_path / "cfg.json"
@@ -330,9 +355,25 @@ class TestFit:
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
-        csv.write_text("a,b\n1.0,2.0\n1.0,oops\n")
-        assert run_cli("fit", csv, "--out", tmp_path / "x") == 3
-        assert "bad.csv:3" in capsys.readouterr().err
+        for text, message in [
+            ("a,b\n1.0,2.0\n1.0,oops\n", "bad.csv:3"),
+            ("", "bad.csv: empty file"),
+            ("a,b\n1.0,2.0\n1.0,2.0,3.0\n", "bad.csv:3: expected 2 fields, got 3"),
+        ]:
+            csv.write_text(text)
+            assert run_cli("fit", csv, "--out", tmp_path / "x") == 3
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        rows = ["a,b", "1.0,2.0", "3.0,5.0", "-1.0,4.0"]
+        csv, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        blank.write_text("\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+        assert run_cli("fit", csv, "--out", tmp_path / "plain") == 0
+        assert run_cli("fit", blank, "--out", tmp_path / "blank") == 0
+        fit_json = [json.loads((tmp_path / name / "fit.json").read_text()) for name in ("plain", "blank")]
+        assert fit_json[0]["alpha"] == fit_json[1]["alpha"]
 
     def test_insufficient_rows(self, tmp_path):
         csv = tmp_path / "tiny.csv"

@@ -129,6 +129,15 @@ class TestScaleAndSnr:
         with pytest.raises(ValueError, match="epsilon .* out of the float range"):
             scale_and_snr(k, epsilon)
 
+    def test_epsilon_beyond_the_repair_raises(self):
+        # the repair's absolute DIAG_MARGIN ridge is lost to roundoff beside
+        # hidden-block entries near 1e308, and the repaired matrix used to
+        # fail its Cholesky factorization only once sampling reached it
+        k = PartitionedPrecision(gen_precision(figure_tree_graph(), seed=0), 9, 1)
+        scale_and_snr(k, 1e100)
+        with pytest.raises(ValueError, match="epsilon .* too large for the diagonal repair"):
+            scale_and_snr(k, 1e154)
+
     def test_quadratic_scaling(self):
         g = figure_tree_graph()
         k = PartitionedPrecision(gen_precision(g, seed=0), 9, 1)
