@@ -22,7 +22,6 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +117,6 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, shift
 
 
-@dataclass(frozen=True)
 class _FitPrior:
     """An edge prior on `uniform_prior`'s support, and its log partition.
 
@@ -126,8 +124,11 @@ class _FitPrior:
     of the fit reuses it; `edge_posteriors` builds the calibrated one.
     """
 
-    weights: np.ndarray
-    log_z: float
+    __slots__ = ("weights", "log_z")
+
+    def __init__(self, weights: np.ndarray, log_z: float):
+        self.weights = weights
+        self.log_z = log_z
 
     @classmethod
     def uniform(cls, n_observed: int, n_hidden: int, t: float = 1.0) -> "_FitPrior":
@@ -168,7 +169,6 @@ def require_feasible_target(n_observed: int, n_hidden: int, p0: float) -> None:
         )
 
 
-@dataclass(frozen=True)
 class _Weighed:
     """An E-step up to its kernel call: the moments, log gamma and its weights.
 
@@ -176,21 +176,45 @@ class _Weighed:
     `log_z_prior` is the prior's log partition.
     """
 
-    w_ho: np.ndarray
-    b_h: np.ndarray
-    log_gamma: np.ndarray
-    weights: np.ndarray
-    shift: float
-    log_z_prior: float
+    __slots__ = ("w_ho", "b_h", "log_gamma", "weights", "shift", "log_z_prior")
+
+    def __init__(
+        self,
+        w_ho: np.ndarray,
+        b_h: np.ndarray,
+        log_gamma: np.ndarray,
+        weights: np.ndarray,
+        shift: float,
+        log_z_prior: float,
+    ):
+        self.w_ho = w_ho
+        self.b_h = b_h
+        self.log_gamma = log_gamma
+        self.weights = weights
+        self.shift = shift
+        self.log_z_prior = log_z_prior
 
 
-@dataclass(frozen=True)
 class EStepState(_Weighed):
     """Conditional moments and tree-posterior quantities at one EM iterate:
     a weighed K with the edge posteriors `alpha` and log Z(gamma) `log_z`."""
 
-    alpha: np.ndarray
-    log_z: float
+    __slots__ = ("alpha", "log_z")
+
+    def __init__(
+        self,
+        w_ho: np.ndarray,
+        b_h: np.ndarray,
+        log_gamma: np.ndarray,
+        weights: np.ndarray,
+        shift: float,
+        log_z_prior: float,
+        alpha: np.ndarray,
+        log_z: float,
+    ):
+        super().__init__(w_ho, b_h, log_gamma, weights, shift, log_z_prior)
+        self.alpha = alpha
+        self.log_z = log_z
 
 
 def _weigh(
@@ -406,19 +430,18 @@ def m_step(
     return PartitionedPrecision(floor_spectrum(new_k, p), p, r)
 
 
-@dataclass(frozen=True)
 class FitOptions:
-    max_iter: int = 500
-    tol: float = 1e-6
+    __slots__ = ("max_iter", "tol")
 
-    def __post_init__(self) -> None:
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+    def __init__(self, max_iter: int = 500, tol: float = 1e-6):
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+        if not tol >= 0.0:
+            raise ValueError(f"tol must be nonnegative, got {tol}")
+        self.max_iter = max_iter
+        self.tol = tol
 
 
-@dataclass(frozen=True)
 class FitResult:
     """The last EM iterate: its precision, edge posteriors and diagnostics.
 
@@ -427,15 +450,32 @@ class FitResult:
     trace is non-empty.
     """
 
-    precision: PartitionedPrecision
-    alpha: np.ndarray
-    loglik_trace: tuple[float, ...]
-    loglik: float
-    h_tree: float
-    h_joint: float
-    iterations: int
-    converged: bool
-    cov: EmpiricalCovariance
+    __slots__ = (
+        "precision", "alpha", "loglik_trace", "loglik", "h_tree", "h_joint",
+        "iterations", "converged", "cov",
+    )
+
+    def __init__(
+        self,
+        precision: PartitionedPrecision,
+        alpha: np.ndarray,
+        loglik_trace: tuple[float, ...],
+        loglik: float,
+        h_tree: float,
+        h_joint: float,
+        iterations: int,
+        converged: bool,
+        cov: EmpiricalCovariance,
+    ):
+        self.precision = precision
+        self.alpha = alpha
+        self.loglik_trace = loglik_trace
+        self.loglik = loglik
+        self.h_tree = h_tree
+        self.h_joint = h_joint
+        self.iterations = iterations
+        self.converged = converged
+        self.cov = cov
 
     @property
     def n_observed(self) -> int:

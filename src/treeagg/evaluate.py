@@ -7,7 +7,6 @@ by the truth's edges, the spurious-edge curve by `_spurious_mask`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +16,25 @@ from .simulate import GroundTruth
 from .tree_gaussian import uniform_prior
 
 
-@dataclass(frozen=True)
 class RocCurve:
-    thresholds: np.ndarray
-    fpr: np.ndarray
-    power: np.ndarray
-    auc: float
+    __slots__ = ("thresholds", "fpr", "power", "auc")
+
+    def __init__(self, thresholds: np.ndarray, fpr: np.ndarray, power: np.ndarray, auc: float):
+        self.thresholds = thresholds
+        self.fpr = fpr
+        self.power = power
+        self.auc = auc
 
 
-@dataclass(frozen=True)
 class SpuriousCurve:
-    thresholds: np.ndarray
-    density: np.ndarray
-    spurious_fraction: np.ndarray
+    __slots__ = ("thresholds", "density", "spurious_fraction")
+
+    def __init__(
+        self, thresholds: np.ndarray, density: np.ndarray, spurious_fraction: np.ndarray
+    ):
+        self.thresholds = thresholds
+        self.density = density
+        self.spurious_fraction = spurious_fraction
 
 
 def _sweep(scores: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:

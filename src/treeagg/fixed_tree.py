@@ -8,8 +8,6 @@ spanning tree without hidden-hidden edges and the tree MLE on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .em import LOG_2PI, FitOptions, completed_moments, conditional_moments
@@ -18,15 +16,24 @@ from .matrices import EmpiricalCovariance, PartitionedPrecision
 from .tree_gaussian import require_imperfect_correlation
 
 
-@dataclass(frozen=True)
 class FixedTreeFit:
     """Single-tree EM output: the tree, its precision and the likelihood trace."""
 
-    tree: tuple[tuple[int, int], ...]
-    precision: PartitionedPrecision
-    loglik_trace: tuple[float, ...]
-    iterations: int
-    converged: bool
+    __slots__ = ("tree", "precision", "loglik_trace", "iterations", "converged")
+
+    def __init__(
+        self,
+        tree: tuple[tuple[int, int], ...],
+        precision: PartitionedPrecision,
+        loglik_trace: tuple[float, ...],
+        iterations: int,
+        converged: bool,
+    ):
+        self.tree = tree
+        self.precision = precision
+        self.loglik_trace = loglik_trace
+        self.iterations = iterations
+        self.converged = converged
 
     @property
     def n_observed(self) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -10,17 +10,34 @@ import numpy as np
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+# The package's records are plain classes with __slots__, not frozen
+# dataclasses: generating a dataclass's methods costs about 0.6 ms per class,
+# paid at import by every CLI process.
 class Graph:
     """Undirected simple graph on nodes 0..n_nodes-1."""
 
-    n_nodes: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("n_nodes", "edges")
+
+    def __init__(self, n_nodes: int, edges: tuple[Edge, ...]):
+        self.n_nodes = n_nodes
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_nodes, self.edges) == (other.n_nodes, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n_nodes, self.edges))
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges: Iterable[Iterable[int]]) -> "Graph":
-        """Each edge sorted as (min, max), duplicates dropped, the list sorted."""
-        norm = tuple(sorted({tuple(sorted((int(e[0]), int(e[1])))) for e in edges}))
+        """Each edge sorted as (min, max), duplicates dropped, the list sorted.
+
+        An edge is exactly two integer endpoints; anything else raises
+        ValueError (wrong length) or TypeError (a non-integer endpoint).
+        """
+        norm = tuple(sorted({_endpoints(e) for e in edges}))
         loops = [i for i, j in norm if i == j]
         if loops:
             raise ValueError(f"self-loop on node {loops[0]}")
@@ -41,6 +58,19 @@ class Graph:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Graph":
         return cls.from_edges(int(obj["n_nodes"]), obj["edges"])
+
+
+def _endpoints(edge: Iterable[int]) -> Edge:
+    """(min, max) of an edge's two endpoints, each read with `operator.index`,
+    which takes Python and numpy integers and rejects floats and strings."""
+    ends = tuple(edge)
+    if len(ends) != 2:
+        raise ValueError(f"edge {list(ends)} does not have exactly two endpoints")
+    try:
+        i, j = operator.index(ends[0]), operator.index(ends[1])
+    except TypeError:
+        raise TypeError(f"edge {list(ends)} has a non-integer endpoint") from None
+    return (i, j) if i <= j else (j, i)
 
 
 class UnionFind:

@@ -14,7 +14,6 @@ eigendecomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +95,12 @@ def tree_mle(
     return tree, tree_precision_from_cov(tree, reg)
 
 
-@dataclass(frozen=True)
 class InitialState:
-    precision: PartitionedPrecision
-    tree: tuple[tuple[int, int], ...]
+    __slots__ = ("precision", "tree")
+
+    def __init__(self, precision: PartitionedPrecision, tree: tuple[tuple[int, int], ...]):
+        self.precision = precision
+        self.tree = tree
 
 
 def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, InvalidPrecisionError, NotPositiveDefiniteError
@@ -32,18 +30,16 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return np.array(obj["data"], dtype=float).reshape(obj["shape"])
 
 
-@dataclass(frozen=True)
 class EmpiricalCovariance:
     """Empirical covariance of the observed variables together with the sample count."""
 
-    matrix: np.ndarray
-    n: int
+    __slots__ = ("matrix", "n")
 
-    def __post_init__(self):
-        m = check_symmetric(self.matrix, "covariance")
+    def __init__(self, matrix: np.ndarray, n: int):
+        m = check_symmetric(matrix, "covariance")
         if m.shape[0] < 2:
             raise ValueError("covariance must cover at least 2 variables")
-        if int(self.n) < 1:
+        if int(n) < 1:
             raise ValueError("sample count must be >= 1")
         d = np.diag(m)
         if np.any(d <= 0):
@@ -53,8 +49,8 @@ class EmpiricalCovariance:
             raise NotPositiveDefiniteError(
                 f"covariance has eigenvalue {evals[0]:.3e} below tolerance"
             )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n", int(self.n))
+        self.matrix = m
+        self.n = int(n)
 
     @property
     def size(self) -> int:
@@ -98,24 +94,23 @@ class EmpiricalCovariance:
         return cls(m, x.shape[0])
 
 
-@dataclass(frozen=True)
 class PartitionedPrecision:
     """Precision matrix over observed (first) and hidden (last) variables."""
 
-    matrix: np.ndarray
-    n_observed: int
-    n_hidden: int = 0
+    __slots__ = ("matrix", "n_observed", "n_hidden")
 
-    def __post_init__(self):
-        m = check_symmetric(self.matrix, "precision")
-        if self.n_observed < 0 or self.n_hidden < 0:
+    def __init__(self, matrix: np.ndarray, n_observed: int, n_hidden: int = 0):
+        m = check_symmetric(matrix, "precision")
+        if n_observed < 0 or n_hidden < 0:
             raise ValueError("block sizes must be nonnegative")
-        if m.shape[0] != self.n_observed + self.n_hidden:
+        if m.shape[0] != n_observed + n_hidden:
             raise ValueError(
                 f"matrix size {m.shape[0]} != n_observed + n_hidden "
-                f"({self.n_observed} + {self.n_hidden})"
+                f"({n_observed} + {n_hidden})"
             )
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
+        self.n_observed = n_observed
+        self.n_hidden = n_hidden
 
     @property
     def size(self) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,18 +21,35 @@ def penalty(n_observed: int, n_hidden: int, n_samples: int) -> float:
     return float(count * np.log(n_samples) / 2.0)
 
 
-@dataclass(frozen=True)
 class SelectionRow:
-    n_hidden: int
-    loglik: float = np.nan
-    pen: float = np.nan
-    bic: float = np.nan
-    icl_tree: float = np.nan
-    icl_joint: float = np.nan
-    h_tree: float = np.nan
-    h_joint: float = np.nan
-    converged: bool = False
-    error: str | None = None
+    __slots__ = (
+        "n_hidden", "loglik", "pen", "bic", "icl_tree", "icl_joint", "h_tree", "h_joint",
+        "converged", "error",
+    )
+
+    def __init__(
+        self,
+        n_hidden: int,
+        loglik: float = np.nan,
+        pen: float = np.nan,
+        bic: float = np.nan,
+        icl_tree: float = np.nan,
+        icl_joint: float = np.nan,
+        h_tree: float = np.nan,
+        h_joint: float = np.nan,
+        converged: bool = False,
+        error: str | None = None,
+    ):
+        self.n_hidden = n_hidden
+        self.loglik = loglik
+        self.pen = pen
+        self.bic = bic
+        self.icl_tree = icl_tree
+        self.icl_joint = icl_joint
+        self.h_tree = h_tree
+        self.h_joint = h_joint
+        self.converged = converged
+        self.error = error
 
     @property
     def ok(self) -> bool:
@@ -44,12 +60,20 @@ class SelectionRow:
 _NUMERIC = ("loglik", "pen", "bic", "icl_tree", "icl_joint", "h_tree", "h_joint")
 
 
-@dataclass(frozen=True)
 class SelectionReport:
-    rows: tuple[SelectionRow, ...]
-    selected: dict[str, int | None]
-    master_seed: int | None
-    fits: dict[int, "em.FitResult"] = field(default_factory=dict, repr=False)
+    __slots__ = ("rows", "selected", "master_seed", "fits")
+
+    def __init__(
+        self,
+        rows: tuple[SelectionRow, ...],
+        selected: dict[str, int | None],
+        master_seed: int | None,
+        fits: dict[int, "em.FitResult"] | None = None,
+    ):
+        self.rows = rows
+        self.selected = selected
+        self.master_seed = master_seed
+        self.fits = {} if fits is None else fits
 
     def to_json_dict(self) -> dict:
         """The report as JSON values; a failed row's numeric fields are None,

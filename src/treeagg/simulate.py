@@ -7,7 +7,6 @@ directly a PartitionedPrecision with observed variables 0..p-1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +172,6 @@ def marginal_graph(k_m: np.ndarray) -> Graph:
     return Graph(p, tuple((i, j) for i, j in pairs if abs(k_m[i, j]) > ZERO_PATTERN_TOL))
 
 
-@dataclass(frozen=True)
 class GroundTruth:
     """A simulated instance; hidden nodes occupy the last r labels.
 
@@ -182,31 +180,44 @@ class GroundTruth:
     `marginal_precision_matrix` and `marginal` from `precision`.
     """
 
-    kind: str
-    epsilon: float
-    seed: int
-    graph: Graph
-    precision: PartitionedPrecision
-    snr: float
-    diag_adjust: float
+    __slots__ = (
+        "kind", "epsilon", "seed", "graph", "precision", "snr", "diag_adjust",
+        "hidden", "marginal_precision_matrix", "marginal",
+    )
 
-    def __post_init__(self):
-        size, p = self.precision.size, self.n_observed
-        if self.graph.n_nodes != size:
-            raise ValueError(f"full_graph has {self.graph.n_nodes} nodes, not p + r = {size}")
-        expected = self.graph.adjacency()
-        if self.epsilon == 0.0:
+    def __init__(
+        self,
+        kind: str,
+        epsilon: float,
+        seed: int,
+        graph: Graph,
+        precision: PartitionedPrecision,
+        snr: float,
+        diag_adjust: float,
+    ):
+        size, p = precision.size, precision.n_observed
+        if graph.n_nodes != size:
+            raise ValueError(f"full_graph has {graph.n_nodes} nodes, not p + r = {size}")
+        expected = graph.adjacency()
+        if epsilon == 0.0:
             expected[:p, p:] = expected[p:, :p] = False
-        support = self.precision.matrix != 0.0
+        support = precision.matrix != 0.0
         np.fill_diagonal(support, False)
         mismatch = np.argwhere(support != expected)
         if mismatch.size:
             i, j = mismatch[0]
             raise ValueError(f"full_graph and the precision's support differ at pair ({i}, {j})")
-        k_m = marginal_precision(self.precision)
-        object.__setattr__(self, "hidden", tuple(range(self.n_observed, size)))
-        object.__setattr__(self, "marginal_precision_matrix", k_m)
-        object.__setattr__(self, "marginal", marginal_graph(k_m))
+        self.kind = kind
+        self.epsilon = epsilon
+        self.seed = seed
+        self.graph = graph
+        self.precision = precision
+        self.snr = snr
+        self.diag_adjust = diag_adjust
+        k_m = marginal_precision(precision)
+        self.hidden = tuple(range(p, size))
+        self.marginal_precision_matrix = k_m
+        self.marginal = marginal_graph(k_m)
 
     @property
     def n_observed(self) -> int:

@@ -10,10 +10,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treeagg
 from treeagg import em
 from treeagg.em import LOG_2PI, completed_moments, tree_entropy
 from treeagg.errors import DegenerateWeightsError
@@ -399,6 +401,14 @@ def strict_json_loads(text):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def child_env():
+    """Environment in which a child process imports the same treeagg as this
+    one, also when the tests find it through pytest's pythonpath setting only."""
+    src = str(Path(treeagg.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def duplicated_column_data(rng, n=30, p=10):

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,12 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import treeagg
 from treeagg import cli
 from treeagg.cli import main
 from treeagg.matrices import matrix_from_json
 
-from conftest import duplicated_column_data, strict_json_loads
+from conftest import child_env, duplicated_column_data, strict_json_loads
 
 
 def run_cli(*args):
@@ -608,6 +606,41 @@ class TestEval:
         assert "data error" in err and "rep_001" in err and "precision's support" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["ground_truth", "fit"])
+    @pytest.mark.parametrize(
+        "bad_edge",
+        [lambda i, j: [i], lambda i, j: [i, j, 99], lambda i, j: [i + 0.5, j],
+         lambda i, j: [str(i), j]],
+        ids=["one_endpoint", "three_endpoints", "float_endpoint", "string_endpoint"],
+    )
+    def test_edge_not_two_integers_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, source, bad_edge
+    ):
+        # a full_graph edge or a fixed-tree edge; eval read [i] with an
+        # IndexError traceback, and [i, j, 99], [i + 0.5, j] and ["i", j] as (i, j)
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+
+        def damage(edges):
+            edges[0] = bad_edge(*edges[0])
+
+        if source == "ground_truth":
+            edit_json(data / "rep_001" / "ground_truth.json",
+                      lambda obj: damage(obj["full_graph"]["edges"]))
+        else:
+            observed = suite_dir / "rep_001" / "observed.csv"
+            args = ("--out", fits / "rep_001", "--r", 1, "--method", "fixed-tree")
+            assert run_cli("fit", observed, *args) == 0
+            edit_json(fits / "rep_001" / "fit.json", lambda obj: damage(obj["tree"]))
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "rep_001" in err and f"{source}.json" in err
+        assert not out.exists()
+
     def test_stored_marginal_parts_are_not_read(self, suite_dir, fits_dir, tmp_path):
         # eval recomputes the hidden labels and the marginal graph from the
         # precision, so a stale copy of them in ground_truth.json moves nothing
@@ -732,14 +765,6 @@ class TestEval:
         assert read_tree(serial) == read_tree(parallel)
 
 
-def child_env():
-    """Environment in which a child process imports the same treeagg as this
-    one, also when the tests find it through pytest's pythonpath setting only."""
-    src = str(Path(treeagg.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -751,8 +776,9 @@ class TestEntryPoint:
 
     def test_startup_imports_numpy_only(self):
         # Every CLI process pays for what the package imports at start-up:
-        # beyond the standard library only numpy, and not the process pool,
-        # which only --workers > 1 needs.
+        # beyond the standard library only numpy, not the process pool,
+        # which only --workers > 1 needs, and not dataclasses, whose class
+        # generation costs every process time at import.
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -760,12 +786,13 @@ class TestEntryPoint:
             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(sorted(new - set(sys.stdlib_module_names)))\n"
             "print(sorted(new & {'concurrent', 'multiprocessing'}))\n"
+            "print('dataclasses' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["['numpy', 'treeagg']", "[]"]
+        assert result.stdout.splitlines() == ["['numpy', 'treeagg']", "[]", "False"]
 
     def test_help_runs(self):
         with pytest.raises(SystemExit) as exc:

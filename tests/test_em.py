@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -506,7 +504,10 @@ class TestMStep:
     def test_negative_moment_rejected(self, rng):
         cov, prec, prior = random_instance(rng, 3, 1)
         state = fit_e_step(prec, cov)
-        bad = dataclasses.replace(state, b_h=-np.abs(state.b_h))
+        bad = em.EStepState(
+            state.w_ho, -np.abs(state.b_h), state.log_gamma, state.weights, state.shift,
+            state.log_z_prior, state.alpha, state.log_z,
+        )
         with pytest.raises(InvalidMomentError):
             em.m_step(bad, prec, cov)
 

@@ -1,9 +1,14 @@
+import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import treeagg
+
+from conftest import child_env
 
 PUBLIC_API = [
     "EmpiricalCovariance",
@@ -39,14 +44,34 @@ def test_readme_quick_start_runs(capsys):
     assert "'bic'" in capsys.readouterr().out
 
 
-def test_traced_functions_resolve():
-    # the benchmark's tracer wraps each (module, function) of its TRACED
-    # tuple by name, so a rename here breaks every traced benchmark run
+def traced() -> tuple[tuple[str, str], ...]:
+    """The (module, function) pairs of the benchmark tracer's TRACED tuple."""
     path = Path(__file__).resolve().parents[1] / "treebench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("treebench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.TRACED
-    for module_name, func_name in tracing.TRACED:
+    return tracing.TRACED
+
+
+def test_traced_functions_resolve():
+    # the benchmark's tracer wraps each (module, function) of its TRACED
+    # tuple by name, so a rename here breaks every traced benchmark run
+    for module_name, func_name in traced():
         module = importlib.import_module(f"treeagg.{module_name}")
         assert callable(getattr(module, func_name, None)), (module_name, func_name)
+
+
+def test_cli_import_loads_traced_modules():
+    # the benchmark imports treeagg.cli and then patches each traced module
+    # it finds in sys.modules, so a module the CLI imports lazily fails every
+    # --trace 1 run with a KeyError; importing each module itself, as the
+    # test above does, cannot see that
+    script = "import sys, treeagg.cli\nprint(sorted(sys.modules))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(ast.literal_eval(result.stdout))
+    missing = {f"treeagg.{module}" for module, _ in traced()} - loaded
+    assert not missing

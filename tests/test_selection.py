@@ -62,8 +62,9 @@ class TestSelect:
     def test_reproducible_bit_for_bit(self, report_and_cov):
         report, cov = report_and_cov
         again = selection.select(cov, r_max=2, master_seed=5)
+        fields = selection.SelectionRow.__slots__
         for a, b in zip(report.rows, again.rows):
-            assert a == b
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
         assert report.selected == again.selected
 
     def test_r_max_zero(self, report_and_cov):
