@@ -24,7 +24,7 @@ from .errors import (
     TreeAggError,
 )
 from .fixed_tree import fit_fixed_tree
-from .graphs import Graph
+from .graphs import Graph, json_int
 from .matrices import (
     EmpiricalCovariance,
     PartitionedPrecision,
@@ -377,7 +377,7 @@ EVAL_KEYS = {
 
 def _fit_source(payload: dict) -> SimpleNamespace:
     """Duck-typed score source reconstructed from a fit.json payload."""
-    p, r = int(payload["p"]), int(payload["r"])
+    p, r = json_int(payload["p"], "p"), json_int(payload["r"], "r")
     if "alpha" in payload:
         alpha = matrix_from_json(payload["alpha"])
         if alpha.shape != (p + r, p + r):

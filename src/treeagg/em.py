@@ -33,11 +33,11 @@ from .errors import (
     InvalidMomentError,
     InvalidPrecisionError,
     MStepError,
-    SingularPrecisionError,
 )
 from .matrices import (
     EmpiricalCovariance,
     PartitionedPrecision,
+    completed_moments,
     floor_spectrum,
     symmetrize,
 )
@@ -62,38 +62,17 @@ CALIBRATION_TOL = 1e-6
 def conditional_moments(
     precision: PartitionedPrecision, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E-step moments (W_HO, V_H, B_H) of the hidden block given the observed data."""
-    p, r = precision.n_observed, precision.n_hidden
-    if r == 0:
-        empty = np.zeros((0, 0))
-        return np.zeros((0, p)), empty, empty
-    k_hh = precision.k_hh
-    if np.linalg.cond(k_hh) > 1e12:
-        raise SingularPrecisionError("hidden-block precision is numerically singular")
-    m = np.linalg.solve(k_hh, precision.k_ho)  # K_H^-1 K_HO
+    """E-step moments (W_HO, V_H, B_H) of the hidden block given the observed data.
+
+    K_HH is diagonal, so K_HH^-1 is the reciprocal of its positive diagonal.
+    """
+    precision.require_positive_hidden_diagonal()
+    inv_d = 1.0 / precision.hidden_diagonal()
+    m = precision.k_ho * inv_d[:, None]  # K_H^-1 K_HO
     w_ho = m @ sigma
     v_h = symmetrize(w_ho @ m.T)
-    b_h = symmetrize(np.linalg.solve(k_hh, np.eye(r)) + v_h)
+    b_h = symmetrize(np.diag(inv_d) + v_h)
     return w_ho, v_h, b_h
-
-
-def completed_moments(
-    sigma: np.ndarray, w_ho: np.ndarray, b_h: np.ndarray
-) -> np.ndarray:
-    """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]].
-
-    Exactly symmetric when S and B_H are, and a copy of S without hidden
-    nodes.  The M-step and `fixed_tree` read the whole matrix;
-    `observed_loglik` reads only W_HO and the diagonal of B_H, from the
-    E-step state.
-    """
-    p, r = sigma.shape[0], b_h.shape[0]
-    completed = np.empty((p + r, p + r))
-    completed[:p, :p] = sigma
-    completed[:p, p:] = -w_ho.T
-    completed[p:, :p] = -w_ho
-    completed[p:, p:] = b_h
-    return completed
 
 
 def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:

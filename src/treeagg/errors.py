@@ -21,10 +21,6 @@ class PerfectCorrelationError(TreeAggError):
     """Two variables are (numerically) perfectly correlated."""
 
 
-class SingularPrecisionError(TreeAggError):
-    """The hidden-block precision cannot be inverted."""
-
-
 class InvalidPrecisionError(TreeAggError):
     """A precision matrix violates a positivity requirement."""
 

@@ -1,7 +1,7 @@
 """Baseline EM searching for a single fixed unknown tree.
 
 Classification-EM flavor: the E-step completes the second moments over
-observed and hidden variables with EM's `completed_moments`, and the M-step
+observed and hidden variables with `matrices.completed_moments`, and the M-step
 is the initializer's `tree_mle` of the completion: its maximum-information
 spanning tree without hidden-hidden edges and the tree MLE on it.
 """
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .em import LOG_2PI, FitOptions, completed_moments, conditional_moments
+from .em import LOG_2PI, FitOptions, conditional_moments
 from .initialization import initial_precision_from_cov, tree_mle
-from .matrices import EmpiricalCovariance, PartitionedPrecision
+from .matrices import EmpiricalCovariance, PartitionedPrecision, completed_moments
 from .tree_gaussian import require_imperfect_correlation
 
 
@@ -49,7 +49,7 @@ def gaussian_observed_loglik(
 ) -> float:
     """Exact marginal Gaussian log-likelihood of the observed block."""
     p = precision.n_observed
-    schur = precision.k_oo - precision.k_oh @ np.linalg.solve(precision.k_hh, precision.k_ho)
+    schur = precision.marginal()
     sign, logdet = np.linalg.slogdet(schur)
     if sign <= 0:
         return -np.inf

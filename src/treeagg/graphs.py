@@ -57,7 +57,14 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Graph":
-        return cls.from_edges(int(obj["n_nodes"]), obj["edges"])
+        return cls.from_edges(json_int(obj["n_nodes"], "n_nodes"), obj["edges"])
+
+
+def json_int(value, key: str) -> int:
+    """`value` read with `operator.index`; a float, a string or a boolean raises TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{key}: expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _endpoints(edge: Iterable[int]) -> Edge:

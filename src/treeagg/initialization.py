@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .matrices import EmpiricalCovariance, PartitionedPrecision, symmetrize
+from .matrices import EmpiricalCovariance, PartitionedPrecision, completed_moments, symmetrize
 from .tree_gaussian import (
     gaussian_mutual_information,
     maximum_spanning_tree,
@@ -72,12 +72,8 @@ def _completed_covariance(sigma: np.ndarray, n_hidden: int) -> np.ndarray:
         lam = max(float(col @ sigma @ col), np.finfo(float).tiny)
         directions.append(col / math.sqrt(lam))
     u_mat = np.column_stack(directions) if directions else np.zeros((p, 0))
-    completed = np.zeros((p + n_hidden, p + n_hidden))
-    completed[:p, :p] = sigma
-    completed[:p, p:] = sigma @ u_mat
-    completed[p:, :p] = completed[:p, p:].T
-    completed[p:, p:] = u_mat.T @ sigma @ u_mat
-    return symmetrize(completed)
+    # the scores' cross moments with x are sigma U, so W_HO is -(sigma U)'
+    return symmetrize(completed_moments(sigma, -(sigma @ u_mat).T, u_mat.T @ sigma @ u_mat))
 
 
 def tree_mle(

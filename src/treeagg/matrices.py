@@ -1,4 +1,5 @@
-"""Matrix value types: empirical covariances and block-partitioned precisions."""
+"""Matrix value types: empirical covariances, block-partitioned precisions
+and the observed/hidden block layout of completed second moments."""
 
 from __future__ import annotations
 
@@ -95,7 +96,8 @@ class EmpiricalCovariance:
 
 
 class PartitionedPrecision:
-    """Precision matrix over observed (first) and hidden (last) variables."""
+    """Precision over observed (first) and hidden (last) variables; the model
+    never joins two hidden nodes, so the hidden block K_HH is diagonal."""
 
     __slots__ = ("matrix", "n_observed", "n_hidden")
 
@@ -108,6 +110,9 @@ class PartitionedPrecision:
                 f"matrix size {m.shape[0]} != n_observed + n_hidden "
                 f"({n_observed} + {n_hidden})"
             )
+        k_hh = m[n_observed:, n_observed:]
+        if np.any(k_hh[~np.eye(n_hidden, dtype=bool)] != 0.0):
+            raise ValueError("precision has a nonzero hidden-hidden entry")
         self.matrix = m
         self.n_observed = n_observed
         self.n_hidden = n_hidden
@@ -117,10 +122,6 @@ class PartitionedPrecision:
         return self.matrix.shape[0]
 
     @property
-    def k_oo(self) -> np.ndarray:
-        return self.matrix[: self.n_observed, : self.n_observed]
-
-    @property
     def k_oh(self) -> np.ndarray:
         return self.matrix[: self.n_observed, self.n_observed :]
 
@@ -128,16 +129,34 @@ class PartitionedPrecision:
     def k_ho(self) -> np.ndarray:
         return self.matrix[self.n_observed :, : self.n_observed]
 
-    @property
-    def k_hh(self) -> np.ndarray:
-        return self.matrix[self.n_observed :, self.n_observed :]
-
     def hidden_diagonal(self) -> np.ndarray:
         return np.diag(self.matrix)[self.n_observed :]
 
     def require_positive_hidden_diagonal(self):
         if np.any(self.hidden_diagonal() <= 0):
             raise InvalidPrecisionError("hidden diagonal entries must be positive")
+
+    def marginal(self) -> np.ndarray:
+        """Schur complement K_OO - K_OH K_HH^-1 K_HO of the hidden block, unsymmetrized."""
+        p = self.n_observed
+        return self.matrix[:p, :p] - self.k_oh @ (self.k_ho * (1.0 / self.hidden_diagonal())[:, None])
+
+
+def completed_moments(sigma: np.ndarray, w_ho: np.ndarray, b_h: np.ndarray) -> np.ndarray:
+    """Second moments of (X_O, X_H) given X_O: [[S, -W_HO^T], [-W_HO, B_H]].
+
+    Exactly symmetric when S and B_H are, and a copy of S without hidden
+    nodes.  The M-step, `fixed_tree` and the EM start build the whole matrix;
+    `observed_loglik` reads only W_HO and the diagonal of B_H, from the
+    E-step state.
+    """
+    p, r = sigma.shape[0], b_h.shape[0]
+    completed = np.empty((p + r, p + r))
+    completed[:p, :p] = sigma
+    completed[:p, p:] = -w_ho.T
+    completed[p:, :p] = -w_ho
+    completed[p:, p:] = b_h
+    return completed
 
 
 # Smallest eigenvalue floor_spectrum allows, relative to the largest.

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
-from .graphs import Graph, random_tree_edges
+from .graphs import Graph, json_int, random_tree_edges
 from .matrices import PartitionedPrecision, matrix_from_json, matrix_to_json, symmetrize
 
 ZERO_PATTERN_TOL = 1e-10
@@ -101,11 +101,12 @@ def scale_and_snr(
     p, r = precision.n_observed, precision.n_hidden
     k = precision.matrix.copy()
     snr = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         k[p:] *= epsilon
         k[:p, p:] *= epsilon
         if r and epsilon != 0.0:
-            schur_term = k[:p, p:] @ np.linalg.solve(k[p:, p:], k[p:, :p])
+            # PartitionedPrecision.marginal's product, on a k that may not be finite
+            schur_term = k[:p, p:] @ (k[p:, :p] * (1.0 / np.diag(k)[p:])[:, None])
             snr = np.nan  # the spectral norms fail on a non-finite matrix
             if np.isfinite(k).all() and np.isfinite(schur_term).all():
                 snr = float(
@@ -159,10 +160,7 @@ def sample_and_marginalize(
 
 def marginal_precision(precision: PartitionedPrecision) -> np.ndarray:
     """Schur complement K_O - K_OH K_H^-1 K_HO of the hidden block."""
-    return symmetrize(
-        precision.k_oo
-        - precision.k_oh @ np.linalg.solve(precision.k_hh, precision.k_ho)
-    )
+    return symmetrize(precision.marginal())
 
 
 def marginal_graph(k_m: np.ndarray) -> Graph:
@@ -176,8 +174,9 @@ class GroundTruth:
     """A simulated instance; hidden nodes occupy the last r labels.
 
     Construction checks `graph` against the off-diagonal support of `precision`
-    (less the observed-hidden pairs at epsilon 0), then derives `hidden`,
-    `marginal_precision_matrix` and `marginal` from `precision`.
+    (less the observed-hidden pairs at epsilon 0) and that the hidden diagonal
+    is positive, then derives `hidden`, `marginal_precision_matrix` and
+    `marginal` from `precision`.
     """
 
     __slots__ = (
@@ -207,6 +206,8 @@ class GroundTruth:
         if mismatch.size:
             i, j = mismatch[0]
             raise ValueError(f"full_graph and the precision's support differ at pair ({i}, {j})")
+        if np.any(precision.hidden_diagonal() <= 0.0):
+            raise ValueError("the precision's hidden diagonal must be positive")
         self.kind = kind
         self.epsilon = epsilon
         self.seed = seed
@@ -245,11 +246,11 @@ class GroundTruth:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroundTruth":
-        p, r = int(obj["p"]), int(obj["r"])
+        p, r = json_int(obj["p"], "p"), json_int(obj["r"], "r")
         return cls(
             kind=obj["kind"],
             epsilon=float(obj["epsilon"]),
-            seed=int(obj["seed"]),
+            seed=json_int(obj["seed"], "seed"),
             graph=Graph.from_json_dict(obj["full_graph"]),
             precision=PartitionedPrecision(matrix_from_json(obj["precision"]), p, r),
             snr=float(obj["snr"]),

@@ -17,10 +17,10 @@ import pytest
 
 import treeagg
 from treeagg import em
-from treeagg.em import LOG_2PI, completed_moments, tree_entropy
+from treeagg.em import LOG_2PI, tree_entropy
 from treeagg.errors import DegenerateWeightsError
 from treeagg.graphs import Graph, UnionFind
-from treeagg.matrices import PartitionedPrecision
+from treeagg.matrices import PartitionedPrecision, completed_moments
 from treeagg.simulate import GroundTruth, gen_precision, scale_and_snr
 from treeagg.spanning_trees import (
     _max_rescale,

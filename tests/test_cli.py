@@ -528,6 +528,22 @@ def fits_dir(suite_dir, tmp_path_factory):
     return fits
 
 
+@pytest.fixture(scope="module")
+def two_hidden_suite(tmp_path_factory):
+    """A one-replicate suite with p = 10 and r = 2 (hidden nodes 10 and 11),
+    under data/, and its fixed-tree fit under fits/."""
+    root = tmp_path_factory.mktemp("two_hidden")
+    config = root / "sim.json"
+    config.write_text(json.dumps(
+        {"kind": "tree", "p": 10, "r": 2, "epsilon": 4.0, "n": 40, "replicates": 1, "seed": 5}
+    ))
+    assert run_cli("simulate", "--config", config, "--out", root / "data") == 0
+    observed = root / "data" / "rep_000" / "observed.csv"
+    args = ("--out", root / "fits" / "rep_000", "--r", 2, "--method", "fixed-tree")
+    assert run_cli("fit", observed, *args) == 0
+    return root
+
+
 class TestEval:
     def test_end_to_end(self, suite_dir, fits_dir, tmp_path):
         out = tmp_path / "curves"
@@ -639,6 +655,81 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "rep_001" in err and f"{source}.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["ground_truth", "fit"])
+    def test_hidden_hidden_entry_is_data_error(self, two_hidden_suite, tmp_path, capsys, source):
+        # the model never joins two hidden nodes, so a precision with a
+        # nonzero hidden-hidden entry is not one of its precisions; the
+        # ground truth's full_graph gets the matching edge, so its support
+        # check passes
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(two_hidden_suite / "data", data)
+        shutil.copytree(two_hidden_suite / "fits", fits)
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", tmp_path / "ok") == 0
+
+        def join_hidden(obj):
+            size = obj["precision"]["shape"][0]
+            obj["precision"]["data"][10 * size + 11] = obj["precision"]["data"][11 * size + 10] = -0.5
+            if source == "ground_truth":
+                obj["full_graph"]["edges"].append([10, 11])
+
+        path = data / "rep_000" / "ground_truth.json" if source == "ground_truth" else fits / "rep_000" / "fit.json"
+        edit_json(path, join_hidden)
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{source}.json" in err and "hidden-hidden" in err
+        assert not out.exists()
+
+    def test_nonpositive_hidden_diagonal_is_data_error(self, suite_dir, fits_dir, tmp_path, capsys):
+        # the marginal inverts the hidden block by its reciprocal diagonal,
+        # which would turn a zero into inf and NaN and score the replicate
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        edit_json(data / "rep_001" / "ground_truth.json",
+                  lambda obj: obj["precision"]["data"].__setitem__(-1, 0.0))
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "ground_truth.json" in err and "hidden diagonal" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, keys, value",
+        [("ground_truth", ("p",), "8"), ("ground_truth", ("r",), 1.9),
+         ("ground_truth", ("seed",), True), ("ground_truth", ("full_graph", "n_nodes"), 9.0),
+         ("fit", ("p",), 8.0), ("fit", ("r",), True)],
+        ids=["truth_p_string", "truth_r_float", "truth_seed_bool", "graph_n_nodes_float",
+             "fit_p_float", "fit_r_bool"],
+    )
+    def test_count_not_an_integer_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, source, keys, value
+    ):
+        # each count used to be read with int(), which took 1.9 as 1, "8" as 8
+        # and true as 1
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+
+        def damage(obj):
+            for key in keys[:-1]:
+                obj = obj[key]
+            obj[keys[-1]] = value
+
+        path = data / "rep_001" / "ground_truth.json" if source == "ground_truth" else fits / "rep_001" / "fit.json"
+        edit_json(path, damage)
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{source}.json" in err
+        assert f"{keys[-1]}: expected an integer, got {value!r}" in err
         assert not out.exists()
 
     def test_stored_marginal_parts_are_not_read(self, suite_dir, fits_dir, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeagg.errors import DataError
-from treeagg.matrices import EIG_FLOOR, EmpiricalCovariance, floor_spectrum
+from treeagg.matrices import EIG_FLOOR, EmpiricalCovariance, PartitionedPrecision, floor_spectrum
 
 from conftest import random_spd
 
@@ -38,6 +38,27 @@ class TestFromData:
             EmpiricalCovariance.from_data(rng.normal(size=(3, 1)))
         with pytest.raises(ValueError, match="at least 2"):
             EmpiricalCovariance(np.eye(1), 3)
+
+
+class TestPartitionedPrecision:
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("value", [0.5, -1e-300, np.nan])
+    def test_nonzero_hidden_hidden_entry_rejected(self, rng, r, value):
+        k = np.eye(6 + r) * 2.0
+        k[:6, :6] = random_spd(rng, 6)
+        PartitionedPrecision(k, 6, r)  # a diagonal hidden block is accepted
+        k[6, 5 + r] = k[5 + r, 6] = value
+        with pytest.raises(ValueError, match="hidden-hidden"):
+            PartitionedPrecision(k, 6, r)
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_marginal_is_the_schur_complement(self, rng, r):
+        k = random_spd(rng, 7 + r) * 3.0
+        k[7:, 7:] = np.diag(np.diag(k[7:, 7:]))
+        schur = k[:7, :7] - k[:7, 7:] @ np.linalg.solve(k[7:, 7:], k[7:, :7])
+        marginal = PartitionedPrecision(k, 7, r).marginal()
+        np.testing.assert_allclose(marginal, schur, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.inv(marginal), np.linalg.inv(k)[:7, :7], atol=1e-10)
 
 
 class TestFloorSpectrum:

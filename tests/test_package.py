@@ -75,3 +75,15 @@ def test_cli_import_loads_traced_modules():
     loaded = set(ast.literal_eval(result.stdout))
     missing = {f"treeagg.{module}" for module, _ in traced()} - loaded
     assert not missing
+
+
+def test_every_error_type_is_raised():
+    # an error class that no package code raises is one a caller can never
+    # catch: scan the source for a `raise` of each class in errors.py
+    src = Path(treeagg.__file__).resolve().parent
+    tree = ast.parse((src / "errors.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"TreeAggError"}
+    assert names
+    code = "\n".join(path.read_text() for path in sorted(src.glob("*.py")) if path.name != "errors.py")
+    unraised = {name for name in names if not re.search(rf"\braise\s+{name}\b", code)}
+    assert not unraised

@@ -123,7 +123,7 @@ class TestScaleAndSnr:
     @pytest.mark.parametrize("epsilon", [1.7e308, 1e160, 1e200, 1e-310])
     def test_epsilon_out_of_float_range_raises(self, epsilon):
         # an infinite scaled precision, two SNRs whose squared norms
-        # overflow, and a subnormal hidden block whose solve gives a NaN
+        # overflow, and a subnormal hidden block whose reciprocal gives a NaN
         # Schur term, on which the spectral norms would fail
         k = PartitionedPrecision(gen_precision(figure_tree_graph(), seed=0), 9, 1)
         with pytest.raises(ValueError, match="epsilon .* out of the float range"):
@@ -247,9 +247,9 @@ class TestGroundTruth:
                     if a != b:
                         assert not adj[a, b]
             # no hidden-hidden entries in K
-            r = truth.n_hidden
-            hh = truth.precision.k_hh
-            np.testing.assert_allclose(hh - np.diag(np.diag(hh)), 0.0)
+            p = truth.n_observed
+            hh = truth.precision.matrix[p:, p:]
+            np.testing.assert_array_equal(hh, np.diag(truth.precision.hidden_diagonal()))
 
     def test_reconstructible_from_seed(self):
         a = make_ground_truth("tree", size=12, r=1, epsilon=2.0, seed=9)

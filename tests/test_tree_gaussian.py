@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeagg.em import conditional_moments
-from treeagg.errors import PerfectCorrelationError, SingularPrecisionError
+from treeagg.errors import InvalidPrecisionError, PerfectCorrelationError
 from treeagg.graphs import UnionFind
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
@@ -168,6 +168,7 @@ class TestConditional:
 
     def test_matches_schur_conditioning(self, rng):
         k = random_spd(rng, 6) * 3.0
+        k[4, 5] = k[5, 4] = 0.0  # the hidden block is diagonal
         prec = PartitionedPrecision(k, 4, 2)
         x = rng.normal(size=4)
         mean, cond = conditional_given(prec, x)
@@ -180,10 +181,9 @@ class TestConditional:
 
     def test_singular_hidden_block(self):
         k = np.eye(4)
-        k[2, 2] = k[3, 3] = 1.0
-        k[2, 3] = k[3, 2] = 1.0  # singular hidden block
+        k[3, 3] = 0.0  # a zero on the diagonal hidden block makes it singular
         prec = PartitionedPrecision(k, 2, 2)
-        with pytest.raises(SingularPrecisionError):
+        with pytest.raises(InvalidPrecisionError):
             conditional_given(prec, np.zeros(2))
 
 
@@ -198,16 +198,15 @@ class TestLogMarginalTreeWeight:
         np.testing.assert_allclose(lg[iu], 0.0, atol=1e-14)  # log 1
 
     def test_hidden_hidden_factor_is_one(self, rng):
-        # with a positive prior on a hidden-hidden pair, gamma = pi * d * 1
+        # with a positive prior on a hidden-hidden pair, gamma = pi * d * m,
+        # and K_HH's zero off-diagonal makes d = m = 1
         k = np.eye(4) * 2.0
-        k[2, 3] = k[3, 2] = 0.5
+        k[0, 2] = k[2, 0] = k[1, 3] = k[3, 1] = 0.5
         prec = PartitionedPrecision(k, 2, 2)
         prior = np.ones((4, 4)) - np.eye(4)
-        s = np.eye(2)
-        n = 6
-        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
-        ratio = 1.0 - 0.5**2 / 4.0
-        assert lg[2, 3] == pytest.approx(0.5 * n * np.log(ratio), rel=1e-12)
+        prior[2, 3] = prior[3, 2] = 0.7
+        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(np.eye(2), 6))
+        assert lg[2, 3] == np.log(0.7)
 
     def test_matches_per_tree_factorized_evidence(self, rng):
         # sum_T prod gamma equals the per-tree product of the determinant and
