@@ -43,9 +43,11 @@ from .matrices import (
 )
 from .spanning_trees import tree_posterior
 from .tree_gaussian import (
+    log_edge_prior,
     log_marginal_tree_weight,
     require_imperfect_correlation,
     uniform_prior,
+    upper_pairs,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -97,16 +99,18 @@ def _materialize_weights(log_gamma: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _FitPrior:
-    """An edge prior on `uniform_prior`'s support, and its log partition.
+    """An edge prior on `uniform_prior`'s support, its log weights and its
+    log partition.
 
-    Both are constant over a fit, so `fit` builds this once and every E-step
+    All are constant over a fit, so `fit` builds this once and every E-step
     of the fit reuses it; `edge_posteriors` builds the calibrated one.
     """
 
-    __slots__ = ("weights", "log_z")
+    __slots__ = ("weights", "log_weights", "log_z")
 
     def __init__(self, weights: np.ndarray, log_z: float):
         self.weights = weights
+        self.log_weights = log_edge_prior(weights)
         self.log_z = log_z
 
     @classmethod
@@ -201,7 +205,7 @@ def _weigh(
 ) -> _Weighed:
     """Everything of `e_step` but the kernel call: moments, log gamma, weights."""
     w_ho, _, b_h = conditional_moments(precision, cov.matrix)
-    log_gamma = log_marginal_tree_weight(precision, prior.weights, cov)
+    log_gamma = log_marginal_tree_weight(precision, prior.log_weights, cov)
     weights, shift = _materialize_weights(log_gamma)
     return _Weighed(w_ho, b_h, log_gamma, weights, shift, prior.log_z)
 
@@ -226,7 +230,7 @@ def e_step(weighed: _Weighed) -> EStepState:
 def tree_entropy(state: EStepState) -> float:
     """Closed-form H(T | X_O) = log Z - sum alpha_kl log gamma_kl."""
     alpha, log_gamma = state.alpha, state.log_gamma
-    iu = np.triu_indices(alpha.shape[0], k=1)
+    iu = upper_pairs(alpha.shape[0])
     a, g = alpha[iu], log_gamma[iu]
     return float(state.log_z - (a * np.where(a > 0.0, g, 0.0)).sum())
 
@@ -328,12 +332,15 @@ def _reciprocal_residual(
     x: np.ndarray, kd: np.ndarray, ksq: np.ndarray, mass: np.ndarray, pos: np.ndarray,
     inv_t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi(x) - 1/t and phi's slope, phi(x) = x / (1 + sum_k m_k / (x K_kk - K_ik^2))."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # x on a pole: a = inf, slope NaN
-        inv_den = np.where(pos, 1.0 / (x[:, None] * kd[None, :] - ksq), 0.0)
-        q = mass * inv_den
-        a = 1.0 + q.sum(axis=1)
-        return x / a - inv_t, (a + x * ((q * inv_den) @ kd)) / a**2
+    """phi(x) - 1/t and phi's slope, phi(x) = x / (1 + sum_k m_k / (x K_kk - K_ik^2)).
+
+    At x on a pole a is inf and the slope NaN; `_solve_diagonal` calls this
+    with divide and invalid warnings off.
+    """
+    inv_den = np.where(pos, 1.0 / (x[:, None] * kd[None, :] - ksq), 0.0)
+    q = mass * inv_den
+    a = 1.0 + q.sum(axis=1)
+    return x / a - inv_t, (a + x * ((q * inv_den) @ kd)) / a**2
 
 
 def _solve_diagonal(k_prev: np.ndarray, alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -355,20 +362,20 @@ def _solve_diagonal(k_prev: np.ndarray, alpha: np.ndarray, targets: np.ndarray) 
     pos = mass > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.where(pos, ksq / kd[None, :], 0.0).max(axis=1)
-    hi = np.full_like(lo, np.inf)
-    inv_t = 1.0 / targets
-    x = np.maximum(2.0 * inv_t, 2.0 * lo)
-    for _ in range(100):
-        f, slope = _reciprocal_residual(x, kd, ksq, mass, pos, inv_t)
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
-        step = x - f / slope
-        # a step onto lo or hi is in the bracket: x itself is one of them
-        out = ~((lo <= step) & (step <= hi))
-        step[out] = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))[out]
-        if np.all(np.abs(step - x) <= 4.0 * np.spacing(x)):
-            return step
-        x = step
+        hi = np.full_like(lo, np.inf)
+        inv_t = 1.0 / targets
+        x = np.maximum(2.0 * inv_t, 2.0 * lo)
+        for _ in range(100):
+            f, slope = _reciprocal_residual(x, kd, ksq, mass, pos, inv_t)
+            lo = np.where(f < 0.0, x, lo)
+            hi = np.where(f > 0.0, x, hi)
+            step = x - f / slope
+            # a step onto lo or hi is in the bracket: x itself is one of them
+            out = ~((lo <= step) & (step <= hi))
+            step[out] = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))[out]
+            if np.all(np.abs(step - x) <= 4.0 * np.spacing(x)):
+                return step
+            x = step
     raise MStepError("the diagonal update did not converge")
 
 

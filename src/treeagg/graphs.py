@@ -35,7 +35,8 @@ class Graph:
         """Each edge sorted as (min, max), duplicates dropped, the list sorted.
 
         An edge is exactly two integer endpoints; anything else raises
-        ValueError (wrong length) or TypeError (a non-integer endpoint).
+        ValueError (wrong length) or TypeError (a non-integer endpoint, a
+        boolean included).
         """
         norm = tuple(sorted({_endpoints(e) for e in edges}))
         loops = [i for i, j in norm if i == j]
@@ -68,13 +69,13 @@ def json_int(value, key: str) -> int:
 
 
 def _endpoints(edge: Iterable[int]) -> Edge:
-    """(min, max) of an edge's two endpoints, each read with `operator.index`,
-    which takes Python and numpy integers and rejects floats and strings."""
+    """(min, max) of an edge's two endpoints, each read as `json_int` reads
+    a count: Python and numpy integers, and no float, string or boolean."""
     ends = tuple(edge)
     if len(ends) != 2:
         raise ValueError(f"edge {list(ends)} does not have exactly two endpoints")
     try:
-        i, j = operator.index(ends[0]), operator.index(ends[1])
+        i, j = json_int(ends[0], "endpoint"), json_int(ends[1], "endpoint")
     except TypeError:
         raise TypeError(f"edge {list(ends)} has a non-integer endpoint") from None
     return (i, j) if i <= j else (j, i)

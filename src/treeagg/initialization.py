@@ -8,11 +8,14 @@ unit-variance score of the k-th leading principal component of the
 regularized covariance, so its covariances with the observed nodes and with
 the other hidden nodes follow from the covariance.  Without hidden nodes the
 start is the tree MLE of the covariance itself: one shrinkage and no
-eigendecomposition.
+eigendecomposition.  The regularized covariance and its eigendecomposition
+depend on the covariance alone, so `_observed_basis` builds them once for
+the r > 0 starts of one covariance, as `select` makes them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,16 +58,33 @@ def _first_loading_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _completed_covariance(sigma: np.ndarray, n_hidden: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _observed_basis(cov: EmpiricalCovariance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regularized covariance of `cov` and its `np.linalg.eigh`, read-only.
+
+    Kept for the last covariance object asked for, so the r > 0 starts of
+    one `select` share it.  `cov.matrix` is read-only, so the entry cannot
+    go stale.
+    """
+    sigma = _regularize_cov(cov.matrix)
+    evals, vecs = np.linalg.eigh(sigma)
+    for a in (sigma, evals, vecs):
+        a.setflags(write=False)
+    return sigma, evals, vecs
+
+
+def _completed_covariance(
+    sigma: np.ndarray, evals: np.ndarray, vecs: np.ndarray, n_hidden: int
+) -> np.ndarray:
     """Covariance over observed plus imputed hidden columns, from sigma alone.
 
-    Hidden column k is the unit-variance score u_k' x of the k-th leading
-    principal direction of sigma (the last one repeated past p), with its
-    first nonzero loading positive.  Its covariances are sigma u_k with the
-    observed columns and u_j' sigma u_k with the other hidden ones.
+    `evals` and `vecs` are `np.linalg.eigh(sigma)`.  Hidden column k is the
+    unit-variance score u_k' x of the k-th leading principal direction of
+    sigma (the last one repeated past p), with its first nonzero loading
+    positive.  Its covariances are sigma u_k with the observed columns and
+    u_j' sigma u_k with the other hidden ones.
     """
     p = sigma.shape[0]
-    evals, vecs = np.linalg.eigh(sigma)
     order = np.argsort(evals)[::-1]
     directions = []  # full-length directions u with Var(u' x) = 1
     for j in range(n_hidden):
@@ -102,14 +122,15 @@ class InitialState:
 def initial_precision_from_cov(cov: EmpiricalCovariance, n_hidden: int) -> InitialState:
     """Starting precision for the EM, computed from the covariance alone.
 
-    The tree MLE of the principal-component completion; without hidden
-    nodes there is nothing to complete, and the start is `tree_mle` of the
-    covariance, as in `fixed_tree`.  A tree MLE built from positive-definite
-    2 x 2 edge blocks is positive definite, so the start needs no floor.
+    The tree MLE of the principal-component completion of `_observed_basis`;
+    without hidden nodes there is nothing to complete, and the start is
+    `tree_mle` of the covariance, as in `fixed_tree`, with no
+    eigendecomposition.  A tree MLE built from positive-definite 2 x 2 edge
+    blocks is positive definite, so the start needs no floor.
     """
     p = cov.size
     sigma = cov.matrix
     if n_hidden:
-        sigma = _completed_covariance(_regularize_cov(sigma), n_hidden)
+        sigma = _completed_covariance(*_observed_basis(cov), n_hidden)
     tree, k = tree_mle(sigma, p)
     return InitialState(PartitionedPrecision(k, p, n_hidden), tree)

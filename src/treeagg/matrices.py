@@ -28,7 +28,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+    """The matrix of a `matrix_to_json` dict.  Each entry must be a JSON
+    number: the first string, boolean or other value raises TypeError."""
+    data = obj["data"]
+    for index, value in enumerate(data):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"matrix entry {index} is {value!r}, not a number")
+    return np.array(data, dtype=float).reshape(obj["shape"])
 
 
 class EmpiricalCovariance:
@@ -50,6 +56,7 @@ class EmpiricalCovariance:
             raise NotPositiveDefiniteError(
                 f"covariance has eigenvalue {evals[0]:.3e} below tolerance"
             )
+        m.setflags(write=False)  # `initialization` caches what it derives from m
         self.matrix = m
         self.n = int(n)
 

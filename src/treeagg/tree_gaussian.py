@@ -7,6 +7,8 @@ weights that turn the tree posterior into a product over edges.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -52,6 +54,29 @@ def uniform_prior(n_observed: int, n_hidden: int = 0) -> np.ndarray:
     return prior
 
 
+def log_edge_prior(prior: np.ndarray) -> np.ndarray:
+    """log pi_ij of an edge prior matrix, -inf off its support.
+
+    The support is the off-diagonal pairs of positive weight; the diagonal is
+    never in it.  `log_marginal_tree_weight` reads the support from here, so
+    a fit builds this once for all its E-steps.
+    """
+    prior = check_symmetric(prior, "prior")
+    active = prior > 0.0
+    np.fill_diagonal(active, False)
+    return np.where(active, np.log(np.where(active, prior, 1.0)), -np.inf)
+
+
+@functools.lru_cache(maxsize=16)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, read-only and built once per n: the pairs
+    i < j in (row, col) order."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def gaussian_mutual_information(s: np.ndarray) -> np.ndarray:
     """Pairwise Gaussian mutual information -log(1 - rho^2)/2 of covariance s.
 
@@ -67,13 +92,14 @@ def maximum_spanning_tree(
     weights: np.ndarray, forbidden: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
     """Kruskal maximum spanning tree over the pairs not `forbidden`, ties
-    broken by lexicographic edge order."""
+    broken by lexicographic edge order: `upper_pairs` lists the pairs in
+    that order, and a stable sort keeps it among equal weights."""
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = upper_pairs(n)
     allowed = ~np.asarray(forbidden, dtype=bool)[rows, cols]
     rows, cols = rows[allowed], cols[allowed]
-    order = np.lexsort((cols, rows, -w[rows, cols]))
+    order = np.argsort(-w[rows, cols], kind="stable")
     uf = UnionFind(n)
     edges = []
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
@@ -110,7 +136,7 @@ def tree_precision_from_cov(tree_edges, s: np.ndarray) -> np.ndarray:
 
 def log_marginal_tree_weight(
     precision: PartitionedPrecision,
-    prior: np.ndarray,
+    log_prior: np.ndarray,
     cov: EmpiricalCovariance,
 ) -> np.ndarray:
     """Per-edge log gamma_ij = log(pi_ij d_ij m_ij) of the tree posterior.
@@ -118,20 +144,19 @@ def log_marginal_tree_weight(
     d_ij = ((K_ii K_jj - K_ij^2) / (K_ii K_jj))^(n/2) for every pair; the trace
     factor m is exp(-n K_ij S_ij) for observed pairs, exp((n/2) K_ih
     (K_HO S)_hi / K_hh) for observed-hidden pairs and 1 for hidden pairs.
-    Entries with pi_ij = 0 come out as -inf.  S and n are those of `cov`.
+    `log_prior` is log pi as `log_edge_prior` builds it; entries off its
+    support come out as -inf.  S and n are those of `cov`.
     """
     sigma, n = cov.matrix, cov.n
     p, r = precision.n_observed, precision.n_hidden
     size = p + r
     kmat = precision.matrix
-    prior = check_symmetric(np.asarray(prior, dtype=float), "prior")
-    if prior.shape[0] != size:
+    if log_prior.shape != (size, size):
         raise ValueError("prior size does not match the precision")
     precision.require_positive_hidden_diagonal()
 
     kd = np.diag(kmat)
-    active = prior > 0.0
-    np.fill_diagonal(active, False)
+    active = log_prior > -np.inf
     denom = np.outer(kd, kd)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = 1.0 - kmat**2 / denom
@@ -149,5 +174,4 @@ def log_marginal_tree_weight(
     log_m[p:, :p] = log_m[:p, p:].T
     # hidden-hidden block keeps log m = 0
 
-    log_prior = np.log(np.where(active, prior, 1.0))
     return np.where(active, log_prior + log_d + log_m, -np.inf)

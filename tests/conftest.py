@@ -145,10 +145,11 @@ def fit_e_step(precision, cov):
     return em.e_step(em._weigh(precision, cov, prior))
 
 
-def raw_prior_alpha(precision, cov, prior):
-    """Edge posteriors at K under an arbitrary edge prior matrix: log gamma,
-    its materialized weights, and their edge marginals."""
-    weights, _ = em._materialize_weights(log_marginal_tree_weight(precision, prior, cov))
+def raw_prior_alpha(precision, cov, log_prior):
+    """Edge posteriors at K under an arbitrary log edge prior (`log_edge_prior`
+    of a prior matrix): log gamma, its materialized weights, and their edge
+    marginals."""
+    weights, _ = em._materialize_weights(log_marginal_tree_weight(precision, log_prior, cov))
     return edge_marginals(weights)
 
 

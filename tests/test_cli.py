@@ -626,14 +626,16 @@ class TestEval:
     @pytest.mark.parametrize(
         "bad_edge",
         [lambda i, j: [i], lambda i, j: [i, j, 99], lambda i, j: [i + 0.5, j],
-         lambda i, j: [str(i), j]],
-        ids=["one_endpoint", "three_endpoints", "float_endpoint", "string_endpoint"],
+         lambda i, j: [str(i), j], lambda i, j: [True, j]],
+        ids=["one_endpoint", "three_endpoints", "float_endpoint", "string_endpoint",
+             "bool_endpoint"],
     )
     def test_edge_not_two_integers_is_data_error(
         self, suite_dir, fits_dir, tmp_path, capsys, source, bad_edge
     ):
         # a full_graph edge or a fixed-tree edge; eval read [i] with an
-        # IndexError traceback, and [i, j, 99], [i + 0.5, j] and ["i", j] as (i, j)
+        # IndexError traceback, [i, j, 99], [i + 0.5, j] and ["i", j] as
+        # (i, j), and [true, j] as (1, j)
         import shutil
 
         data, fits = tmp_path / "data", tmp_path / "fits"
@@ -655,6 +657,7 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "rep_001" in err and f"{source}.json" in err
+        assert "endpoint" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["ground_truth", "fit"])
@@ -730,6 +733,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert "data error" in err and f"{source}.json" in err
         assert f"{keys[-1]}: expected an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [("ground_truth", "precision", "1.5"), ("fit", "alpha", True)],
+        ids=["truth_precision_string", "fit_alpha_bool"],
+    )
+    def test_matrix_entry_not_a_number_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, source, key, value
+    ):
+        # a matrix was read with np.array(..., dtype=float), which took "1.5"
+        # as 1.5 and true as 1.0
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+        path = data / "rep_001" / "ground_truth.json" if source == "ground_truth" else fits / "rep_001" / "fit.json"
+        edit_json(path, lambda obj: obj[key]["data"].__setitem__(1, value))
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{source}.json" in err
+        assert f"matrix entry 1 is {value!r}, not a number" in err
         assert not out.exists()
 
     def test_stored_marginal_parts_are_not_read(self, suite_dir, fits_dir, tmp_path):

@@ -9,6 +9,7 @@ from treeagg.errors import (
 )
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
+from treeagg.tree_gaussian import log_edge_prior
 
 from conftest import (
     bisect_diagonal,
@@ -815,7 +816,7 @@ class TestEdgePosteriors:
         result = em.fit(cov, 2)
         p0 = 6.0 / 20.0  # (size - 1) / #candidate pairs
         calibrated = fixed_point_calibrate(em.uniform_prior(5, 2), p0)
-        expected = raw_prior_alpha(result.precision, cov, calibrated)
+        expected = raw_prior_alpha(result.precision, cov, log_edge_prior(calibrated))
         calls = self.count_kernel_calls(monkeypatch)
         alpha2 = em.edge_posteriors(result, p0)
         assert calls == {"tree_posterior": 1, "log_partition_function": 0, "edge_marginals": 0}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeagg import em, initialization
+from treeagg import em, initialization, selection
 from treeagg.em import FitOptions
 from treeagg.initialization import _completed_covariance, initial_precision_from_cov
 from treeagg.matrices import EmpiricalCovariance
@@ -36,7 +36,7 @@ def unit_pairs(column, d):
 def completed(data, n_hidden):
     """Covariance completed with n_hidden principal-component hidden nodes."""
     sigma = EmpiricalCovariance.from_data(data).matrix
-    return _completed_covariance(sigma, n_hidden)
+    return _completed_covariance(sigma, *np.linalg.eigh(sigma), n_hidden)
 
 
 class TestImputeHidden:
@@ -47,7 +47,7 @@ class TestImputeHidden:
         data = factor_data(rng)
         sigma = EmpiricalCovariance.from_data(data).matrix
         p = sigma.shape[0]
-        c = _completed_covariance(sigma, n_hidden)
+        c = _completed_covariance(sigma, *np.linalg.eigh(sigma), n_hidden)
         assert c.shape == (p + n_hidden, p + n_hidden)
         np.testing.assert_array_equal(c[:p, :p], sigma)
         evals, vecs = np.linalg.eigh(sigma)
@@ -182,3 +182,64 @@ class TestInitialK:
         k = initial_k(data, 1)
         assert np.isfinite(k.matrix).all()
         assert np.linalg.eigvalsh(k.matrix)[0] > 0
+
+
+def fit_bits(result):
+    """Everything a fit reports, with its arrays as bytes."""
+    return (
+        result.precision.matrix.tobytes(), result.alpha.tobytes(), result.loglik_trace,
+        result.loglik, result.h_tree, result.h_joint, result.iterations, result.converged,
+    )
+
+
+class TestSharedStart:
+    """The r > 0 starts of one covariance object share its regularized
+    covariance and eigendecomposition, and give the bits of a fresh one."""
+
+    def test_select_fits_equal_fresh_covariance_fits(self, rng):
+        data = factor_data(rng, n=60)
+        report = selection.select(EmpiricalCovariance.from_data(data), r_max=3, keep_fits=True)
+        assert sorted(report.fits) == [0, 1, 2, 3]
+        for r, result in report.fits.items():
+            fresh = em.fit(EmpiricalCovariance.from_data(data), r)
+            assert fit_bits(result) == fit_bits(fresh)
+
+    def test_fit_order_does_not_matter(self, rng):
+        data = factor_data(rng, n=60)
+        cov = EmpiricalCovariance.from_data(data)
+        shared = {r: em.fit(cov, r) for r in (3, 1, 2)}  # before any fresh fit evicts cov
+        for r, result in shared.items():
+            assert fit_bits(result) == fit_bits(em.fit(EmpiricalCovariance.from_data(data), r))
+
+    def test_alternating_covariances_keep_their_own_start(self, rng):
+        # two covariances of one size, started in turn, as `select-p20`
+        # fits them; the reference builds the start without the cache
+        covs = [EmpiricalCovariance.from_data(factor_data(rng, n=60)) for _ in range(2)]
+        for i, r in ((0, 1), (1, 1), (0, 2), (1, 3)):
+            start = initial_precision_from_cov(covs[i], r).precision.matrix
+            reg = initialization._regularize_cov(covs[i].matrix)
+            sigma = _completed_covariance(reg, *np.linalg.eigh(reg), r)
+            _, expected = initialization.tree_mle(sigma, covs[i].size)
+            assert start.tobytes() == expected.tobytes()
+
+    def test_second_fit_shrinks_only_the_completion(self, rng, monkeypatch):
+        cov = EmpiricalCovariance.from_data(factor_data(rng))
+        em.fit(cov, 1)
+        calls = []
+        regularize = initialization._regularize_cov
+        monkeypatch.setattr(
+            initialization, "_regularize_cov", lambda m: calls.append(1) or regularize(m)
+        )
+        em.fit(cov, 2)
+        assert len(calls) == 1
+
+    def test_covariance_matrix_is_read_only(self, rng):
+        cov = EmpiricalCovariance.from_data(factor_data(rng))
+        with pytest.raises(ValueError):
+            cov.matrix[0, 0] = 1.0
+
+    def test_basis_is_read_only(self, rng):
+        cov = EmpiricalCovariance.from_data(factor_data(rng))
+        for a in initialization._observed_basis(cov):
+            with pytest.raises(ValueError):
+                a[...] = 0.0

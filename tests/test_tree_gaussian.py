@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from treeagg.em import conditional_moments
-from treeagg.errors import InvalidPrecisionError, PerfectCorrelationError
+from treeagg.errors import DegenerateWeightsError, InvalidPrecisionError, PerfectCorrelationError
 from treeagg.graphs import UnionFind
 from treeagg.matrices import EmpiricalCovariance, PartitionedPrecision
 from treeagg.simulate import make_ground_truth, sample_and_marginalize, sample_seed
 from treeagg.tree_gaussian import (
     gaussian_mutual_information,
+    log_edge_prior,
     log_marginal_tree_weight,
     maximum_spanning_tree,
     tree_precision_from_cov,
+    uniform_prior,
+    upper_pairs,
 )
 
 from conftest import chow_liu, random_spd, tree_edges, tree_products
@@ -82,6 +85,60 @@ class TestChowLiu:
                 if uf.union(i, j):
                     expected.append((i, j))
             assert maximum_spanning_tree(w, forbidden) == tuple(sorted(expected))
+
+    def test_stable_sort_matches_lexsort_on_masked_ties(self, rng):
+        # Kruskal's order is a stable argsort of -w over `upper_pairs`; the
+        # reference is the lexsort on (-w, i, j) it replaced, over random
+        # masks and weights in {-1, 0, 1, 2} (-0.0 among the ties)
+        for _ in range(300):
+            size = int(rng.integers(3, 10))
+            w = np.triu(rng.integers(-1, 3, (size, size)).astype(float), 1)
+            w = w + w.T
+            forbidden = np.triu(rng.random((size, size)) < 0.3, 1)
+            forbidden = forbidden | forbidden.T
+            rows, cols = np.triu_indices(size, k=1)
+            keep = ~forbidden[rows, cols]
+            rows, cols = rows[keep], cols[keep]
+            uf, expected = UnionFind(size), []
+            for k in np.lexsort((cols, rows, -w[rows, cols])):
+                if uf.union(int(rows[k]), int(cols[k])):
+                    expected.append((int(rows[k]), int(cols[k])))
+            if len(expected) < size - 1:
+                with pytest.raises(DegenerateWeightsError):
+                    maximum_spanning_tree(w, forbidden)
+            else:
+                assert maximum_spanning_tree(w, forbidden) == tuple(sorted(expected))
+
+
+class TestUpperPairs:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_triu_indices_read_only_and_cached(self, n):
+        rows, cols = upper_pairs(n)
+        expected = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(rows, expected[0])
+        np.testing.assert_array_equal(cols, expected[1])
+        assert upper_pairs(n) is upper_pairs(n)
+        with pytest.raises(ValueError):
+            rows[...] = 0
+
+
+class TestLogEdgePrior:
+    def test_log_weights_minus_inf_off_support(self):
+        prior = uniform_prior(3, 2)
+        prior[0, 3] = prior[3, 0] = 0.5
+        log_prior = log_edge_prior(prior)
+        support = prior > 0.0
+        np.testing.assert_array_equal(log_prior[support], np.log(prior[support]))
+        assert np.all(log_prior[~support] == -np.inf)
+
+    def test_diagonal_never_in_support(self):
+        assert np.all(np.diag(log_edge_prior(np.ones((4, 4)))) == -np.inf)
+
+    def test_asymmetric_prior_rejected(self):
+        prior = np.ones((3, 3))
+        prior[0, 1] = 2.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            log_edge_prior(prior)
 
 
 class TestTreePrecision:
@@ -193,7 +250,7 @@ class TestLogMarginalTreeWeight:
         k = np.diag([1.0, 2.0, 3.0])
         prec = PartitionedPrecision(k, 3, 0)
         prior = np.ones((3, 3)) - np.eye(3)
-        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, 7))
+        lg = log_marginal_tree_weight(prec, log_edge_prior(prior), EmpiricalCovariance(s, 7))
         iu = np.triu_indices(3, 1)
         np.testing.assert_allclose(lg[iu], 0.0, atol=1e-14)  # log 1
 
@@ -205,7 +262,7 @@ class TestLogMarginalTreeWeight:
         prec = PartitionedPrecision(k, 2, 2)
         prior = np.ones((4, 4)) - np.eye(4)
         prior[2, 3] = prior[3, 2] = 0.7
-        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(np.eye(2), 6))
+        lg = log_marginal_tree_weight(prec, log_edge_prior(prior), EmpiricalCovariance(np.eye(2), 6))
         assert lg[2, 3] == np.log(0.7)
 
     def test_matches_per_tree_factorized_evidence(self, rng):
@@ -216,7 +273,7 @@ class TestLogMarginalTreeWeight:
         prec = PartitionedPrecision(k, 3, 0)
         prior = np.ones((3, 3)) - np.eye(3)
         n = 4
-        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
+        lg = log_marginal_tree_weight(prec, log_edge_prior(prior), EmpiricalCovariance(s, n))
         w = np.exp(lg)
         w[~np.isfinite(lg)] = 0.0
         np.fill_diagonal(w, 0.0)
@@ -241,7 +298,7 @@ class TestLogMarginalTreeWeight:
         prior = np.ones((4, 4)) - np.eye(4)
         prior[3, 3] = 0.0
         n = 5
-        lg = log_marginal_tree_weight(prec, prior, EmpiricalCovariance(s, n))
+        lg = log_marginal_tree_weight(prec, log_edge_prior(prior), EmpiricalCovariance(s, n))
         kd = np.diag(k)
         i = 1
         cross = k[3, :3] @ s[:, i]

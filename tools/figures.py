@@ -61,10 +61,10 @@ def suite(size, r, epsilon, offset):
 def log_gamma_span(fit, cov) -> float:
     """max - min of the fit's log gamma over the uniform prior's support."""
     import numpy as np
-    from treeagg.tree_gaussian import log_marginal_tree_weight, uniform_prior
+    from treeagg.tree_gaussian import log_edge_prior, log_marginal_tree_weight, uniform_prior
 
-    prior = uniform_prior(fit.n_observed, fit.n_hidden)
-    log_gamma = log_marginal_tree_weight(fit.precision, prior, cov)[prior > 0.0]
+    log_prior = log_edge_prior(uniform_prior(fit.n_observed, fit.n_hidden))
+    log_gamma = log_marginal_tree_weight(fit.precision, log_prior, cov)[log_prior > -np.inf]
     return float(np.ptp(log_gamma))
 
 
