@@ -104,7 +104,7 @@ def _read_json(path: Path, missing: str, parse, error=DataError):
         raise error(f"{path}: invalid JSON ({exc})") from None
     except KeyError as exc:
         raise error(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{path}: {exc}") from None
 
 
@@ -382,6 +382,8 @@ def _fit_source(payload: dict) -> SimpleNamespace:
         alpha = matrix_from_json(payload["alpha"])
         if alpha.shape != (p + r, p + r):
             raise ValueError(f"alpha has shape {alpha.shape}, not p + r = {p + r} square")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha has a non-finite entry")
         return SimpleNamespace(alpha=alpha, n_observed=p, n_hidden=r)
     return SimpleNamespace(
         tree=Graph.from_edges(p + r, payload["tree"]).edges,
@@ -400,8 +402,6 @@ def _eval_one(payload: tuple) -> dict:
     )
     fit_path = Path(fits_dir) / rep_id / "fit.json"
     fit = _read_json(fit_path, f"missing fit for replicate {rep_id}", _fit_source)
-    if not np.isfinite(evaluate.score_edges(fit)).all():
-        raise DataError(f"{fit_path}: edge scores are not finite")
     if fit.n_observed != truth.n_observed:
         raise DataError(
             f"{fit_path}: p = {fit.n_observed}, ground truth has p = {truth.n_observed}"
@@ -425,6 +425,19 @@ def _eval_one(payload: tuple) -> dict:
     return result
 
 
+def _replicate_ids(manifest: dict) -> list[str]:
+    """The manifest's replicate ids: a non-empty list of distinct strings, each
+    one path component (not empty, no "/", not "." or ".."), so every
+    replicate's outputs stay inside --out."""
+    rep_ids = [entry["id"] for entry in manifest["replicates"]]
+    for rep_id in rep_ids:
+        if not isinstance(rep_id, str) or rep_id in ("", ".", "..") or "/" in rep_id:
+            raise ValueError(f"replicate id {rep_id!r} is not a string naming one path component")
+    if not rep_ids or len(set(rep_ids)) != len(rep_ids):
+        raise ValueError("the manifest's replicate ids must be non-empty and distinct")
+    return rep_ids
+
+
 def cmd_eval(args) -> int:
     config = _resolve(_load_config(args.config), args, EVAL_KEYS)
     data_dir = Path(args.data)
@@ -432,9 +445,7 @@ def cmd_eval(args) -> int:
     rep_ids, dataset_hash = _read_json(
         manifest_path,
         f"dataset manifest not found: {manifest_path}",
-        lambda manifest: (
-            [entry["id"] for entry in manifest["replicates"]], manifest.get("config_hash")
-        ),
+        lambda manifest: (_replicate_ids(manifest), manifest.get("config_hash")),
     )
 
     jobs = [(str(data_dir), str(args.fits), config, rep) for rep in rep_ids]

@@ -31,7 +31,6 @@ from .errors import (
     DegeneratePosteriorError,
     DivergenceError,
     InvalidMomentError,
-    InvalidPrecisionError,
     MStepError,
 )
 from .matrices import (
@@ -68,7 +67,6 @@ def conditional_moments(
 
     K_HH is diagonal, so K_HH^-1 is the reciprocal of its positive diagonal.
     """
-    precision.require_positive_hidden_diagonal()
     inv_d = 1.0 / precision.hidden_diagonal()
     m = precision.k_ho * inv_d[:, None]  # K_H^-1 K_HO
     w_ho = m @ sigma
@@ -238,7 +236,6 @@ def tree_entropy(state: EStepState) -> float:
 def joint_entropy(h_tree: float, precision: PartitionedPrecision) -> float:
     """H(T, X_H | X_O): the tree entropy h_tree, `tree_entropy` of the E-step,
     plus the constant hidden-signal entropy."""
-    precision.require_positive_hidden_diagonal()
     h_signal = 0.5 * precision.n_hidden * (LOG_2PI + 1.0)
     return float(h_tree + h_signal - 0.5 * np.log(precision.hidden_diagonal()).sum())
 
@@ -285,8 +282,6 @@ def _loglik(
     come from `moments`.  Without hidden nodes the last two sums are 0."""
     n, p, r = cov.n, precision.n_observed, precision.n_hidden
     kd = np.diag(precision.matrix)
-    if np.any(kd <= 0.0):
-        raise InvalidPrecisionError("diagonal of K must be positive")
     value = float(
         log_z
         - moments.log_z_prior

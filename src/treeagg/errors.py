@@ -21,10 +21,6 @@ class PerfectCorrelationError(TreeAggError):
     """Two variables are (numerically) perfectly correlated."""
 
 
-class InvalidPrecisionError(TreeAggError):
-    """A precision matrix violates a positivity requirement."""
-
-
 class InvalidMomentError(TreeAggError):
     """A conditional second moment is nonpositive."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -66,6 +67,16 @@ def json_int(value, key: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{key}: expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def json_float(value, key: str) -> float:
+    """`value`, a JSON number, as a finite float: a string or a boolean raises
+    TypeError, and a NaN, an infinity or an int past the float range ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _endpoints(edge: Iterable[int]) -> Edge:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, InvalidPrecisionError, NotPositiveDefiniteError
+from .errors import DataError, NotPositiveDefiniteError
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -103,8 +103,11 @@ class EmpiricalCovariance:
 
 
 class PartitionedPrecision:
-    """Precision over observed (first) and hidden (last) variables; the model
-    never joins two hidden nodes, so the hidden block K_HH is diagonal."""
+    """Positive definite precision over observed (first) and hidden (last)
+    variables; the model never joins two hidden nodes, so the hidden block
+    K_HH is diagonal.  Being positive definite, K has a positive diagonal and
+    positive 2 x 2 principal minors, which is all the E-step and the
+    likelihood need; nothing downstream checks them again."""
 
     __slots__ = ("matrix", "n_observed", "n_hidden")
 
@@ -120,6 +123,12 @@ class PartitionedPrecision:
         k_hh = m[n_observed:, n_observed:]
         if np.any(k_hh[~np.eye(n_hidden, dtype=bool)] != 0.0):
             raise ValueError("precision has a nonzero hidden-hidden entry")
+        if not np.isfinite(m).all():  # NaN and inf pass through np.linalg.cholesky
+            raise ValueError("precision has a non-finite entry")
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise ValueError("precision is not positive definite") from None
         self.matrix = m
         self.n_observed = n_observed
         self.n_hidden = n_hidden
@@ -138,10 +147,6 @@ class PartitionedPrecision:
 
     def hidden_diagonal(self) -> np.ndarray:
         return np.diag(self.matrix)[self.n_observed :]
-
-    def require_positive_hidden_diagonal(self):
-        if np.any(self.hidden_diagonal() <= 0):
-            raise InvalidPrecisionError("hidden diagonal entries must be positive")
 
     def marginal(self) -> np.ndarray:
         """Schur complement K_OO - K_OH K_HH^-1 K_HO of the hidden block, unsymmetrized."""

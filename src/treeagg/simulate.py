@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from .errors import InfeasibleHiddenSetError, NotPositiveDefiniteError
-from .graphs import Graph, json_int, random_tree_edges
+from .errors import InfeasibleHiddenSetError
+from .graphs import Graph, json_float, json_int, random_tree_edges
 from .matrices import PartitionedPrecision, matrix_from_json, matrix_to_json, symmetrize
 
 ZERO_PATTERN_TOL = 1e-10
@@ -93,7 +93,7 @@ def scale_and_snr(
     A negative or non-finite epsilon raises ValueError, and so does one that
     takes the scaled precision, its Schur term or the SNR out of the float
     range, or one so large that the repair's absolute DIAG_MARGIN is lost to
-    roundoff and the result fails its Cholesky check; 0 removes the hidden
+    roundoff and the result is not positive definite; 0 removes the hidden
     nodes' signal.
     """
     if not 0.0 <= epsilon < np.inf:
@@ -136,22 +136,18 @@ def scale_and_snr(
             rest = DIAG_MARGIN - np.linalg.eigvalsh(k)[0]
             k += rest * np.eye(k.shape[0])
             added += rest
-    k = symmetrize(k)
     try:
-        np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
+        repaired = PartitionedPrecision(k, p, r)
+    except ValueError:  # not positive definite
         raise ValueError(f"epsilon {epsilon!r} is too large for the diagonal repair") from None
-    return PartitionedPrecision(k, p, r), snr, float(added.max())
+    return repaired, snr, float(added.max())
 
 
 def sample_and_marginalize(
     precision: PartitionedPrecision, n: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """n iid draws from N(0, K^-1); returns (full data, observed columns)."""
-    try:
-        chol = np.linalg.cholesky(precision.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("precision is not positive definite") from exc
+    chol = np.linalg.cholesky(precision.matrix)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, precision.size))
     full = np.linalg.solve(chol.T, z.T).T
@@ -174,9 +170,8 @@ class GroundTruth:
     """A simulated instance; hidden nodes occupy the last r labels.
 
     Construction checks `graph` against the off-diagonal support of `precision`
-    (less the observed-hidden pairs at epsilon 0) and that the hidden diagonal
-    is positive, then derives `hidden`, `marginal_precision_matrix` and
-    `marginal` from `precision`.
+    (less the observed-hidden pairs at epsilon 0), then derives `hidden`,
+    `marginal_precision_matrix` and `marginal` from `precision`.
     """
 
     __slots__ = (
@@ -206,8 +201,6 @@ class GroundTruth:
         if mismatch.size:
             i, j = mismatch[0]
             raise ValueError(f"full_graph and the precision's support differ at pair ({i}, {j})")
-        if np.any(precision.hidden_diagonal() <= 0.0):
-            raise ValueError("the precision's hidden diagonal must be positive")
         self.kind = kind
         self.epsilon = epsilon
         self.seed = seed
@@ -249,12 +242,12 @@ class GroundTruth:
         p, r = json_int(obj["p"], "p"), json_int(obj["r"], "r")
         return cls(
             kind=obj["kind"],
-            epsilon=float(obj["epsilon"]),
+            epsilon=json_float(obj["epsilon"], "epsilon"),
             seed=json_int(obj["seed"], "seed"),
             graph=Graph.from_json_dict(obj["full_graph"]),
             precision=PartitionedPrecision(matrix_from_json(obj["precision"]), p, r),
-            snr=float(obj["snr"]),
-            diag_adjust=float(obj["diag_adjust"]),
+            snr=json_float(obj["snr"], "snr"),
+            diag_adjust=json_float(obj["diag_adjust"], "diag_adjust"),
         )
 
 

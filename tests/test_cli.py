@@ -689,7 +689,8 @@ class TestEval:
 
     def test_nonpositive_hidden_diagonal_is_data_error(self, suite_dir, fits_dir, tmp_path, capsys):
         # the marginal inverts the hidden block by its reciprocal diagonal,
-        # which would turn a zero into inf and NaN and score the replicate
+        # which would turn a zero into inf and NaN and score the replicate;
+        # the precision is rejected as not positive definite when it is built
         import shutil
 
         data = tmp_path / "data"
@@ -699,8 +700,96 @@ class TestEval:
         out = tmp_path / "x"
         assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", out) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and "ground_truth.json" in err and "hidden diagonal" in err
+        assert "data error" in err and "ground_truth.json" in err and "not positive definite" in err
         assert not out.exists()
+
+    def test_indefinite_fixed_tree_precision_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys
+    ):
+        # K[0, 0] = 1e-3 keeps every diagonal entry positive, but K has a
+        # negative eigenvalue; eval used to score it
+        import shutil
+
+        fits = tmp_path / "fits"
+        shutil.copytree(fits_dir, fits)
+        observed = suite_dir / "rep_001" / "observed.csv"
+        args = ("--out", fits / "rep_001", "--r", 1, "--method", "fixed-tree")
+        assert run_cli("fit", observed, *args) == 0
+        edit_json(fits / "rep_001" / "fit.json",
+                  lambda obj: obj["precision"]["data"].__setitem__(0, 1e-3))
+        precision = matrix_from_json(json.loads((fits / "rep_001" / "fit.json").read_text())["precision"])
+        assert np.all(np.diag(precision) > 0.0) and np.linalg.eigvalsh(precision)[0] < 0.0
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", suite_dir, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "fit.json" in err and "not positive definite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epsilon", "10"), ("epsilon", True), ("epsilon", 10**400), ("snr", "0.5"),
+         ("snr", float("nan")), ("diag_adjust", False), ("diag_adjust", float("inf"))],
+        ids=["epsilon_string", "epsilon_bool", "epsilon_past_float_range", "snr_string",
+             "snr_nan", "diag_adjust_bool", "diag_adjust_inf"],
+    )
+    def test_truth_scalar_not_a_finite_number_is_data_error(
+        self, suite_dir, fits_dir, tmp_path, capsys, key, value
+    ):
+        # epsilon, snr and diag_adjust were read with float(), which took
+        # "10" as 10.0 and true as 1.0
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        edit_json(data / "rep_001" / "ground_truth.json", lambda obj: obj.__setitem__(key, value))
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "ground_truth.json" in err and key in err
+        assert not out.exists()
+
+    def test_matrix_entry_past_float_range_is_data_error(self, suite_dir, fits_dir, tmp_path, capsys):
+        # an integer too large for a float failed with an OverflowError traceback
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(suite_dir, data)
+        edit_json(data / "rep_001" / "ground_truth.json",
+                  lambda obj: obj["precision"]["data"].__setitem__(0, 10**400))
+        out = tmp_path / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits_dir, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "ground_truth.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["rep_000", 5, "rep_002"], ["rep_000", "sub/../../escaped", "rep_002"], [],
+         ["rep_000", "rep_001", "rep_001"], ["rep_000", "..", "rep_002"], ["", "rep_001"]],
+        ids=["integer", "escaping_path", "empty_list", "repeated", "dot_dot", "empty_string"],
+    )
+    def test_bad_replicate_id_is_data_error(self, suite_dir, fits_dir, tmp_path, capsys, ids):
+        # each id names a directory under --data, --fits and --out: an id
+        # that is not a string failed with a traceback, one that climbs out
+        # of --out wrote its curves outside it, no replicate failed in
+        # mean_roc, and a repeated one was averaged twice into the mean curves
+        import shutil
+
+        data, fits = tmp_path / "data", tmp_path / "fits"
+        shutil.copytree(suite_dir, data)
+        shutil.copytree(fits_dir, fits)
+        # the escaping id reaches a readable replicate, so only its name can stop it
+        for root in (data, fits):
+            (root / "sub").mkdir()
+        shutil.copytree(suite_dir / "rep_001", tmp_path / "escaped")
+        shutil.copy(fits / "rep_001" / "fit.json", tmp_path / "escaped")
+        edit_json(data / "manifest.json",
+                  lambda obj: obj.__setitem__("replicates", [{"id": i, "seed": 0} for i in ids]))
+        out = tmp_path / "o" / "x"
+        assert run_cli("eval", "--data", data, "--fits", fits, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "manifest.json" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "source, keys, value",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeagg.errors import DataError
+from treeagg.errors import DataError, NotPositiveDefiniteError
 from treeagg.matrices import EIG_FLOOR, EmpiricalCovariance, PartitionedPrecision, floor_spectrum
 
 from conftest import random_spd
@@ -40,7 +40,52 @@ class TestFromData:
             EmpiricalCovariance(np.eye(1), 3)
 
 
+class TestEmpiricalCovariance:
+    def test_indefinite_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError, match="eigenvalue"):
+            EmpiricalCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]), 5)
+
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_nonpositive_diagonal_rejected(self, diagonal):
+        with pytest.raises(ValueError, match="diagonal must be strictly positive"):
+            EmpiricalCovariance(np.diag([1.0, diagonal, 2.0]), 5)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="sample count"):
+            EmpiricalCovariance(np.eye(3), n)
+
+
 class TestPartitionedPrecision:
+    @pytest.mark.parametrize("n_observed, n_hidden", [(-1, 4), (4, -1)])
+    def test_negative_block_size_rejected(self, n_observed, n_hidden):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PartitionedPrecision(np.eye(3), n_observed, n_hidden)
+
+    @pytest.mark.parametrize("n_observed, n_hidden", [(3, 1), (1, 1), (4, 0)])
+    def test_size_mismatch_rejected(self, n_observed, n_hidden):
+        with pytest.raises(ValueError, match=r"n_observed \+ n_hidden"):
+            PartitionedPrecision(np.eye(3), n_observed, n_hidden)
+
+    @pytest.mark.parametrize(
+        "matrix, n_observed, n_hidden",
+        [([[1.0, 2.0], [2.0, 1.0]], 2, 0), (np.diag([1.0, 1.0, 0.0]), 2, 1),
+         (np.diag([2.0, -1.0, 1.0]), 2, 1)],
+        ids=["indefinite_positive_diagonal", "zero_hidden_diagonal", "negative_observed_diagonal"],
+    )
+    def test_not_positive_definite_rejected(self, matrix, n_observed, n_hidden):
+        with pytest.raises(ValueError, match="not positive definite"):
+            PartitionedPrecision(np.asarray(matrix), n_observed, n_hidden)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the symmetry check
+    def test_non_finite_entry_rejected(self, value):
+        # np.linalg.cholesky returns a NaN or inf factor here instead of failing
+        k = np.eye(3)
+        k[0, 1] = k[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            PartitionedPrecision(k, 2, 1)
+
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("value", [0.5, -1e-300, np.nan])
     def test_nonzero_hidden_hidden_entry_rejected(self, rng, r, value):
